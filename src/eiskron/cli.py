@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
 
 from .eisenstein import (EisensteinIndex, InvalidIndexError, bg_tilde_s,
                          eisenstein_qexp)
-from .qseries import QExpansion
 from .relations import (InvalidInstanceError, RelationInstance, poly_P,
                         recurrence_check, run_scan, verify_instance)
 
@@ -28,6 +28,14 @@ def _pair_int(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'i,j', got {text!r}")
+
+
+def _workers(text: str) -> int:
+    """Worker count: at least 1, clamped to the number of CPUs."""
+    n = int(text)  # argparse reports a ValueError and exits 2
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _pair_float(text: str) -> complex:
@@ -70,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level-max", type=int, required=True)
     p.add_argument("--weight-max", type=int, default=6)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--parallel", type=int, default=1, metavar="N")
+    p.add_argument("--parallel", type=_workers, default=1, metavar="N")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("recurrences", help="check the closed-form recurrence system")
@@ -122,6 +130,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.level_max < 2 or args.weight_max < 2:
+        raise ValueError("nothing to verify: need --level-max, --weight-max >= 2")
     summary = run_scan(args.level_max, args.weight_max, args.order,
                        workers=args.parallel)
     human = (f"instances={summary['instances']} passed={summary['passed']} "

@@ -66,26 +66,6 @@ def poly_divmod(p: Sequence, d: Sequence) -> tuple[list, list]:
     return poly_trim(quot), r
 
 
-def poly_xgcd(p: Sequence, q: Sequence) -> tuple[list, list, list]:
-    """Extended gcd over Q[x]: returns (g, u, v) with u*p + v*q = g."""
-    r0, r1 = [Fraction(c) for c in poly_trim(p)], [Fraction(c) for c in poly_trim(q)]
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        quot, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, poly_trim([a - b for a, b in _zip_pad(u0, poly_mul(quot, u1))])
-        v0, v1 = v1, poly_trim([a - b for a, b in _zip_pad(v0, poly_mul(quot, v1))])
-    return r0, u0, v0
-
-
-def _zip_pad(p: Sequence, q: Sequence) -> Iterable[tuple]:
-    n = max(len(p), len(q))
-    zero = Fraction(0)
-    for i in range(n):
-        yield (p[i] if i < len(p) else zero, q[i] if i < len(q) else zero)
-
-
 @lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
     m = 1
@@ -267,21 +247,6 @@ class CycNum:
         return (self - other).is_zero()
 
     __hash__ = None  # field equality is not hashable-friendly
-
-    def inverse(self) -> "CycNum":
-        """Multiplicative inverse, via extended gcd with Phi_N."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_N)")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        a = reduce_mod_cyclotomic(self.level, self.coeffs)
-        g, u, _ = poly_xgcd(a, phi)
-        # g is a nonzero constant since Phi_N is irreducible over Q
-        assert len(g) == 1
-        inv = [c / g[0] for c in u]
-        out = [Fraction(0)] * self.level
-        for j, c in enumerate(inv):
-            out[j % self.level] += c
-        return CycNum(self.level, out)
 
     def embed(self) -> complex:
         """Numerical evaluation at zeta_N = exp(2*pi*i/N)."""

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Dict, List
 
-from .cyclotomic import CycNum, Rat, zeta_pow
+from .cyclotomic import CycNum, Rat, reduce_mod_cyclotomic, totient, zeta_pow
 from .qseries import QExpansion
 
 
@@ -96,10 +96,14 @@ def constant_term(idx: EisensteinIndex) -> CycNum:
     if a1 == 0 and a2 == 0:
         return CycNum.zero(N)
     if a1 == 0:
-        # -(1/2) (1 + zeta^{a2}) / (1 - zeta^{a2}), exact division in Q(zeta_N)
-        z = zeta_pow(N, a2)
-        one = CycNum.from_rat(N, 1)
-        return (one + z) * (one - z).inverse() * Fraction(-1, 2)
+        # -(1/2) (1 + w) / (1 - w) for w = zeta^{a2} of exact order d, where
+        # 1/(1 - w) = -(1/d) sum_{j<d} j w^j (as sum_{j<d} w^j = 0), mod Phi_N
+        d = N // gcd(N, a2)
+        inv = [Fraction(0)] * N
+        for j in range(d):
+            inv[j * a2 % N] = Fraction(-j, d)
+        inv = CycNum(N, reduce_mod_cyclotomic(N, inv) + [0] * (N - totient(N)))
+        return (1 + zeta_pow(N, a2)) * inv * Fraction(-1, 2)
     return CycNum.from_rat(N, Fraction(a1, N) - Fraction(1, 2))
 
 

@@ -21,11 +21,11 @@ import cmath
 import json
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
-from .cyclotomic import CycNum, LevelMismatchError, reduce_mod_cyclotomic, zeta_pow
-
-Scalar = Union[int, Fraction]
+from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_mod_cyclotomic,
+                         zeta_pow)
 
 # integer form of a series: common denominator + integer coefficient vectors
 IntCoeffs = Dict[int, Tuple[int, ...]]
@@ -49,7 +49,10 @@ class QExpansion:
                 clean[n] = c
         self.level = level
         self.order = order
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)  # read-only: caches share expansions
+
+    def __reduce__(self):
+        return QExpansion, (self.level, self.order, dict(self.coeffs))
 
     # -- construction helpers ------------------------------------------------
 

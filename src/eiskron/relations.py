@@ -6,11 +6,12 @@ combination of single series (weighted by alpha, beta, gamma).  The
 residual is a q-expansion that must be zero in Q(zeta_N) at every
 truncation order.
 
-The verification scan works on the integer form of the series
-(common-denominator vectors, see qseries): products of expansions are
-cached per (weight, parameter) pair and the residual is assembled as a
-single integer linear combination, so the hot loop never touches
-Fraction arithmetic.
+The exact path has one of everything: one pair-major generator
+enumerates a level's instances, for ``enumerate_instances`` and the scan
+workers alike, and one residual function serves ``relation_residual`` and
+``verify_instance``.  It works on the integer form of the series (see
+qseries) with products cached per (weight, parameter) pair, so the hot
+loop never touches Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import Rat
 from .eisenstein import EisensteinIndex, eisenstein_qexp
@@ -123,13 +126,8 @@ def poly_Q(k1: int, k2: int) -> HomPoly:
 
 
 def poly_R(k1: int, k2: int) -> HomPoly:
-    """Y^{k1} (-X-Y)^{k2}, expanded."""
-    _check_split(k1, k2)
-    coeffs = [Fraction(0)] * (k1 + k2 + 1)
-    sign = (-1) ** k2
-    for t in range(k2 + 1):
-        coeffs[t] += sign * comb(k2, t)
-    return HomPoly(k1 + k2, coeffs)
+    """Y^{k1} (-X-Y)^{k2}: poly_Q(k2, k1) with X and Y swapped."""
+    return HomPoly(k1 + k2, poly_Q(k2, k1).coeffs[::-1])
 
 
 def _check_split(k1: int, k2: int) -> None:
@@ -146,9 +144,7 @@ def coeff_alpha(k1: int, k2: int) -> Rat:
 
 def coeff_beta(k1: int, k2: int) -> Rat:
     """(-1)^{k1+1}/(k1+1); zero if an index is -1."""
-    if k1 < 0 or k2 < 0:
-        return Fraction(0)
-    return Fraction((-1) ** (k1 + 1), k1 + 1)
+    return coeff_alpha(k2, k1)
 
 
 def coeff_gamma(k1: int, k2: int) -> Rat:
@@ -210,17 +206,26 @@ class RelationInstance:
         return hash((self.N, self.k, self.k1, self.k2, self.a, self.b, self.c))
 
 
+def _pairs(N: int) -> Iterator[Tuple[Pair, Pair]]:
+    """Ordered nonzero pairs (a, b) mod N with a + b != 0."""
+    nonzero = [(i, j) for i in range(N) for j in range(N) if (i, j) != (0, 0)]
+    for a in nonzero:
+        for b in nonzero:
+            if ((a[0] + b[0]) % N, (a[1] + b[1]) % N) != (0, 0):
+                yield a, b
+
+
+def _instances(N: int, k_max: int, pairs: Iterable) -> Iterator[RelationInstance]:
+    """Pair-major: every weight 2 <= k <= k_max and split for each pair."""
+    for a, b in pairs:
+        for k in range(2, k_max + 1):
+            for k1 in range(k - 1):
+                yield RelationInstance(N, k, k1, k - 2 - k1, a, b)
+
+
 def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
     """All (k, split, ordered nonzero triple) instances for 2 <= k <= k_max."""
-    nonzero = [(i, j) for i in range(N) for j in range(N) if (i, j) != (0, 0)]
-    for k in range(2, k_max + 1):
-        for k1 in range(k - 1):
-            k2 = k - 2 - k1
-            for a in nonzero:
-                for b in nonzero:
-                    if ((a[0] + b[0]) % N, (a[1] + b[1]) % N) == (0, 0):
-                        continue
-                    yield RelationInstance(N, k, k1, k2, a, b)
+    return _instances(N, k_max, _pairs(N))
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +247,30 @@ def _prod_int(i: int, a: Pair, j: int, b: Pair, N: int, order: int):
     return da * db, convolve_int(N, order, A, B)
 
 
-def _residual_int(inst: RelationInstance, order: int,
-                  alpha: Rat, beta: Rat, gamma: Rat,
-                  P: HomPoly, Q: HomPoly, R: HomPoly) -> Tuple[int, IntCoeffs]:
+@lru_cache(maxsize=None)
+def _canonical(k1: int, k2: int) -> Mapping[str, object]:
+    """The closed-form weights of split (k1, k2), keyed as _residual's."""
+    return MappingProxyType(dict(
+        alpha=coeff_alpha(k1, k2), beta=coeff_beta(k1, k2), gamma=coeff_gamma(k1, k2),
+        P=poly_P(k1, k2), Q=poly_Q(k1, k2), R=poly_R(k1, k2)))
+
+
+def _product_terms(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> List[tuple]:
+    """Terms (coef, den, data) of P[a, b], one cached product per monomial."""
+    ell = P.degree
+    return [(coef, *_prod_int(i + 1, a, ell - i + 1, b, N, order))
+            for i, coef in enumerate(P.coeffs) if coef]
+
+
+def _residual(inst: RelationInstance, order: int, *, alpha: Rat, beta: Rat,
+              gamma: Rat, P: HomPoly, Q: HomPoly, R: HomPoly) -> Tuple[int, IntCoeffs]:
+    """Integer form of P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c."""
     N = inst.N
-    terms: List[Tuple[Fraction, int, IntCoeffs]] = []
-    for poly, u, v in ((P, inst.a, inst.b), (Q, inst.b, inst.c), (R, inst.c, inst.a)):
-        ell = poly.degree
-        for i, coef in enumerate(poly.coeffs):
-            if coef:
-                den, data = _prod_int(i + 1, u, ell - i + 1, v, N, order)
-                terms.append((coef, den, data))
+    terms = (_product_terms(P, inst.a, inst.b, N, order)
+             + _product_terms(Q, inst.b, inst.c, N, order)
+             + _product_terms(R, inst.c, inst.a, N, order))
     for coef, point in ((alpha, inst.a), (beta, inst.b), (gamma, inst.c)):
-        if coef:
-            den, data = _eis_int(inst.k, N, point[0], point[1], order)
-            terms.append((-Fraction(coef), den, data))
+        terms.append((-coef, *_eis_int(inst.k, N, point[0], point[1], order)))
     return linear_combination(N, order, terms)
 
 
@@ -266,52 +280,24 @@ def _residual_int(inst: RelationInstance, order: int,
 
 def bracket(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> QExpansion:
     """Linear extension of X^{k1}Y^{k2}[a, b] = E^{(k1+1)}_a E^{(k2+1)}_b."""
-    ell = P.degree
-    terms: List[Tuple[Fraction, int, IntCoeffs]] = []
-    for i, coef in enumerate(P.coeffs):
-        if coef:
-            den, data = _prod_int(i + 1, (a[0] % N, a[1] % N),
-                                  ell - i + 1, (b[0] % N, b[1] % N), N, order)
-            terms.append((coef, den, data))
-    den, data = linear_combination(N, order, terms)
-    return from_int_form(N, order, den, data)
+    terms = _product_terms(P, (a[0] % N, a[1] % N), (b[0] % N, b[1] % N), N, order)
+    return from_int_form(N, order, *linear_combination(N, order, terms))
 
 
-def relation_residual(inst: RelationInstance, order: int, *,
-                      alpha: Optional[Rat] = None, beta: Optional[Rat] = None,
-                      gamma: Optional[Rat] = None, P: Optional[HomPoly] = None,
-                      Q: Optional[HomPoly] = None, R: Optional[HomPoly] = None
-                      ) -> QExpansion:
+def relation_residual(inst: RelationInstance, order: int, **overrides) -> QExpansion:
     """LHS minus RHS of the 3-term relation, as an exact q-expansion.
 
-    The keyword overrides substitute custom weights/polynomials for the
-    canonical ones; they exist for mutation testing.
+    Keyword overrides (alpha, beta, gamma, P, Q, R; any other raises
+    TypeError) replace the canonical weights, for mutation testing.
     """
-    k1, k2 = inst.k1, inst.k2
-    den, data = _residual_int(
-        inst, order,
-        coeff_alpha(k1, k2) if alpha is None else alpha,
-        coeff_beta(k1, k2) if beta is None else beta,
-        coeff_gamma(k1, k2) if gamma is None else gamma,
-        poly_P(k1, k2) if P is None else P,
-        poly_Q(k1, k2) if Q is None else Q,
-        poly_R(k1, k2) if R is None else R,
-    )
+    den, data = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
     return from_int_form(inst.N, order, den, data)
 
 
 def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
-    """Check one instance; report in the scan's JSON schema."""
-    k1, k2 = inst.k1, inst.k2
-    den, data = _residual_int(
-        inst, order,
-        overrides.get("alpha", coeff_alpha(k1, k2)),
-        overrides.get("beta", coeff_beta(k1, k2)),
-        overrides.get("gamma", coeff_gamma(k1, k2)),
-        overrides.get("P", poly_P(k1, k2)),
-        overrides.get("Q", poly_Q(k1, k2)),
-        overrides.get("R", poly_R(k1, k2)),
-    )
+    """Check one instance (overrides as in relation_residual); report in
+    the scan's JSON schema."""
+    _, data = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
     first = int_form_is_zero(inst.N, data)
     return {
         "instance": inst.as_dict(),
@@ -373,46 +359,41 @@ def recurrence_check(k_max: int) -> dict:
 # Scan driver (parallel-capable, deterministic output).
 # ---------------------------------------------------------------------------
 
-def _scan_chunk(args) -> List[dict]:
-    """Verify all splits/weights for a chunk of (N, a, b) triples."""
+SCAN_CHUNK_PAIRS = 8  # (a, b) pairs per scan task
+
+
+def _scan_tasks(level_max: int, weight_max: int, order: int) -> Iterator[tuple]:
+    """(N, pair chunk, weight_max, order) tasks, built lazily per level."""
+    for N in range(2, level_max + 1):
+        pairs = _pairs(N)
+        while chunk := list(islice(pairs, SCAN_CHUNK_PAIRS)):
+            yield N, chunk, weight_max, order
+
+
+def _scan_chunk(args) -> Tuple[int, List[dict]]:
+    """(instances verified, failure reports) for a chunk of pairs at one level."""
     N, pairs, k_max, order = args
-    failures = []
-    for a, b in pairs:
-        for k in range(2, k_max + 1):
-            for k1 in range(k - 1):
-                inst = RelationInstance(N, k, k1, k - 2 - k1, a, b)
-                report = verify_instance(inst, order)
-                if not report["residual_zero"]:
-                    failures.append(report)
-    return failures
+    reports = [verify_instance(inst, order) for inst in _instances(N, k_max, pairs)]
+    return len(reports), [r for r in reports if not r["residual_zero"]]
 
 
-def run_scan(level_max: int, weight_max: int, order: int,
-             workers: int = 1, chunk_triples: int = 8) -> dict:
+def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> dict:
     """Verify every enumerated instance with N <= level_max, k <= weight_max.
 
-    Instances are grouped by parameter triple so that product caches are
+    Instances are grouped by parameter pair so that product caches are
     reused across weights and splits.  The summary is independent of the
     worker count (failure reports are sorted before emission).
     """
-    tasks = []
-    n_instances = 0
-    splits = sum(k - 1 for k in range(2, weight_max + 1))
-    for N in range(2, level_max + 1):
-        nonzero = [(i, j) for i in range(N) for j in range(N) if (i, j) != (0, 0)]
-        pairs = [(a, b) for a in nonzero for b in nonzero
-                 if ((a[0] + b[0]) % N, (a[1] + b[1]) % N) != (0, 0)]
-        n_instances += len(pairs) * splits
-        for s in range(0, len(pairs), chunk_triples):
-            tasks.append((N, pairs[s:s + chunk_triples], weight_max, order))
-    if workers > 1 and tasks:
+    tasks = _scan_tasks(level_max, weight_max, order)
+    if workers > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_chunk, tasks))
     else:
         chunks = [_scan_chunk(t) for t in tasks]
-    failures = [f for chunk in chunks for f in chunk]
-    failures.sort(key=lambda r: json.dumps(r, sort_keys=True))
+    n_instances = sum(count for count, _ in chunks)
+    failures = sorted((f for _, chunk in chunks for f in chunk),
+                      key=lambda r: json.dumps(r, sort_keys=True))
     return {
         "level_max": level_max, "weight_max": weight_max, "order": order,
         "instances": n_instances,

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from eiskron.cli import main
+from eiskron.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -102,9 +103,29 @@ class TestScan:
         assert doc["failed"] == 0 and doc["instances"] == doc["passed"]
 
     def test_level_one_empty(self, capsys):
-        code, out, _ = run(capsys, "scan", "--level-max", "1", "--json")
-        assert code == 0
-        assert json.loads(out)["instances"] == 0
+        # nothing to verify must not pass vacuously
+        code, out, err = run(capsys, "scan", "--level-max", "1", "--json")
+        assert code == 2
+        assert out == "" and "nothing to verify" in err
+
+    def test_weight_one_empty(self, capsys):
+        code, out, _ = run(capsys, "scan", "--level-max", "3", "--weight-max", "1")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_bad_parallel_exits_2(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "scan", "--level-max", "2", "--parallel", workers)
+        assert exc.value.code == 2
+
+    def test_parallel_clamped_to_cpu_count(self, monkeypatch):
+        # read the parsed value; no worker process is started
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parse = build_parser().parse_args
+        assert parse(["scan", "--level-max", "2", "--parallel", "64"]).parallel == 2
+        assert parse(["scan", "--level-max", "2", "--parallel", "1"]).parallel == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert parse(["scan", "--level-max", "2", "--parallel", "4"]).parallel == 1
 
     def test_parallel_matches_serial(self, capsys):
         _, out1, _ = run(capsys, "scan", "--level-max", "3", "--weight-max", "3",

@@ -144,19 +144,6 @@ class TestEmbed:
             assert abs((a * b).embed() - a.embed() * b.embed()) < 1e-9
 
 
-class TestInverse:
-    @pytest.mark.parametrize("N,a2", [(4, 1), (3, 1), (5, 2), (6, 5), (8, 3)])
-    def test_one_minus_zeta_inverse(self, N, a2):
-        x = CycNum.from_rat(N, 1) - zeta_pow(N, a2)
-        inv = x.inverse()
-        assert (x * inv) == CycNum.from_rat(N, 1)
-        assert abs(inv.embed() - 1 / x.embed()) < 1e-9
-
-    def test_inverse_of_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            CycNum(3, [1, 1, 1]).inverse()
-
-
 small_cyc = st.integers(2, 8).flatmap(
     lambda N: st.tuples(
         *([st.integers(-5, 5)] * N)

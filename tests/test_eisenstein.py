@@ -109,6 +109,13 @@ class TestConstantTerm:
         z = cmath.exp(2j * cmath.pi * a2 / N)
         assert abs(c.embed() - (-0.5 * (1 + z) / (1 - z))) < 1e-12
 
+    @pytest.mark.parametrize("N,a2", [(4, 1), (3, 1), (5, 2), (6, 5), (8, 3)])
+    def test_pure_character_closed_form(self, N, a2):
+        # c = -(1/2)(1 + w)/(1 - w) for w = zeta_N^{a2}, as a field equality
+        c = constant_term(EisensteinIndex(1, N, 0, a2))
+        w = zeta_pow(N, a2)
+        assert c * (1 - w) == (1 + w) * Fraction(-1, 2)
+
 
 class TestQExpansion:
     def test_level_one_weight_four_divisor_sums(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -229,6 +230,30 @@ class TestIntForm:
         assert int_form_is_zero(N, {2: (1, 1, 1)}) is None  # field zero
         assert int_form_is_zero(N, {2: (1, 1, 1), 4: (1, 0, 0)}) == 4
         assert int_form_is_zero(N, {}) is None
+
+
+class TestImmutability:
+    def test_cached_series_cannot_be_changed(self):
+        from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
+        idx = EisensteinIndex(4, 3, 1, 0)
+        f = eisenstein_qexp(idx, 10)
+        before = {n: c.coeffs for n, c in f.coeffs.items()}
+        with pytest.raises(TypeError):
+            f.coeffs[1] = 999
+        with pytest.raises(TypeError):
+            del f.coeffs[0]
+        g = eisenstein_qexp(idx, 10)
+        assert {n: c.coeffs for n, c in g.coeffs.items()} == before
+
+    def test_pickle_round_trip(self):
+        f = QExpansion(4, 9, {0: CycNum(4, [Fraction(1, 3), 0, -2, Fraction(7, 5)]),
+                              5: zeta_pow(4, 1)})
+        g = pickle.loads(pickle.dumps(f))
+        assert (g.level, g.order) == (f.level, f.order)
+        assert {n: c.coeffs for n, c in g.coeffs.items()} == \
+            {n: c.coeffs for n, c in f.coeffs.items()}
+        with pytest.raises(TypeError):
+            g.coeffs[0] = one(4)
 
 
 def test_exponent_out_of_range_rejected():

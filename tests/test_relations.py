@@ -211,6 +211,30 @@ class TestVerifyInstance:
         assert not report["residual_zero"]
         assert isinstance(report["first_nonzero_exponent"], int)
 
+    def test_misspelled_override_raises(self):
+        # a typo must not silently verify the canonical weights
+        inst = RelationInstance(3, 4, 1, 1, (1, 0), (0, 1))
+        with pytest.raises(TypeError):
+            verify_instance(inst, 40, alhpa=0)
+        with pytest.raises(TypeError):
+            relation_residual(inst, 40, alhpa=0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "P"])
+    @pytest.mark.parametrize("args", [(3, 2, 0, 0, (1, 0), (0, 1)),
+                                      (3, 4, 1, 1, (1, 0), (0, 1)),
+                                      (4, 5, 2, 1, (1, 2), (3, 3))])
+    def test_single_mutation_agrees_with_residual(self, args, name):
+        inst = RelationInstance(*args)
+        k1, k2 = inst.k1, inst.k2
+        P = poly_P(k1, k2)
+        mutated = {"alpha": coeff_alpha(k1, k2) + 1, "beta": coeff_beta(k1, k2) + 1,
+                   "gamma": coeff_gamma(k1, k2) + 1,
+                   "P": HomPoly(P.degree, [P.coeffs[0] + 1, *P.coeffs[1:]])}
+        override = {name: mutated[name]}
+        first = relation_residual(inst, 40, **override).first_nonzero_exponent()
+        assert first is not None
+        assert verify_instance(inst, 40, **override)["first_nonzero_exponent"] == first
+
 
 class TestRecurrences:
     def test_first_identity_by_hand(self):
