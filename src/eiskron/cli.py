@@ -164,7 +164,7 @@ def cmd_numeric(args) -> int:
         return nm.TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
 
     if args.check == "relation":
-        k = args.weight or 2
+        k = 2 if args.weight is None else args.weight
         if k < 2:
             print("relation check needs weight >= 2", file=sys.stderr)
             return 2
@@ -180,7 +180,7 @@ def cmd_numeric(args) -> int:
                     "relation", {"split": [k1, k2], "u": [u.x1, u.x2],
                                  "v": [v.x1, v.x2]}, res, tail, cfg.tol))
     elif args.check == "diff":
-        k = args.weight or 1
+        k = 1 if args.weight is None else args.weight
         p = draw_point()
         res = nm.check_diff_relation(k, p, cfg)
         reports.append(nm.make_report(
@@ -199,7 +199,7 @@ def cmd_numeric(args) -> int:
             "bracket", {"split": [k1, k2], "u": [u.x1, u.x2], "v": [v.x1, v.x2],
                         "side": "v"}, e2, tail, cfg.fd_tol))
     elif args.check == "modularity":
-        k = args.weight or 3
+        k = 3 if args.weight is None else args.weight
         x = nm.TorusPoint(float(Fraction(1, 3)), 0.0)
         for name, gam, tol in (("T", ((1, 1), (0, 1)), cfg.tol),
                                ("S", ((0, -1), (1, 0)), 1e-6)):
@@ -208,7 +208,7 @@ def cmd_numeric(args) -> int:
                 "modularity", {"weight": k, "gamma": name, "x": [x.x1, x.x2]},
                 res, nm.fourier_tail_estimate(k, cfg), tol))
     else:  # asymptotics
-        k = args.weight or 2
+        k = 2 if args.weight is None else args.weight
         if k not in (1, 2):
             print("asymptotics check needs weight 1 or 2", file=sys.stderr)
             return 2

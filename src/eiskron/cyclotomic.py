@@ -24,48 +24,6 @@ class LevelMismatchError(ValueError):
     """Raised when combining cyclotomic numbers of different levels."""
 
 
-# ---------------------------------------------------------------------------
-# Dense polynomial helpers (coefficient lists, lowest degree first).
-# ---------------------------------------------------------------------------
-
-def poly_trim(p: Sequence) -> list:
-    """Strip trailing zeros; the zero polynomial becomes []."""
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_mul(p: Sequence, q: Sequence) -> list:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_divmod(p: Sequence, d: Sequence) -> tuple[list, list]:
-    """Exact division with remainder over the rationals."""
-    d = poly_trim(d)
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in p]
-    r = poly_trim(r)
-    lead = Fraction(d[-1])
-    quot = [Fraction(0)] * max(0, len(r) - len(d) + 1)
-    while len(r) >= len(d):
-        c = r[-1] / lead
-        k = len(r) - len(d)
-        quot[k] = c
-        for i, b in enumerate(d):
-            r[i + k] -= c * b
-        r = poly_trim(r)
-    return poly_trim(quot), r
-
-
 @lru_cache(maxsize=None)
 def _mobius(n: int) -> int:
     m = 1
@@ -86,27 +44,29 @@ def _mobius(n: int) -> int:
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """The monic N-th cyclotomic polynomial Phi_N, integer coefficients.
 
-    Built as prod_{d|N} (x^{N/d} - 1)^{mu(d)} by exact multiplication and
-    division.  Degree is the Euler totient of N.
+    Built as prod_{d|N} (x^{N/d} - 1)^{mu(d)} in integers: first every
+    mu = +1 factor is multiplied in by shift-and-subtract, then the product
+    is divided exactly by each mu = -1 factor x^m - 1 through the recurrence
+    q[i] = q[i-m] - p[i].  Degree is the Euler totient of N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    num: list = [1]
-    den: list = [1]
-    for d in range(1, N + 1):
-        if N % d:
-            continue
-        mu = _mobius(d)
-        if mu == 0:
-            continue
-        factor = [-1] + [0] * (N // d - 1) + [1]  # x^{N/d} - 1
-        if mu == 1:
-            num = poly_mul(num, factor)
-        else:
-            den = poly_mul(den, factor)
-    quot, rem = poly_divmod(num, den)
-    assert not rem, "cyclotomic polynomial division must be exact"
-    return tuple(int(c) for c in quot)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    p = [1]
+    for d in divisors:
+        if _mobius(d) == 1:
+            m = N // d
+            p = [a - b for a, b in zip([0] * m + p, p + [0] * m)]
+    for d in divisors:
+        if _mobius(d) == -1:
+            m = N // d
+            q: list = []
+            for i, c in enumerate(p):
+                q.append((q[i - m] if i >= m else 0) - c)
+            # the last m terms of the recurrence are the remainder
+            assert not any(q[-m:]), "cyclotomic polynomial division must be exact"
+            p = q[:-m]
+    return tuple(p)
 
 
 def totient(N: int) -> int:

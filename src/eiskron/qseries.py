@@ -11,8 +11,9 @@ each operand into a single big integer, two-dimensionally: the zeta
 exponent occupies a limb within a block of 2N limbs, the q exponent
 selects the block.  One big-integer multiply then performs the entire
 2-D convolution at C speed; limb width is chosen from a coefficient
-bound so that no carries cross limb boundaries.  Negative coefficients
-are handled by a positive/negative split (4 multiplies).
+bound so that no carries cross limb boundaries.  Limbs are signed: two's
+complement bytes offset by a per-limb bias, so one multiply serves
+operands of either sign.
 """
 
 from __future__ import annotations
@@ -238,49 +239,51 @@ def convolve_int(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoeff
     N = level
     maxa = max(abs(x) for v in A.values() for x in v)
     maxb = max(abs(x) for v in B.values() for x in v)
+    # Product limb (n, j) sums at most order*N terms a*b, |a| <= maxa and
+    # |b| <= maxb, and a signed limb of w bytes holds |v| < 2^(8w-1).  The
+    # operands fit too; to_bytes(signed=True) raises OverflowError if not.
     bound = order * N * maxa * maxb
-    width = (bound.bit_length() + 9) // 8 + 1  # room for sums, no inter-limb carry
-    stride = 2 * N
-    return _packed_conv(N, order, A, B, width, stride)
+    width = bound.bit_length() // 8 + 1
+    assert bound < 1 << (8 * width - 1), "limb width too small for exact sums"
+    return _packed_conv(N, order, A, B, width)
 
 
-def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> Tuple[int, int]:
-    pos = bytearray(positions * width)
-    neg = bytearray(positions * width)
+def _bias(positions: int, width: int) -> int:
+    """H = sum_i 2^(8*width-1) * 2^(8*width*i): the top bit of every limb."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * positions, "little")
+
+
+def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> int:
+    """sum of data[n][j] * 2^(8*width*(n*stride + j)), as one signed int."""
+    buf = bytearray(positions * width)
     for n, vec in data.items():
-        base = n * stride
-        for j, v in enumerate(vec):
-            if v > 0:
-                off = (base + j) * width
-                pos[off:off + width] = v.to_bytes(width, "little")
-            elif v < 0:
-                off = (base + j) * width
-                neg[off:off + width] = (-v).to_bytes(width, "little")
-    return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+        off = n * stride * width
+        for v in vec:
+            buf[off:off + width] = v.to_bytes(width, "little", signed=True)
+            off += width
+    H = _bias(positions, width)
+    # flipping each limb's sign bit reads two's complement v as v + 2^(8w-1)
+    return (int.from_bytes(buf, "little") ^ H) - H
 
 
 def _packed_conv(N: int, order: int, A: IntCoeffs, B: IntCoeffs,
-                 width: int, stride: int) -> IntCoeffs:
-    ap, an = _pack(A, order * stride, width, stride)
-    bp, bn = _pack(B, order * stride, width, stride)
-    plus = ap * bp + an * bn
-    minus = ap * bn + an * bp
-    nbytes = 2 * order * stride * width + width
-    bplus = plus.to_bytes(nbytes, "little")
-    bminus = minus.to_bytes(nbytes, "little")
+                 width: int) -> IntCoeffs:
+    stride = 2 * N
+    positions = order * stride
+    prod = _pack(A, positions, width, stride) * _pack(B, positions, width, stride)
+    # each limb plus 2^(8w-1) lies in [0, 2^(8w)): no carry crosses a limb
+    H = _bias(2 * positions, width)
+    buf = ((prod + H) ^ H).to_bytes(2 * positions * width, "little")
     out: IntCoeffs = {}
     for n in range(order):
         vec = [0] * N
         base = n * stride
-        nonzero = False
         for j in range(stride - 1):
             off = (base + j) * width
-            v = (int.from_bytes(bplus[off:off + width], "little")
-                 - int.from_bytes(bminus[off:off + width], "little"))
+            v = int.from_bytes(buf[off:off + width], "little", signed=True)
             if v:
                 vec[j - N if j >= N else j] += v
-                nonzero = True
-        if nonzero and any(vec):
+        if any(vec):
             out[n] = tuple(vec)
     return out
 

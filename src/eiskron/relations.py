@@ -103,7 +103,8 @@ class HomPoly:
         return self.is_zero() and other.is_zero()
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        # zero polynomials of every degree are equal, so they hash alike
+        return hash((self.degree, self.coeffs)) if any(self.coeffs) else hash(0)
 
     def __repr__(self):
         return f"HomPoly({self.degree}, {list(self.coeffs)})"

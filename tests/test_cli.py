@@ -195,6 +195,11 @@ class TestNumeric:
                          "--weight", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("check", ["relation", "diff", "modularity", "asymptotics"])
+    def test_weight_zero_exits_2(self, capsys, check):
+        code, _, _ = run(capsys, "numeric", "--check", check, "--weight", "0")
+        assert code == 2
+
     def test_bad_tau_exits_2(self, capsys):
         code, _, _ = run(capsys, "numeric", "--check", "relation",
                          "--tau", "0,-1")

@@ -6,16 +6,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, cyclotomic_poly, symbols
 
 from eiskron.cyclotomic import (CycNum, LevelMismatchError,
-                                cyclotomic_polynomial, poly_divmod, poly_mul,
-                                totient, zeta_pow)
+                                cyclotomic_polynomial, totient, zeta_pow)
 
 
 def embed_oracle(a: CycNum) -> complex:
     # direct complex evaluation, independent of CycNum.embed's loop
     z = cmath.exp(2j * cmath.pi / a.level)
     return sum(float(c) * z ** j for j, c in enumerate(a.coeffs))
+
+
+def schoolbook_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 class TestZetaPow:
@@ -64,15 +72,15 @@ class TestCyclotomicPolynomial:
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
 
-    @pytest.mark.parametrize("N", range(1, 31))
+    @pytest.mark.parametrize("N", range(1, 201))
     def test_degree_and_divisibility(self, N):
         phi = cyclotomic_polynomial(N)
         tot = sum(1 for j in range(1, N + 1) if math.gcd(j, N) == 1)
         assert len(phi) - 1 == tot == totient(N)
         assert phi[-1] == 1  # monic
-        xn = [-1] + [0] * (N - 1) + [1]
-        _, rem = poly_divmod(xn, list(phi))
-        assert rem == []
+        # sympy's Phi_N (which divides x^N - 1) as an independent oracle
+        x = symbols("x")
+        assert list(phi) == Poly(cyclotomic_poly(N, x), x).all_coeffs()[::-1]
 
     @pytest.mark.parametrize("N", [3, 5, 8, 12, 15])
     def test_against_primitive_roots(self, N):
@@ -114,7 +122,7 @@ class TestIsZero:
             phi = cyclotomic_polynomial(N)
             # random multiple of Phi_N folded into length N: a field zero
             mult = [rng.randint(-2, 2) for _ in range(N - len(phi) + 1)]
-            prod = poly_mul(list(phi), mult)
+            prod = schoolbook_mul(list(phi), mult)
             vec = [0] * N
             for j, c in enumerate(prod):
                 vec[j % N] += c

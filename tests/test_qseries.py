@@ -208,6 +208,18 @@ class TestIntForm:
                         for n in rng.sample(range(T), rng.randint(0, T))}
             A, B = rand_series(), rand_series()
             assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
+            # all-negative operands
+            negA = {n: tuple(-abs(x) for x in v) for n, v in A.items()}
+            negB = {n: tuple(-abs(x) for x in v) for n, v in B.items()}
+            assert convolve_int(N, T, negA, negB) == convolve_naive(N, T, negA, negB)
+            assert convolve_int(N, T, negA, B) == convolve_naive(N, T, negA, B)
+        # N = 1, T = 1, and one empty operand
+        for N, T, A, B in [(1, 9, {0: (-3,), 4: (5,)}, {1: (-2,), 2: (7,)}),
+                           (3, 1, {0: (-1, 4, -9)}, {0: (2, -5, 0)}),
+                           (1, 1, {0: (-128,)}, {0: (-128,)}),
+                           (4, 6, {}, {0: (1, -1, 2, 0)}),
+                           (4, 6, {2: (1, -1, 2, 0)}, {})]:
+            assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
 
     def test_packed_huge_coefficients(self):
         # stress the limb-width selection
@@ -215,6 +227,19 @@ class TestIntForm:
         A = {n: tuple((-1) ** j * 10 ** 40 + j for j in range(N)) for n in range(T)}
         B = {n: tuple(10 ** 35 - j for j in range(N)) for n in range(0, T, 2)}
         assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
+        # two's complement edges at byte boundaries: +-(2^(8m-1) - 1), -2^(8m-1)
+        for m in (1, 2, 3, 8, 9):
+            top, low = 2 ** (8 * m - 1) - 1, -2 ** (8 * m - 1)
+            for N, T in [(1, 1), (1, 5), (3, 4), (5, 7)]:
+                A = {n: tuple((top, -top, low)[(n + j) % 3] for j in range(N))
+                     for n in range(T)}
+                B = {n: tuple((low, top, -top, 0)[(n * j) % 4] for j in range(N))
+                     for n in range(0, T, 2)}
+                assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
+                assert convolve_int(N, T, B, B) == convolve_naive(N, T, B, B)
+                # a product limb that reaches the width bound itself
+                two = {0: (2,) + (0,) * (N - 1)}
+                assert convolve_int(N, T, A, two) == convolve_naive(N, T, A, two)
 
     def test_linear_combination(self):
         N, T = 2, 5

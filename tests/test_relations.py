@@ -32,6 +32,8 @@ class TestHomPoly:
 
     def test_zero_polys_equal_across_degrees(self):
         assert HomPoly.zero(2) == HomPoly.zero(0)
+        assert hash(HomPoly.zero(1)) == hash(HomPoly.zero(2))
+        assert len({HomPoly.zero(1), HomPoly.zero(2)}) == 1
 
 
 class TestPQRPolynomials:
