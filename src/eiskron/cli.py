@@ -86,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("numeric", help="floating-point checks of the analytic theory")
-    p.add_argument("--check", required=True,
-                   choices=["relation", "diff", "bracket", "modularity", "asymptotics"])
+    p.add_argument("--check", required=True, choices=list(NUMERIC_CHECKS))
     p.add_argument("--tau", type=_pair_float, default=complex(0.3, 1.1), metavar="RE,IM")
+    # defaults per check, in NUMERIC_CHECKS
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--split", type=_pair_int, default=None, metavar="K1,K2")
-    p.add_argument("--seed", type=int, default=20240901)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     return ap
 
@@ -152,71 +152,97 @@ def cmd_recurrences(args) -> int:
     return 0 if ok else 1
 
 
+def _numeric_relation(nm, args, cfg, draw_point) -> list:
+    k = args.weight
+    if k < 2:
+        raise ValueError("relation check needs weight >= 2")
+    points = [(draw_point(), draw_point()) for _ in range(3)]
+    points.append((nm.TorusPoint(1 / math.sqrt(5), 1 / math.sqrt(7)),
+                   nm.TorusPoint(1 / math.sqrt(3), 1 / math.sqrt(11))))
+    tail = nm.fourier_tail_estimate(k, cfg)
+    reports = []
+    for k1 in range(k - 1):
+        k2 = k - 2 - k1
+        for u, v in points:
+            res = nm.check_relation_numeric(k1, k2, u, v, cfg)
+            reports.append(nm.make_report(
+                "relation", {"split": [k1, k2], "u": [u.x1, u.x2],
+                             "v": [v.x1, v.x2]}, res, tail, cfg.tol))
+    return reports
+
+
+def _numeric_diff(nm, args, cfg, draw_point) -> list:
+    k = args.weight
+    p = draw_point()
+    res = nm.check_diff_relation(k, p, cfg)
+    return [nm.make_report("diff", {"weight": k, "p": [p.x1, p.x2], "h": 1e-4}, res,
+                           nm.fourier_tail_estimate(k, cfg), cfg.fd_tol)]
+
+
+def _numeric_bracket(nm, args, cfg, draw_point) -> list:
+    k1, k2 = args.split
+    u, v = draw_point(), draw_point()
+    e1, e2 = nm.check_diff_bracket(poly_P(k1, k2), u, v, cfg)
+    tail = nm.fourier_tail_estimate(k1 + k2 + 2, cfg)
+    return [nm.make_report("bracket", {"split": [k1, k2], "u": [u.x1, u.x2],
+                                       "v": [v.x1, v.x2], "side": side},
+                           err, tail, cfg.fd_tol)
+            for side, err in (("u", e1), ("v", e2))]
+
+
+def _numeric_modularity(nm, args, cfg, draw_point) -> list:
+    k = args.weight
+    x = nm.TorusPoint(float(Fraction(1, 3)), 0.0)
+    reports = []
+    for name, gam, tol in (("T", ((1, 1), (0, 1)), cfg.tol),
+                           ("S", ((0, -1), (1, 0)), 1e-6)):
+        res = nm.check_modularity(k, x, gam, cfg)
+        reports.append(nm.make_report(
+            "modularity", {"weight": k, "gamma": name, "x": [x.x1, x.x2]},
+            res, nm.fourier_tail_estimate(k, cfg), tol))
+    return reports
+
+
+def _numeric_asymptotics(nm, args, cfg, draw_point) -> list:
+    if args.weight not in (1, 2):
+        raise ValueError("asymptotics check needs weight 1 or 2")
+    rep = nm.check_asymptotics(args.weight, args.tau, cfg)
+    rep["pass"] = bool(rep["limit_error"] < 1e-6
+                       and rep.get("real_ray_error", 0.0) < 1e-6)
+    return [rep]
+
+
+DEFAULT_SEED = 20240901
+
+# check -> (runner, defaults of the options it accepts besides --tau and
+# --json); any other of NUMERIC_OPTIONS given on the command line exits 2.
+NUMERIC_CHECKS = {
+    "relation": (_numeric_relation, {"weight": 2, "seed": DEFAULT_SEED}),
+    "diff": (_numeric_diff, {"weight": 1, "seed": DEFAULT_SEED}),
+    "bracket": (_numeric_bracket, {"split": (1, 0), "seed": DEFAULT_SEED}),
+    "modularity": (_numeric_modularity, {"weight": 3}),
+    "asymptotics": (_numeric_asymptotics, {"weight": 2}),
+}
+NUMERIC_OPTIONS = ("weight", "split", "seed")
+
+
 def cmd_numeric(args) -> int:
     # imported lazily: the exact-arithmetic commands should not need numpy
     from . import numeric as nm
 
+    run, defaults = NUMERIC_CHECKS[args.check]
+    for opt in NUMERIC_OPTIONS:
+        if getattr(args, opt) is None:
+            setattr(args, opt, defaults.get(opt))
+        elif opt not in defaults:
+            raise ValueError(f"--{opt} does not apply to the {args.check} check")
     cfg = nm.NumericConfig(tau=args.tau)
     rng = random.Random(args.seed)
-    reports = []
 
     def draw_point() -> nm.TorusPoint:
         return nm.TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
 
-    if args.check == "relation":
-        k = 2 if args.weight is None else args.weight
-        if k < 2:
-            print("relation check needs weight >= 2", file=sys.stderr)
-            return 2
-        points = [(draw_point(), draw_point()) for _ in range(3)]
-        points.append((nm.TorusPoint(1 / math.sqrt(5), 1 / math.sqrt(7)),
-                       nm.TorusPoint(1 / math.sqrt(3), 1 / math.sqrt(11))))
-        tail = nm.fourier_tail_estimate(k, cfg)
-        for k1 in range(k - 1):
-            k2 = k - 2 - k1
-            for u, v in points:
-                res = nm.check_relation_numeric(k1, k2, u, v, cfg)
-                reports.append(nm.make_report(
-                    "relation", {"split": [k1, k2], "u": [u.x1, u.x2],
-                                 "v": [v.x1, v.x2]}, res, tail, cfg.tol))
-    elif args.check == "diff":
-        k = 1 if args.weight is None else args.weight
-        p = draw_point()
-        res = nm.check_diff_relation(k, p, cfg)
-        reports.append(nm.make_report(
-            "diff", {"weight": k, "p": [p.x1, p.x2], "h": 1e-4}, res,
-            nm.fourier_tail_estimate(k, cfg), cfg.fd_tol))
-    elif args.check == "bracket":
-        k1, k2 = args.split or (1, 0)
-        P = poly_P(k1, k2)
-        u, v = draw_point(), draw_point()
-        e1, e2 = nm.check_diff_bracket(P, u, v, cfg)
-        tail = nm.fourier_tail_estimate(k1 + k2 + 2, cfg)
-        reports.append(nm.make_report(
-            "bracket", {"split": [k1, k2], "u": [u.x1, u.x2], "v": [v.x1, v.x2],
-                        "side": "u"}, e1, tail, cfg.fd_tol))
-        reports.append(nm.make_report(
-            "bracket", {"split": [k1, k2], "u": [u.x1, u.x2], "v": [v.x1, v.x2],
-                        "side": "v"}, e2, tail, cfg.fd_tol))
-    elif args.check == "modularity":
-        k = 3 if args.weight is None else args.weight
-        x = nm.TorusPoint(float(Fraction(1, 3)), 0.0)
-        for name, gam, tol in (("T", ((1, 1), (0, 1)), cfg.tol),
-                               ("S", ((0, -1), (1, 0)), 1e-6)):
-            res = nm.check_modularity(k, x, gam, cfg)
-            reports.append(nm.make_report(
-                "modularity", {"weight": k, "gamma": name, "x": [x.x1, x.x2]},
-                res, nm.fourier_tail_estimate(k, cfg), tol))
-    else:  # asymptotics
-        k = 2 if args.weight is None else args.weight
-        if k not in (1, 2):
-            print("asymptotics check needs weight 1 or 2", file=sys.stderr)
-            return 2
-        rep = nm.check_asymptotics(k, args.tau, cfg)
-        ok = rep["limit_error"] < 1e-6 and rep.get("real_ray_error", 0.0) < 1e-6
-        rep["pass"] = bool(ok)
-        reports.append(rep)
-
+    reports = run(nm, args, cfg, draw_point)
     ok = all(r["pass"] for r in reports)
     doc = {"check": args.check, "tau": [args.tau.real, args.tau.imag],
            "reports": reports, "pass": ok}

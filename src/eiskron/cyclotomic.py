@@ -96,22 +96,28 @@ def _reduction_rows(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def reduction_norm(N: int) -> int:
+    """1 + max_i sum_j |(x^j mod Phi_N)_i|: reducing a length-N vector with
+    entries at most M in size gives entries at most M times this."""
+    rows = _reduction_rows(N)
+    return 1 + max((sum(abs(r[i]) for r in rows) for i in range(totient(N))), default=0)
+
+
 def reduce_mod_cyclotomic(level: int, coeffs: Sequence) -> list:
     """Remainder of sum_j coeffs[j] x^j modulo Phi_level.
 
-    Works for integer or Fraction coefficient vectors; the result has
-    length phi(level).
+    Works for integer or Fraction coefficient vectors of any length up to
+    level; the result has length phi(level).
     """
     deg = totient(level)
-    res = list(coeffs[:deg]) + [0] * max(0, deg - len(coeffs))
-    rows = _reduction_rows(level)
-    for j in range(deg, level):
-        c = coeffs[j]
+    res = list(coeffs[:deg])
+    res += [0] * (deg - len(res))
+    for c, row in zip(coeffs[deg:level], _reduction_rows(level)):
         if c:
-            row = rows[j - deg]
-            for i in range(deg):
-                if row[i]:
-                    res[i] = res[i] + c * row[i]
+            for i, r in enumerate(row):
+                if r:
+                    res[i] = res[i] + c * r
     return res
 
 

@@ -8,12 +8,18 @@ order min(T1, T2).
 Multiplication is the performance core of the whole engine.  It runs on
 an integer representation (one common denominator per series) and packs
 each operand into a single big integer, two-dimensionally: the zeta
-exponent occupies a limb within a block of 2N limbs, the q exponent
-selects the block.  One big-integer multiply then performs the entire
-2-D convolution at C speed; limb width is chosen from a coefficient
+exponent occupies a limb within a block of at most 2N - 1 limbs, the q
+exponent selects the block.  One big-integer multiply then performs the
+entire 2-D convolution at C speed; limb width is chosen from a coefficient
 bound so that no carries cross limb boundaries.  Limbs are signed: two's
 complement bytes offset by a per-limb bias, so one multiply serves
 operands of either sign.
+
+The relation residuals run on a second packing of the same kind
+(PackedSeries): each series is reduced mod Phi_N, which makes it
+canonical, and its phi(N) limbs per q exponent are packed into one big
+int.  A linear combination of such series is then a few big-int
+multiply-adds, and it is zero in Q(zeta_N) iff the packed sum is 0.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_mod_cyclotomic,
-                         zeta_pow)
+                         totient, zeta_pow)
 
 # integer form of a series: common denominator + integer coefficient vectors
 IntCoeffs = Dict[int, Tuple[int, ...]]
@@ -268,21 +274,23 @@ def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> int:
 
 def _packed_conv(N: int, order: int, A: IntCoeffs, B: IntCoeffs,
                  width: int) -> IntCoeffs:
-    stride = 2 * N
-    positions = order * stride
-    prod = _pack(A, positions, width, stride) * _pack(B, positions, width, stride)
+    # the zeta part of a product of vectors of lengths la, lb spans
+    # la + lb - 1 <= 2N - 1 limbs (2 phi - 1 for reduced operands): one block
+    span = max(map(len, A.values())) + max(map(len, B.values())) - 1
+    positions = order * span
+    prod = _pack(A, positions, width, span) * _pack(B, positions, width, span)
     # each limb plus 2^(8w-1) lies in [0, 2^(8w)): no carry crosses a limb
     H = _bias(2 * positions, width)
     buf = ((prod + H) ^ H).to_bytes(2 * positions * width, "little")
     out: IntCoeffs = {}
     for n in range(order):
         vec = [0] * N
-        base = n * stride
-        for j in range(stride - 1):
-            off = (base + j) * width
+        off = n * span * width
+        for j in range(span):
             v = int.from_bytes(buf[off:off + width], "little", signed=True)
             if v:
                 vec[j - N if j >= N else j] += v
+            off += width
         if any(vec):
             out[n] = tuple(vec)
     return out
@@ -310,33 +318,115 @@ def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoe
     return {n: tuple(v) for n, v in out.items() if any(v)}
 
 
-def linear_combination(level: int, order: int,
-                       terms: Sequence[Tuple[Fraction, int, IntCoeffs]]) -> Tuple[int, IntCoeffs]:
-    """Integer-form sum_i c_i * (data_i / den_i) over a common denominator.
+# ---------------------------------------------------------------------------
+# Phi_N-reduced series packed as one signed int: the residual path.
+# ---------------------------------------------------------------------------
 
-    Each term is (scalar, den, data).  Returns (D, data) with value data/D.
+def reduce_int_form(level: int, data: IntCoeffs) -> IntCoeffs:
+    """Each vector reduced mod Phi_level: phi(level) coefficients in the
+    canonical basis 1, zeta, ..., zeta^(phi-1); zero vectors are dropped."""
+    out: IntCoeffs = {}
+    for n, vec in data.items():
+        red = tuple(reduce_mod_cyclotomic(level, vec))
+        if any(red):
+            out[n] = red
+    return out
+
+
+def _limb_width(bound: int) -> int:
+    """Bytes per signed limb holding |v| <= bound: the smallest multiple of
+    8 with bound < 2^(8w-1), so that series of similar height share widths."""
+    return 8 * (bound.bit_length() // 64 + 1)
+
+
+class PackedSeries:
+    """A Phi_N-reduced integer series packed into one signed big int.
+
+    Limb n*phi + j (phi = totient(level), n < order) holds den times the
+    coefficient of zeta^j q^{n/N} in the reduced basis; every limb has
+    |v| <= height.  Reduced forms are canonical, so the series is zero in
+    Q(zeta_N) iff every limb is zero.  The packed int is kept per limb
+    width: ``at(width)`` widens the base form once and caches the result.
     """
-    D = 1
-    for c, den, _ in terms:
-        d = den * Fraction(c).denominator
-        D = D * d // math.gcd(D, d)
-    acc: Dict[int, list] = {}
-    for c, den, data in terms:
-        c = Fraction(c)
-        m = D // (den * c.denominator) * c.numerator
-        if m == 0:
-            continue
-        for n, vec in data.items():
-            if n >= order:
-                continue
-            row = acc.get(n)
-            if row is None:
-                acc[n] = [m * x for x in vec]
-            else:
-                for i, x in enumerate(vec):
-                    if x:
-                        row[i] += m * x
-    return D, {n: tuple(v) for n, v in acc.items() if any(v)}
+
+    __slots__ = ("level", "order", "den", "height", "width", "value", "_wider")
+
+    def __init__(self, level: int, order: int, den: int, height: int,
+                 width: int, value: int):
+        self.level, self.order, self.den, self.height = level, order, den, height
+        self.width, self.value = width, value
+        self._wider: Dict[int, int] = {}
+
+    @classmethod
+    def pack(cls, level: int, order: int, den: int, data: IntCoeffs) -> "PackedSeries":
+        """Pack reduced vectors (as from reduce_int_form) with keys < order."""
+        phi = totient(level)
+        height = max((abs(x) for vec in data.values() for x in vec), default=0)
+        width = _limb_width(height)
+        return cls(level, order, den, height, width,
+                   _pack(data, order * phi, width, phi))
+
+    def at(self, width: int) -> int:
+        """The packed int at limb width >= self.width."""
+        if width == self.width:
+            return self.value
+        value = self._wider.get(width)
+        if value is None:
+            assert width > self.width, "a packed series only widens"
+            positions = self.order * totient(self.level)
+            w0 = self.width
+            # limb i of value + H reads v_i + 2^(8*w0-1) in [0, 2^(8*w0)):
+            # copy its bytes into a limb of the new width, remove the offset
+            src = (self.value + _bias(positions, w0)).to_bytes(positions * w0, "little")
+            buf = bytearray(positions * width)
+            for b in range(w0):
+                buf[b::width] = src[b::w0]
+            offset = (bytes(w0 - 1) + b"\x80").ljust(width, b"\0") * positions
+            value = self._wider[width] = (int.from_bytes(buf, "little")
+                                          - int.from_bytes(offset, "little"))
+        return value
+
+    def is_zero(self) -> bool:
+        return self.value == 0
+
+    def unpack(self) -> Tuple[int, IntCoeffs]:
+        """(den, {n: length-level vector}): reduced basis, zero-padded."""
+        phi, w = totient(self.level), self.width
+        positions = self.order * phi
+        H = _bias(positions, w)
+        buf = ((self.value + H) ^ H).to_bytes(positions * w, "little")
+        pad = (0,) * (self.level - phi)
+        out: IntCoeffs = {}
+        for n in range(self.order):
+            base = n * phi * w
+            vec = tuple(int.from_bytes(buf[off:off + w], "little", signed=True)
+                        for off in range(base, base + phi * w, w))
+            if any(vec):
+                out[n] = vec + pad
+        return self.den, out
+
+
+def linear_combination(level: int, order: int,
+                       terms: Sequence[Tuple[Scalar, PackedSeries]]) -> PackedSeries:
+    """sum_i c_i * x_i over a common denominator, as one packed series.
+
+    With D = lcm(den_i * denom(c_i)) and integer multipliers
+    m_i = D / (den_i * denom(c_i)) * numer(c_i), limb l of the sum is
+    s_l = sum_i m_i * v_{i,l}, so |s_l| <= B = sum_i |m_i| * height_i.  At a
+    width w with B < 2^(8w-1) every s_l is a balanced base-2^(8w) digit and
+    no carry crosses a limb: the packed sum is sum_l s_l 2^(8wl) exactly,
+    and it is 0 iff every s_l is 0.
+    """
+    terms = [(c if isinstance(c, Fraction) else Fraction(c), x) for c, x in terms]
+    D = math.lcm(*(x.den * c.denominator for c, x in terms))
+    scaled = [(D // (x.den * c.denominator) * c.numerator, x) for c, x in terms if c]
+    for _, x in scaled:
+        assert (x.level, x.order) == (level, order), "terms differ in level or order"
+    bound = sum(abs(m) * x.height for m, x in scaled)
+    width = _limb_width(bound)  # >= every term's width: |m_i| >= 1
+    assert bound < 1 << (8 * width - 1), "limb width too small for the residual"
+    value = sum(m * x.at(width) for m, x in scaled)
+    return PackedSeries(level, order, D, bound, width, value)
 
 
 def int_form_is_zero(level: int, data: IntCoeffs) -> Union[int, None]:

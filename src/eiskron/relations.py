@@ -9,9 +9,10 @@ truncation order.
 The exact path has one of everything: one pair-major generator
 enumerates a level's instances, for ``enumerate_instances`` and the scan
 workers alike, and one residual function serves ``relation_residual`` and
-``verify_instance``.  It works on the integer form of the series (see
-qseries) with products cached per (weight, parameter) pair, so the hot
-loop never touches Fraction arithmetic.
+``verify_instance``.  It works on series reduced mod Phi_N and packed
+into one signed big int each (see qseries.PackedSeries).  Every single
+series and every product is built once per level and order, so checking
+an instance costs a few big-int multiply-adds and a comparison with 0.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .cyclotomic import Rat
+from .cyclotomic import Rat, reduction_norm, totient
 from .eisenstein import EisensteinIndex, eisenstein_qexp
-from .qseries import (IntCoeffs, QExpansion, convolve_int, from_int_form,
-                      int_form_is_zero, linear_combination, to_int_form)
+from .qseries import (IntCoeffs, PackedSeries, QExpansion, convolve_int,
+                      from_int_form, int_form_is_zero, linear_combination,
+                      reduce_int_form, to_int_form)
 
 Pair = Tuple[int, int]
 
@@ -230,22 +232,36 @@ def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
 
 
 # ---------------------------------------------------------------------------
-# Integer-form caches for the hot path.
+# Phi_N-reduced packed caches for the hot path.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _eis_int(k: int, N: int, a1: int, a2: int, order: int):
-    f = eisenstein_qexp(EisensteinIndex(k, N, a1, a2), order)
-    return to_int_form(f)
+def _series(k: int, N: int, a1: int, a2: int,
+            order: int) -> Tuple[IntCoeffs, PackedSeries]:
+    """E^{(k)}_{(a1,a2)} reduced mod Phi_N: its vectors (a convolution
+    operand) and its packed form."""
+    den, data = to_int_form(eisenstein_qexp(EisensteinIndex(k, N, a1, a2), order))
+    data = reduce_int_form(N, data)
+    return data, PackedSeries.pack(N, order, den, data)
 
 
 @lru_cache(maxsize=None)
-def _prod_int(i: int, a: Pair, j: int, b: Pair, N: int, order: int):
-    if (j, b) < (i, a):  # the product is commutative; canonicalize the key
-        i, a, j, b = j, b, i, a
-    da, A = _eis_int(i, N, a[0], a[1], order)
-    db, B = _eis_int(j, N, b[0], b[1], order)
-    return da * db, convolve_int(N, order, A, B)
+def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
+    """E^{(i)}_a E^{(j)}_b reduced and packed.  Callers pass the key in
+    canonical order, (i, a) <= (j, b), so a product and its swap share
+    one entry."""
+    A, x = _series(i, N, a[0], a[1], order)
+    B, y = _series(j, N, b[0], b[1], order)
+    prod = PackedSeries.pack(N, order, x.den * y.den,
+                             reduce_int_form(N, convolve_int(N, order, A, B)))
+    # Limb (n, l) of the cyclic convolution of reduced operands sums the
+    # pairs n1 + n2 = n (at most order of them) with i1 + i2 = l mod N,
+    # i1, i2 < phi (at most phi), so it is at most order*phi*|A|*|B|;
+    # reduction mod Phi_N multiplies that by at most the reduction norm.
+    # The limb width comes from the measured height, which must obey this.
+    assert prod.height <= (order * totient(N) * x.height * y.height
+                           * reduction_norm(N)), "product exceeds its height bound"
+    return prod
 
 
 @lru_cache(maxsize=None)
@@ -257,21 +273,27 @@ def _canonical(k1: int, k2: int) -> Mapping[str, object]:
 
 
 def _product_terms(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> List[tuple]:
-    """Terms (coef, den, data) of P[a, b], one cached product per monomial."""
+    """Terms (coef, packed product) of P[a, b], one cached product per monomial."""
     ell = P.degree
-    return [(coef, *_prod_int(i + 1, a, ell - i + 1, b, N, order))
-            for i, coef in enumerate(P.coeffs) if coef]
+    terms = []
+    for i, coef in enumerate(P.coeffs):
+        if coef:
+            # the product is commutative: canonicalize the key before the lookup
+            key = min((i + 1, a, ell - i + 1, b), (ell - i + 1, b, i + 1, a))
+            terms.append((coef, _product(*key, N, order)))
+    return terms
 
 
 def _residual(inst: RelationInstance, order: int, *, alpha: Rat, beta: Rat,
-              gamma: Rat, P: HomPoly, Q: HomPoly, R: HomPoly) -> Tuple[int, IntCoeffs]:
-    """Integer form of P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c."""
+              gamma: Rat, P: HomPoly, Q: HomPoly, R: HomPoly) -> PackedSeries:
+    """P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c, reduced
+    mod Phi_N and packed: zero in Q(zeta_N) iff its packed value is 0."""
     N = inst.N
     terms = (_product_terms(P, inst.a, inst.b, N, order)
              + _product_terms(Q, inst.b, inst.c, N, order)
              + _product_terms(R, inst.c, inst.a, N, order))
     for coef, point in ((alpha, inst.a), (beta, inst.b), (gamma, inst.c)):
-        terms.append((-coef, *_eis_int(inst.k, N, point[0], point[1], order)))
+        terms.append((-coef, _series(inst.k, N, point[0], point[1], order)[1]))
     return linear_combination(N, order, terms)
 
 
@@ -280,26 +302,31 @@ def _residual(inst: RelationInstance, order: int, *, alpha: Rat, beta: Rat,
 # ---------------------------------------------------------------------------
 
 def bracket(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> QExpansion:
-    """Linear extension of X^{k1}Y^{k2}[a, b] = E^{(k1+1)}_a E^{(k2+1)}_b."""
+    """Linear extension of X^{k1}Y^{k2}[a, b] = E^{(k1+1)}_a E^{(k2+1)}_b.
+
+    Coefficients are in the Phi_N-reduced basis (see qseries.PackedSeries).
+    """
     terms = _product_terms(P, (a[0] % N, a[1] % N), (b[0] % N, b[1] % N), N, order)
-    return from_int_form(N, order, *linear_combination(N, order, terms))
+    return from_int_form(N, order, *linear_combination(N, order, terms).unpack())
 
 
 def relation_residual(inst: RelationInstance, order: int, **overrides) -> QExpansion:
-    """LHS minus RHS of the 3-term relation, as an exact q-expansion.
+    """LHS minus RHS of the 3-term relation, as an exact q-expansion with
+    coefficients in the Phi_N-reduced basis.
 
     Keyword overrides (alpha, beta, gamma, P, Q, R; any other raises
     TypeError) replace the canonical weights, for mutation testing.
     """
-    den, data = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
-    return from_int_form(inst.N, order, den, data)
+    res = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
+    return from_int_form(inst.N, order, *res.unpack())
 
 
 def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
     """Check one instance (overrides as in relation_residual); report in
     the scan's JSON schema."""
-    _, data = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
-    first = int_form_is_zero(inst.N, data)
+    res = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
+    # unpack only a failure, to report its first nonzero exponent
+    first = None if res.is_zero() else int_form_is_zero(inst.N, res.unpack()[1])
     return {
         "instance": inst.as_dict(),
         "order": order,

@@ -200,6 +200,34 @@ class TestNumeric:
         code, _, _ = run(capsys, "numeric", "--check", check, "--weight", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("check,option", [
+        ("relation", ["--split", "1,0"]),
+        ("diff", ["--split", "9,9"]),
+        ("bracket", ["--weight", "7"]),
+        ("modularity", ["--split", "1,0"]),
+        ("modularity", ["--seed", "5"]),
+        ("asymptotics", ["--split", "1,0"]),
+        ("asymptotics", ["--seed", "5"]),
+    ])
+    def test_inapplicable_option_exits_2(self, capsys, check, option):
+        # an option the check does not read must not be silently ignored
+        code, out, err = run(capsys, "numeric", "--check", check, *option)
+        assert code == 2 and out == ""
+        assert f"{option[0]} does not apply" in err
+
+    @pytest.mark.parametrize("check,explicit", [
+        ("relation", ["--weight", "2", "--seed", "20240901"]),
+        ("diff", ["--weight", "1", "--seed", "20240901"]),
+        ("bracket", ["--split", "1,0", "--seed", "20240901"]),
+        ("modularity", ["--weight", "3"]),
+        ("asymptotics", ["--weight", "2"]),
+    ])
+    def test_default_output_unchanged(self, capsys, check, explicit):
+        # each check's defaults are the ones the options always had
+        _, default, _ = run(capsys, "numeric", "--check", check, "--json")
+        code, given, _ = run(capsys, "numeric", "--check", check, *explicit, "--json")
+        assert code == 0 and default == given
+
     def test_bad_tau_exits_2(self, capsys):
         code, _, _ = run(capsys, "numeric", "--check", "relation",
                          "--tau", "0,-1")

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from eiskron.cyclotomic import CycNum, LevelMismatchError, zeta_pow
-from eiskron.qseries import (QExpansion, convolve_int, convolve_naive,
-                             from_int_form, int_form_is_zero,
-                             linear_combination, to_int_form)
+from eiskron.qseries import (PackedSeries, QExpansion, _pack, convolve_int,
+                             convolve_naive, from_int_form, int_form_is_zero,
+                             linear_combination, reduce_int_form, to_int_form)
 
 
 def one(N):
@@ -221,6 +221,19 @@ class TestIntForm:
                            (4, 6, {2: (1, -1, 2, 0)}, {})]:
             assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
 
+    def test_packed_short_vectors(self):
+        # reduced operands have phi(N) <= N entries; lengths may differ
+        rng = random.Random(7)
+        for trial in range(30):
+            N = rng.randint(1, 9)
+            T = rng.randint(1, 20)
+            la, lb = rng.randint(1, N), rng.randint(1, N)
+            A = {n: tuple(rng.randint(-99, 99) for _ in range(la))
+                 for n in rng.sample(range(T), rng.randint(1, T))}
+            B = {n: tuple(rng.randint(-99, 99) for _ in range(lb))
+                 for n in rng.sample(range(T), rng.randint(1, T))}
+            assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
+
     def test_packed_huge_coefficients(self):
         # stress the limb-width selection
         N, T = 4, 12
@@ -242,13 +255,66 @@ class TestIntForm:
                 assert convolve_int(N, T, A, two) == convolve_naive(N, T, A, two)
 
     def test_linear_combination(self):
-        N, T = 2, 5
-        t1 = (Fraction(1, 2), 3, {0: (6, 0), 2: (0, 3)})
-        t2 = (Fraction(-1), 2, {0: (2, 0)})
-        D, data = linear_combination(N, T, [t1, t2])
-        # value: (1/2)(2 + q*zeta/... ) - 1  -> q-part only
-        f = from_int_form(N, T, D, data)
-        assert f.coeffs == {2: CycNum(N, [0, Fraction(1, 2)])}
+        # N = 3: Phi_3 = x^2 + x + 1, so zeta^2 reduces to -1 - zeta
+        N, T = 3, 5
+        x = PackedSeries.pack(N, T, 3, reduce_int_form(N, {0: (6, 0, 0), 2: (0, 0, 3)}))
+        y = PackedSeries.pack(N, T, 2, reduce_int_form(N, {0: (2, 0, 0)}))
+        res = linear_combination(N, T, [(Fraction(1, 2), x), (-1, y)])
+        assert not res.is_zero()
+        f = from_int_form(N, T, *res.unpack())
+        # (1/2)(2 + zeta^2 q^(2/3)) - 1 = -(1/2)(1 + zeta) q^(2/3), reduced
+        # basis, zero-padded to length N
+        assert list(f.coeffs) == [2]
+        assert f.coeffs[2].coeffs == (Fraction(-1, 2), Fraction(-1, 2), 0)
+        assert linear_combination(N, T, [(1, y), (Fraction(-1), y)]).is_zero()
+        assert linear_combination(N, T, []).is_zero()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_combination_matches_fraction_sum(self, seed):
+        # the packed combination against Fraction QExpansion arithmetic
+        rng = random.Random(seed)
+        N = rng.randint(1, 8)
+        T = rng.randint(1, 25)
+        terms, expect = [], QExpansion.zero(N, T)
+        for _ in range(rng.randint(1, 6)):
+            den = rng.choice([1, 2, 12, 10 ** rng.randint(0, 30)])
+            size = 10 ** rng.randint(0, 25)
+            data = {n: tuple(rng.randint(-size, size) for _ in range(N))
+                    for n in rng.sample(range(T), rng.randint(0, T))}
+            c = rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                            Fraction(10 ** 40 + 1), Fraction(1, 10 ** 40 - 1)])
+            terms.append((c, PackedSeries.pack(N, T, den, reduce_int_form(N, data))))
+            expect = expect + from_int_form(N, T, den, data).scale(c)
+        res = linear_combination(N, T, terms)
+        got = from_int_form(N, T, *res.unpack())
+        assert got.field_equals(expect)
+        assert res.is_zero() == expect.is_zero()
+        # a combination that cancels exactly is 0, at any width
+        x = terms[0][1]
+        assert linear_combination(N, T, [(Fraction(10 ** 40 + 3, 7), x),
+                                         (Fraction(-10 ** 40 - 3, 7), x)]).is_zero()
+
+    def test_packed_widen_and_unpack(self):
+        # limbs at the edges of a signed 8-byte limb, widened and read back
+        N, T = 5, 4
+        top = 2 ** 63 - 1
+        data = {n: tuple((top, -top, 0, 1, -1)[(n + j) % 5] for j in range(4))
+                for n in range(T)}
+        data = {n: v for n, v in data.items() if n != 2}  # an empty exponent
+        x = PackedSeries.pack(N, T, 7, data)
+        assert (x.width, x.height) == (8, top)
+        for width in (16, 24, 72):
+            assert x.at(width) == _pack(data, T * 4, width, 4)
+            assert x.at(width) is x.at(width)  # cached per width
+        den, out = x.unpack()
+        assert den == 7 and out == {n: v + (0,) for n, v in data.items()}
+        assert PackedSeries.pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
+
+    def test_reduce_int_form(self):
+        # Phi_4 = x^2 + 1: zeta^2 = -1, zeta^3 = -zeta; field zeros drop out
+        assert reduce_int_form(4, {0: (1, 2, 3, 4), 3: (1, 0, 1, 0), 5: (0, 0, 0, 0)}) \
+            == {0: (-2, -2)}
+        assert reduce_int_form(1, {2: (5,)}) == {2: (5,)}
 
     def test_int_form_is_zero(self):
         N = 3

@@ -3,8 +3,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from eiskron import relations
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
+from eiskron.qseries import QExpansion
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -236,6 +240,99 @@ class TestVerifyInstance:
         first = relation_residual(inst, 40, **override).first_nonzero_exponent()
         assert first is not None
         assert verify_instance(inst, 40, **override)["first_nonzero_exponent"] == first
+
+
+def fraction_residual(inst, order, weights):
+    """The relation built in Fraction QExpansion arithmetic: the oracle."""
+    N, k = inst.N, inst.k
+
+    def E(weight, p):
+        return eisenstein_qexp(EisensteinIndex(weight, N, *p), order)
+
+    def br(P, u, v):
+        acc = QExpansion.zero(N, order)
+        for i, coef in enumerate(P.coeffs):
+            if coef:
+                acc = acc + (E(i + 1, u) * E(P.degree - i + 1, v)).scale(coef)
+        return acc
+
+    total = (br(weights["P"], inst.a, inst.b) + br(weights["Q"], inst.b, inst.c)
+             + br(weights["R"], inst.c, inst.a))
+    for name, p in (("alpha", inst.a), ("beta", inst.b), ("gamma", inst.c)):
+        total = total + E(k, p).scale(-weights[name])
+    return total
+
+
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 45, 10 ** 45), st.integers(1, 10 ** 45)))
+
+
+@st.composite
+def mutated_instances(draw):
+    N = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 6))
+    k1 = draw(st.integers(0, k - 2))
+    point = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
+    a, b = draw(point), draw(point)
+    c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
+    assume((0, 0) not in (a, b, c))
+    inst = RelationInstance(N, k, k1, k - 2 - k1, a, b)
+    order = draw(st.integers(1, 40))
+    name = draw(st.sampled_from([None, "alpha", "beta", "gamma", "P", "Q", "R"]))
+    override = {}
+    if name in ("alpha", "beta", "gamma"):
+        override[name] = draw(rationals)
+    elif name is not None:
+        poly = relations._canonical(inst.k1, inst.k2)[name]
+        coeffs = list(poly.coeffs)
+        coeffs[draw(st.integers(0, poly.degree))] = draw(rationals)
+        override[name] = HomPoly(poly.degree, coeffs)
+    return inst, order, override
+
+
+class TestPackedResidualOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_instances())
+    def test_matches_fraction_arithmetic(self, case):
+        inst, order, override = case
+        oracle = fraction_residual(
+            inst, order, {**relations._canonical(inst.k1, inst.k2), **override})
+        report = verify_instance(inst, order, **override)
+        assert report["residual_zero"] == oracle.is_zero()
+        assert report["first_nonzero_exponent"] == oracle.first_nonzero_exponent()
+        assert relation_residual(inst, order, **override).field_equals(oracle)
+        if not override:
+            assert report["residual_zero"]
+
+    def test_huge_override_stays_exact(self):
+        inst = RelationInstance(4, 5, 2, 1, (1, 2), (3, 3))
+        P = poly_P(2, 1)
+        tiny = HomPoly(P.degree, [P.coeffs[0] + Fraction(1, 10 ** 40), *P.coeffs[1:]])
+        for override in ({"alpha": Fraction(10 ** 40)}, {"P": tiny}):
+            oracle = fraction_residual(
+                inst, 40, {**relations._canonical(2, 1), **override})
+            report = verify_instance(inst, 40, **override)
+            assert not report["residual_zero"]
+            assert report["first_nonzero_exponent"] == oracle.first_nonzero_exponent()
+
+
+class TestProductCache:
+    def test_cold_scan_convolves_each_unordered_product_once(self, monkeypatch):
+        # (i, a, j, b) and (j, b, i, a) are one product: one convolution
+        relations._product.cache_clear()
+        relations._series.cache_clear()
+        calls = []
+        convolve = relations.convolve_int
+
+        def counting(level, order, A, B):
+            calls.append((level, tuple(sorted((id(A), id(B))))))
+            return convolve(level, order, A, B)
+
+        monkeypatch.setattr(relations, "convolve_int", counting)
+        assert run_scan(4, 4, 40)["failed"] == 0
+        assert len(calls) == 836
+        assert len(set(calls)) == len(calls)
 
 
 class TestRecurrences:
