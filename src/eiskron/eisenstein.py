@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
-from typing import Dict, List
+from math import comb, gcd, lcm
+from typing import Dict, List, Tuple
 
 from .cyclotomic import CycNum, Rat, reduce_mod_cyclotomic, totient, zeta_pow
-from .qseries import QExpansion
+from .qseries import IntCoeffs, QExpansion, from_int_form
 
 
 class InvalidIndexError(ValueError):
@@ -107,38 +107,41 @@ def constant_term(idx: EisensteinIndex) -> CycNum:
     return CycNum.from_rat(N, Fraction(a1, N) - Fraction(1, 2))
 
 
-@lru_cache(maxsize=None)
-def _qexp_cached(k: int, N: int, a1: int, a2: int, order: int) -> QExpansion:
-    acc: Dict[int, list] = {}
-
-    def add(n: int, zexp: int, value: Fraction) -> None:
-        vec = acc.setdefault(n, [Fraction(0)] * N)
-        vec[zexp % N] += value
-
-    c0 = constant_term(EisensteinIndex(k, N, a1, a2))
-    for j, v in enumerate(c0.coeffs):
-        if v:
-            add(0, j, v)
+def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, IntCoeffs]:
+    """(den, {n: integer vector}): the series at idx, all exponents n/N with
+    n < order, as vector/den over the least common denominator den.  Not
+    cached: callers cache what they derive from it."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    k, N, a1, a2 = idx.k, idx.N, idx.a1, idx.a2
+    c0 = constant_term(idx).coeffs
+    # (m/N)^{k-1} and the constant term are integers over D; den = D / gcd
+    D = lcm(N ** (k - 1), *(v.denominator for v in c0))
+    acc: Dict[int, list] = {0: [int(v * D) for v in c0]}
 
     # branch over nu in a1/N + Z (sign -1) and nu in -a1/N + Z (sign (-1)^{k+1})
     for start, chsign, sign in (
         (a1 if a1 else N, +1, -1),
-        ((N - a1) if a1 else N, -1, Fraction((-1) ** (k + 1))),
+        ((N - a1) if a1 else N, -1, (-1) ** (k + 1)),
     ):
         for m in range(start, order, N):
-            pw = Fraction(m, N) ** (k - 1)
-            val = sign * pw
+            val = sign * m ** (k - 1) * D // N ** (k - 1)
             for mu in range(1, (order - 1) // m + 1):
-                add(mu * m, chsign * mu * a2, val)
+                vec = acc.setdefault(mu * m, [0] * N)
+                vec[chsign * mu * a2 % N] += val
 
-    coeffs = {n: CycNum(N, vec) for n, vec in acc.items() if any(vec)}
-    return QExpansion(N, order, coeffs)
+    data = {n: vec for n, vec in acc.items() if any(vec)}
+    g = gcd(D, *(x for vec in data.values() for x in vec))
+    return D // g, {n: tuple(x // g for x in vec) for n, vec in data.items()}
+
+
+@lru_cache(maxsize=None)
+def _qexp_cached(k: int, N: int, a1: int, a2: int, order: int) -> QExpansion:
+    return from_int_form(N, order, *eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order))
 
 
 def eisenstein_qexp(idx: EisensteinIndex, order: int) -> QExpansion:
     """Exact expansion of the series at idx, all exponents n/N with n < order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     return _qexp_cached(idx.k, idx.N, idx.a1, idx.a2, order)
 
 

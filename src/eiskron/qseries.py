@@ -29,7 +29,7 @@ import json
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_mod_cyclotomic,
                          totient, zeta_pow)
@@ -339,23 +339,22 @@ def _limb_width(bound: int) -> int:
     return 8 * (bound.bit_length() // 64 + 1)
 
 
-class PackedSeries:
+class PackedSeries(NamedTuple):
     """A Phi_N-reduced integer series packed into one signed big int.
 
     Limb n*phi + j (phi = totient(level), n < order) holds den times the
     coefficient of zeta^j q^{n/N} in the reduced basis; every limb has
     |v| <= height.  Reduced forms are canonical, so the series is zero in
-    Q(zeta_N) iff every limb is zero.  The packed int is kept per limb
-    width: ``at(width)`` widens the base form once and caches the result.
+    Q(zeta_N) iff every limb is zero.  A tuple, so a cached series cannot be
+    changed; ``at(width)`` re-packs it at a wider limb.
     """
 
-    __slots__ = ("level", "order", "den", "height", "width", "value", "_wider")
-
-    def __init__(self, level: int, order: int, den: int, height: int,
-                 width: int, value: int):
-        self.level, self.order, self.den, self.height = level, order, den, height
-        self.width, self.value = width, value
-        self._wider: Dict[int, int] = {}
+    level: int
+    order: int
+    den: int
+    height: int
+    width: int
+    value: int
 
     @classmethod
     def pack(cls, level: int, order: int, den: int, data: IntCoeffs) -> "PackedSeries":
@@ -370,21 +369,10 @@ class PackedSeries:
         """The packed int at limb width >= self.width."""
         if width == self.width:
             return self.value
-        value = self._wider.get(width)
-        if value is None:
-            assert width > self.width, "a packed series only widens"
-            positions = self.order * totient(self.level)
-            w0 = self.width
-            # limb i of value + H reads v_i + 2^(8*w0-1) in [0, 2^(8*w0)):
-            # copy its bytes into a limb of the new width, remove the offset
-            src = (self.value + _bias(positions, w0)).to_bytes(positions * w0, "little")
-            buf = bytearray(positions * width)
-            for b in range(w0):
-                buf[b::width] = src[b::w0]
-            offset = (bytes(w0 - 1) + b"\x80").ljust(width, b"\0") * positions
-            value = self._wider[width] = (int.from_bytes(buf, "little")
-                                          - int.from_bytes(offset, "little"))
-        return value
+        assert width > self.width, "a packed series only widens"
+        phi = totient(self.level)
+        data = {n: vec[:phi] for n, vec in self.unpack()[1].items()}
+        return _pack(data, self.order * phi, width, phi)
 
     def is_zero(self) -> bool:
         return self.value == 0

@@ -11,8 +11,9 @@ enumerates a level's instances, for ``enumerate_instances`` and the scan
 workers alike, and one residual function serves ``relation_residual`` and
 ``verify_instance``.  It works on series reduced mod Phi_N and packed
 into one signed big int each (see qseries.PackedSeries).  Every single
-series and every product is built once per level and order, so checking
-an instance costs a few big-int multiply-adds and a comparison with 0.
+series and every product is built once per level and order (a scan
+keeps one level's), so checking an instance costs a few big-int
+multiply-adds and a comparison with 0.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .cyclotomic import Rat, reduction_norm, totient
-from .eisenstein import EisensteinIndex, eisenstein_qexp
+from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (IntCoeffs, PackedSeries, QExpansion, convolve_int,
                       from_int_form, int_form_is_zero, linear_combination,
-                      reduce_int_form, to_int_form)
+                      reduce_int_form)
 
 Pair = Tuple[int, int]
 
@@ -240,7 +241,7 @@ def _series(k: int, N: int, a1: int, a2: int,
             order: int) -> Tuple[IntCoeffs, PackedSeries]:
     """E^{(k)}_{(a1,a2)} reduced mod Phi_N: its vectors (a convolution
     operand) and its packed form."""
-    den, data = to_int_form(eisenstein_qexp(EisensteinIndex(k, N, a1, a2), order))
+    den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
     data = reduce_int_form(N, data)
     return data, PackedSeries.pack(N, order, den, data)
 
@@ -398,9 +399,17 @@ def _scan_tasks(level_max: int, weight_max: int, order: int) -> Iterator[tuple]:
             yield N, chunk, weight_max, order
 
 
+_cached_at: Optional[Tuple[int, int]] = None  # (level, order) of the cached entries
+
+
 def _scan_chunk(args) -> Tuple[int, List[dict]]:
     """(instances verified, failure reports) for a chunk of pairs at one level."""
+    global _cached_at
     N, pairs, k_max, order = args
+    if _cached_at != (N, order):  # no entry is used at another level or order
+        _series.cache_clear()  # per process: a pool worker clears its own
+        _product.cache_clear()
+        _cached_at = (N, order)
     reports = [verify_instance(inst, order) for inst in _instances(N, k_max, pairs)]
     return len(reports), [r for r in reports if not r["residual_zero"]]
 

@@ -94,6 +94,14 @@ class TestVerify:
         assert code == 0
 
 
+@pytest.mark.parametrize("order", ["0", "-5"])
+@pytest.mark.parametrize("argv", [TestVerify.ARGS,
+                                  ["scan", "--level-max", "3", "--weight-max", "3"]])
+def test_nonpositive_order_exits_2(capsys, argv, order):
+    code, out, err = run(capsys, *argv, "--order", order, "--json")
+    assert code == 2 and out == "" and "order must be >= 1" in err
+
+
 class TestScan:
     def test_small_scan(self, capsys):
         code, out, _ = run(capsys, "scan", "--level-max", "3",

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from eiskron.cyclotomic import CycNum, zeta_pow
 from eiskron.eisenstein import (EisensteinIndex, InvalidIndexError,
                                 bernoulli_number, bernoulli_poly_eval,
-                                bg_tilde_s, constant_term, eisenstein_qexp)
+                                bg_tilde_s, constant_term, eisenstein_int_form,
+                                eisenstein_qexp)
 from eiskron.qseries import QExpansion
 
 
@@ -137,26 +139,31 @@ class TestQExpansion:
         assert f.is_zero()
 
     def test_fractional_exponents_against_double_sum(self):
-        # independent double-sum oracle for k=3, N=4, a=(1, 0):
-        # nu runs over 1/4 + Z (> 0) and over 3/4 + Z (> 0), both with sign -1
-        # since (-1)^{k+1} = 1 ... careful: signs are -1 and +(-1)^{k+1} = +1
-        import collections
-        N, T = 4, 24
-        f = eisenstein_qexp(EisensteinIndex(3, N, 1, 0), T)
-        acc = collections.defaultdict(Fraction)
-        for m in range(1, T):  # nu = m/4
-            for mu in range(1, T):
-                n = mu * m
-                if n >= T:
-                    break
-                nu = Fraction(m, N)
-                if m % N == 1:
-                    acc[n] += -(nu ** 2)
-                if m % N == 3:
-                    acc[n] += nu ** 2  # mirrored branch, sign (-1)^{k+1} = +1
-        for n in range(1, T):
-            expect = CycNum.from_rat(N, acc.get(n, Fraction(0)))
-            assert f.coeffs.get(n, CycNum.zero(N)) == expect
+        # independent double-sum oracle for the integer builder: for mu >= 1,
+        # -zeta^{mu a2} nu^{k-1} q^{mu nu} over nu > 0 in a1/N + Z, and the
+        # mirrored (-1)^{k+1} zeta^{-mu a2} nu^{k-1} q^{mu nu} over nu > 0 in
+        # -a1/N + Z; both branches count when they meet (a1 = 0 or N/2)
+        T = 30
+        for N in range(1, 7):
+            for k in range(1, 9):
+                for a1 in range(N):
+                    for a2 in range(N):
+                        if (k, a1, a2) == (2, 0, 0):
+                            continue
+                        idx = EisensteinIndex(k, N, a1, a2)
+                        expect = {0: list(constant_term(idx).coeffs)}
+                        for m in range(1, T):
+                            nu = Fraction(m, N)
+                            for branch, sign in ((1, -1), (-1, (-1) ** (k + 1))):
+                                if (nu - Fraction(branch * a1, N)).denominator != 1:
+                                    continue
+                                for mu in range(1, (T - 1) // m + 1):
+                                    vec = expect.setdefault(mu * m, [Fraction(0)] * N)
+                                    vec[branch * mu * a2 % N] += sign * nu ** (k - 1)
+                        den, data = eisenstein_int_form(idx, T)
+                        assert math.gcd(den, *(x for v in data.values() for x in v)) == 1
+                        got = {n: [Fraction(x, den) for x in v] for n, v in data.items()}
+                        assert got == {n: v for n, v in expect.items() if any(v)}, idx
 
     def test_character_coefficients(self):
         # independent double-sum oracle for k=2, N=3, a=(0, 1): integer nu,
@@ -205,8 +212,28 @@ class TestQExpansion:
         assert lifted.field_equals(g)
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            eisenstein_qexp(EisensteinIndex(3, 2, 1, 0), 0)
+        for build in (eisenstein_qexp, eisenstein_int_form):
+            with pytest.raises(ValueError):
+                build(EisensteinIndex(3, 2, 1, 0), 0)
+
+
+class TestIntegerBuilder:
+    def test_scan_builds_no_fraction_series(self, monkeypatch):
+        # the scan builds its series in integers: neither the cached
+        # QExpansion builder nor the Fraction-to-integer conversion runs
+        from eiskron import eisenstein, qseries, relations
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction series built on the scan path")
+
+        monkeypatch.setattr(eisenstein, "_qexp_cached", refuse)
+        for module in (eisenstein, qseries, relations):
+            if hasattr(module, "to_int_form"):
+                monkeypatch.setattr(module, "to_int_form", refuse)
+        relations._series.cache_clear()
+        relations._product.cache_clear()
+        report = relations.run_scan(3, 3, 20)
+        assert report["instances"] > 0 and report["failed"] == 0
 
 
 class TestBgTildeS:

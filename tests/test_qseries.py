@@ -305,7 +305,6 @@ class TestIntForm:
         assert (x.width, x.height) == (8, top)
         for width in (16, 24, 72):
             assert x.at(width) == _pack(data, T * 4, width, 4)
-            assert x.at(width) is x.at(width)  # cached per width
         den, out = x.unpack()
         assert den == 7 and out == {n: v + (0,) for n, v in data.items()}
         assert PackedSeries.pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
@@ -335,6 +334,14 @@ class TestImmutability:
             del f.coeffs[0]
         g = eisenstein_qexp(idx, 10)
         assert {n: c.coeffs for n, c in g.coeffs.items()} == before
+
+    def test_cached_product_cannot_be_changed(self):
+        from eiskron import relations
+        x = relations._product(1, (1, 0), 2, (0, 1), 3, 10)
+        for field in x._fields:
+            with pytest.raises(AttributeError):
+                setattr(x, field, 0)
+        assert relations._product(1, (1, 0), 2, (0, 1), 3, 10) is x
 
     def test_pickle_round_trip(self):
         f = QExpansion(4, 9, {0: CycNum(4, [Fraction(1, 3), 0, -2, Fraction(7, 5)]),

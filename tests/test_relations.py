@@ -334,6 +334,28 @@ class TestProductCache:
         assert len(calls) == 836
         assert len(set(calls)) == len(calls)
 
+    def test_scan_keeps_one_level_cached(self):
+        relations._product.cache_clear()
+        relations._series.cache_clear()
+        assert run_scan(4, 4, 40)["failed"] == 0
+        caches = (relations._series, relations._product)
+        sizes = [c.cache_info().currsize for c in caches]
+        assert sizes[0] > 0 and sizes[1] > 0
+        # no level-2 or level-3 entry is left: a lookup there misses
+        for N in (2, 3):
+            for c, key in ((relations._series, (2, N, 1, 0, 40)),
+                           (relations._product, (1, (0, 1), 1, (1, 0), N, 40))):
+                misses = c.cache_info().misses
+                c(*key)
+                assert c.cache_info().misses == misses + 1
+        # and the level-4 tasks alone fill the caches as much as the whole scan
+        for c in caches:
+            c.cache_clear()
+        for task in relations._scan_tasks(4, 4, 40):
+            if task[0] == 4:
+                relations._scan_chunk(task)
+        assert [c.cache_info().currsize for c in caches] == sizes
+
 
 class TestRecurrences:
     def test_first_identity_by_hand(self):
