@@ -200,9 +200,6 @@ class CycNum:
             return True
         return not any(reduce_mod_cyclotomic(self.level, self.coeffs))
 
-    def is_rational(self) -> bool:
-        return (self - CycNum.from_rat(self.level, self.coeffs[0])).is_zero()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rat(self.level, other)

@@ -5,21 +5,24 @@ for 0 <= n < T (absent keys are zero).  All exponents are nonnegative,
 so products of two series of orders T1, T2 are fully correct up to
 order min(T1, T2).
 
-Multiplication is the performance core of the whole engine.  It runs on
-an integer representation (one common denominator per series) and packs
-each operand into a single big integer, two-dimensionally: the zeta
-exponent occupies a limb within a block of at most 2N - 1 limbs, the q
-exponent selects the block.  One big-integer multiply then performs the
-entire 2-D convolution at C speed; limb width is chosen from a coefficient
-bound so that no carries cross limb boundaries.  Limbs are signed: two's
-complement bytes offset by a per-limb bias, so one multiply serves
-operands of either sign.
+Multiplication runs on an integer representation (one common denominator
+per series) and packs each operand into a single big integer,
+two-dimensionally: the zeta exponent occupies a limb within a block, the
+q exponent selects the block.  One big-integer multiply then performs the
+entire 2-D convolution at C speed (Kronecker substitution); the limb
+width is chosen from a coefficient bound so that no carries cross limb
+boundaries.  Limbs are signed: two's complement bytes offset by a
+per-limb bias, so one multiply serves operands of either sign.
 
-The relation residuals run on a second packing of the same kind
-(PackedSeries): each series is reduced mod Phi_N, which makes it
-canonical, and its phi(N) limbs per q exponent are packed into one big
-int.  A linear combination of such series is then a few big-int
-multiply-adds, and it is zero in Q(zeta_N) iff the packed sum is 0.
+The exact scan runs on PackedSeries: each series is reduced mod Phi_N,
+which makes it canonical, and packed at stride 2*phi - 1 limbs per q
+exponent, so that a product of two packed series fits the same layout.
+A product (convolve_int with packed operands) is one multiply, a
+truncation mask, column masks and the rows x^c mod Phi_N applied to whole
+columns; a linear combination is a few big-int multiply-adds, and it is
+zero in Q(zeta_N) iff its value is 0.  No scan step loops over limbs in
+Python.  convolve_int with dict operands (unreduced) serves
+QExpansion.__mul__.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_mod_cyclotomic,
-                         totient, zeta_pow)
+from .cyclotomic import (CycNum, LevelMismatchError, Scalar, _reduction_rows,
+                         reduce_mod_cyclotomic, reduction_norm, totient, zeta_pow)
 
 # integer form of a series: common denominator + integer coefficient vectors
 IntCoeffs = Dict[int, Tuple[int, ...]]
@@ -233,11 +237,17 @@ def from_int_form(level: int, order: int, den: int, data: IntCoeffs) -> QExpansi
     return QExpansion(level, order, coeffs)
 
 
-def convolve_int(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoeffs:
-    """Exact 2-D convolution of integer series, cyclic in the zeta index.
+def convolve_int(level: int, order: int, A, B):
+    """Exact product of two integer-form series, truncated at q^order.
 
-    Keys >= order are dropped from inputs and output.
+    IntCoeffs operands give the 2-D convolution, cyclic in the zeta index
+    (zeta^N = 1, not reduced mod Phi_N), as IntCoeffs; keys >= order are
+    dropped from inputs and output.  PackedSeries operands of this level
+    and order give the product reduced mod Phi_N as a PackedSeries (see
+    _packed_product): the scan's product kernel.
     """
+    if isinstance(A, PackedSeries) or isinstance(B, PackedSeries):
+        return _packed_product(level, order, A, B)
     A = {n: v for n, v in A.items() if n < order and any(v)}
     B = {n: v for n, v in B.items() if n < order and any(v)}
     if not A or not B:
@@ -250,13 +260,16 @@ def convolve_int(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoeff
     # operands fit too; to_bytes(signed=True) raises OverflowError if not.
     bound = order * N * maxa * maxb
     width = bound.bit_length() // 8 + 1
-    assert bound < 1 << (8 * width - 1), "limb width too small for exact sums"
+    _check_width(bound, width, "convolution")
     return _packed_conv(N, order, A, B, width)
 
 
-def _bias(positions: int, width: int) -> int:
-    """H = sum_i 2^(8*width-1) * 2^(8*width*i): the top bit of every limb."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * positions, "little")
+@lru_cache(maxsize=256)
+def _bias(positions: int, width: int, spacing: int = 0) -> int:
+    """H = sum_i 2^(8*width-1) * 2^(8*spacing*i), spacing defaulting to the
+    width: the top bit of every width-byte limb, limbs spacing bytes apart."""
+    pad = bytes((spacing or width) - width)
+    return int.from_bytes((bytes(width - 1) + b"\x80" + pad) * positions, "little")
 
 
 def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> int:
@@ -339,14 +352,42 @@ def _limb_width(bound: int) -> int:
     return 8 * (bound.bit_length() // 64 + 1)
 
 
+def _check_width(bound: int, width: int, what: str) -> None:
+    # an explicit raise, not an assert: python -O must not drop exactness
+    if bound >= 1 << (8 * width - 1):
+        raise ArithmeticError(f"limb width {width} too small for the {what}")
+
+
+def _stride(level: int) -> int:
+    """Limbs per q exponent in a PackedSeries: 2 phi - 1, the zeta span of
+    a product of two reduced vectors."""
+    return 2 * totient(level) - 1
+
+
+@lru_cache(maxsize=256)
+def _product_masks(order: int, stride: int, width: int) -> Tuple[int, int, int, int]:
+    """(bias, truncation mask, column mask, column bias) of the product
+    kernel: the bias sets the top bit of each of the order*stride limbs,
+    the truncation mask keeps those limbs, and the column mask and bias
+    are the all-ones limb and the top bit at the first limb of each block."""
+    positions = order * stride
+    column = int.from_bytes((b"\xff" * width + bytes(width * (stride - 1))) * order,
+                            "little")
+    return (_bias(positions, width), (1 << 8 * width * positions) - 1, column,
+            _bias(order, width, width * stride))
+
+
 class PackedSeries(NamedTuple):
     """A Phi_N-reduced integer series packed into one signed big int.
 
-    Limb n*phi + j (phi = totient(level), n < order) holds den times the
-    coefficient of zeta^j q^{n/N} in the reduced basis; every limb has
-    |v| <= height.  Reduced forms are canonical, so the series is zero in
-    Q(zeta_N) iff every limb is zero.  A tuple, so a cached series cannot be
-    changed; ``at(width)`` re-packs it at a wider limb.
+    Limb n*s + j (s = 2*phi - 1, phi = totient(level), n < order) holds den
+    times the coefficient of zeta^j q^{n/N} in the reduced basis for j < phi;
+    columns j >= phi are zero, so that a product of two packed series fits
+    in the same layout.  Every limb has |v| <= height: measured for a packed
+    series, a derived bound for a product or a linear combination.  Reduced
+    forms are canonical, so the series is zero in Q(zeta_N) iff every limb
+    is zero.  A tuple, so a cached series cannot be changed; ``at(width)``
+    gives the value at a wider limb.
     """
 
     level: int
@@ -358,40 +399,115 @@ class PackedSeries(NamedTuple):
 
     @classmethod
     def pack(cls, level: int, order: int, den: int, data: IntCoeffs) -> "PackedSeries":
-        """Pack reduced vectors (as from reduce_int_form) with keys < order."""
+        """Pack reduced vectors (length <= phi, as from reduce_int_form) with
+        keys < order."""
         phi = totient(level)
+        if any(len(vec) > phi or not 0 <= n < order for n, vec in data.items()):
+            raise ValueError(f"pack takes vectors of at most {phi} entries "
+                             f"at keys 0 <= n < {order}")
         height = max((abs(x) for vec in data.values() for x in vec), default=0)
         width = _limb_width(height)
-        return cls(level, order, den, height, width,
-                   _pack(data, order * phi, width, phi))
+        s = _stride(level)
+        return cls(level, order, den, height, width, _pack(data, order * s, width, s))
 
     def at(self, width: int) -> int:
-        """The packed int at limb width >= self.width."""
-        if width == self.width:
+        """The packed int at limb width >= self.width.
+
+        The value plus the bias is every limb v + 2^(8w-1) as w unsigned
+        bytes; byte b of limb l moves to byte b of the wider limb l, and a
+        bias spaced at the new width is subtracted again.  Byte-lane slices
+        do the copy at C speed, with no per-limb Python loop.
+        """
+        w = self.width
+        if width == w:
             return self.value
-        assert width > self.width, "a packed series only widens"
-        phi = totient(self.level)
-        data = {n: vec[:phi] for n, vec in self.unpack()[1].items()}
-        return _pack(data, self.order * phi, width, phi)
+        if width < w:
+            raise ArithmeticError("a packed series only widens")
+        positions = self.order * _stride(self.level)
+        raw = (self.value + _bias(positions, w)).to_bytes(positions * w, "little")
+        out = bytearray(positions * width)
+        for b in range(w):
+            out[b::width] = raw[b::w]
+        return int.from_bytes(out, "little") - _bias(positions, w, width)
+
+    def _no_arithmetic(self, other):
+        return NotImplemented
+
+    # a tuple would repeat or concatenate; products go through convolve_int
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
 
     def is_zero(self) -> bool:
         return self.value == 0
 
     def unpack(self) -> Tuple[int, IntCoeffs]:
         """(den, {n: length-level vector}): reduced basis, zero-padded."""
-        phi, w = totient(self.level), self.width
-        positions = self.order * phi
+        phi, s, w = totient(self.level), _stride(self.level), self.width
+        positions = self.order * s
         H = _bias(positions, w)
         buf = ((self.value + H) ^ H).to_bytes(positions * w, "little")
         pad = (0,) * (self.level - phi)
         out: IntCoeffs = {}
         for n in range(self.order):
-            base = n * phi * w
+            base = n * s * w
             vec = tuple(int.from_bytes(buf[off:off + w], "little", signed=True)
                         for off in range(base, base + phi * w, w))
             if any(vec):
                 out[n] = vec + pad
         return self.den, out
+
+    def items(self):
+        """unpack()'s (n, vector) pairs, so that code reading an IntCoeffs
+        operand (bench/tracing.py counts convolve_int's operand bits) reads a
+        packed series too."""
+        return self.unpack()[1].items()
+
+
+def _packed_product(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeries:
+    """The product of f and g (level N, order T) reduced mod Phi_N, in the
+    PackedSeries layout.
+
+    One multiply of the operands at a common width W does the whole 2-D
+    convolution: operand limbs (n1, i1) and (n2, i2), i1, i2 < phi, land
+    at limb (n1 + n2)*s + i1 + i2 and i1 + i2 < s, so no two (n, c) share
+    a limb.  Adding the bias and masking to order*s limbs keeps exponents
+    n < order exactly.  Column c is then shifted down, masked to the first
+    limb of every block and unbiased; columns c >= N fold onto c - N
+    (zeta^N = 1), and the rows x^c mod Phi_N for phi <= c < N add the
+    rest into the first phi columns.  Every step acts on whole big ints.
+    """
+    if not all(isinstance(z, PackedSeries) and (z.level, z.order) == (N, T)
+               for z in (f, g)):
+        raise ValueError(f"operands must be packed series of level {N}, order {T}")
+    phi, s = totient(N), _stride(N)
+    # Limb (n, c) of the unreduced product sums the pairs n1 + n2 = n
+    # (at most T of them) and i1 + i2 = c (at most phi), so it is at most
+    # h0 = T*phi*hf*hg; folding c onto c - N keeps that, since for each
+    # i1 one i2 < N has i1 + i2 = c mod N.  Reducing a length-N vector with
+    # entries <= h0 mod Phi_N gives entries <= h0*reduction_norm(N) = h.
+    # Each limb, raw or reduced, is then a balanced base-2^(8W) digit
+    # when h < 2^(8W-1): no carry crosses a limb.
+    h = T * phi * f.height * g.height * reduction_norm(N)
+    W = _limb_width(h)
+    _check_width(h, W, "product")
+    den = f.den * g.den
+    if not h:  # an operand is zero
+        return PackedSeries(N, T, den, 0, W, 0)
+    bias, trunc, column, column_bias = _product_masks(T, s, W)
+    bits = 8 * W
+    t = (f.at(W) * g.at(W) + bias) & trunc
+    cols = [((t >> bits * c) & column) - column_bias for c in range(s)]
+    for c in range(N, s):
+        cols[c - N] += cols[c]
+    out = cols[:phi]
+    for row, col in zip(_reduction_rows(N), cols[phi:N]):
+        if col:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += r * col
+    value = out[0]
+    for j in range(1, phi):
+        value += out[j] << bits * j
+    return PackedSeries(N, T, den, h, W, value)
 
 
 def linear_combination(level: int, order: int,
@@ -409,10 +525,11 @@ def linear_combination(level: int, order: int,
     D = math.lcm(*(x.den * c.denominator for c, x in terms))
     scaled = [(D // (x.den * c.denominator) * c.numerator, x) for c, x in terms if c]
     for _, x in scaled:
-        assert (x.level, x.order) == (level, order), "terms differ in level or order"
+        if (x.level, x.order) != (level, order):
+            raise ValueError("terms differ in level or order")
     bound = sum(abs(m) * x.height for m, x in scaled)
     width = _limb_width(bound)  # >= every term's width: |m_i| >= 1
-    assert bound < 1 << (8 * width - 1), "limb width too small for the residual"
+    _check_width(bound, width, "residual")
     value = sum(m * x.at(width) for m, x in scaled)
     return PackedSeries(level, order, D, bound, width, value)
 

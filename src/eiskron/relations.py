@@ -26,11 +26,10 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .cyclotomic import Rat, reduction_norm, totient
+from .cyclotomic import Rat
 from .eisenstein import EisensteinIndex, eisenstein_int_form
-from .qseries import (IntCoeffs, PackedSeries, QExpansion, convolve_int,
-                      from_int_form, int_form_is_zero, linear_combination,
-                      reduce_int_form)
+from .qseries import (PackedSeries, QExpansion, convolve_int, from_int_form,
+                      int_form_is_zero, linear_combination, reduce_int_form)
 
 Pair = Tuple[int, int]
 
@@ -237,32 +236,19 @@ def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _series(k: int, N: int, a1: int, a2: int,
-            order: int) -> Tuple[IntCoeffs, PackedSeries]:
-    """E^{(k)}_{(a1,a2)} reduced mod Phi_N: its vectors (a convolution
-    operand) and its packed form."""
+def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
+    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed."""
     den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
-    data = reduce_int_form(N, data)
-    return data, PackedSeries.pack(N, order, den, data)
+    return PackedSeries.pack(N, order, den, reduce_int_form(N, data))
 
 
 @lru_cache(maxsize=None)
 def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
-    """E^{(i)}_a E^{(j)}_b reduced and packed.  Callers pass the key in
-    canonical order, (i, a) <= (j, b), so a product and its swap share
-    one entry."""
-    A, x = _series(i, N, a[0], a[1], order)
-    B, y = _series(j, N, b[0], b[1], order)
-    prod = PackedSeries.pack(N, order, x.den * y.den,
-                             reduce_int_form(N, convolve_int(N, order, A, B)))
-    # Limb (n, l) of the cyclic convolution of reduced operands sums the
-    # pairs n1 + n2 = n (at most order of them) with i1 + i2 = l mod N,
-    # i1, i2 < phi (at most phi), so it is at most order*phi*|A|*|B|;
-    # reduction mod Phi_N multiplies that by at most the reduction norm.
-    # The limb width comes from the measured height, which must obey this.
-    assert prod.height <= (order * totient(N) * x.height * y.height
-                           * reduction_norm(N)), "product exceeds its height bound"
-    return prod
+    """E^{(i)}_a E^{(j)}_b reduced and packed, with its derived height bound
+    (see qseries._packed_product).  Callers pass the key in canonical order,
+    (i, a) <= (j, b), so a product and its swap share one entry."""
+    return convolve_int(N, order, _series(i, N, a[0], a[1], order),
+                        _series(j, N, b[0], b[1], order))
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +280,7 @@ def _residual(inst: RelationInstance, order: int, *, alpha: Rat, beta: Rat,
              + _product_terms(Q, inst.b, inst.c, N, order)
              + _product_terms(R, inst.c, inst.a, N, order))
     for coef, point in ((alpha, inst.a), (beta, inst.b), (gamma, inst.c)):
-        terms.append((-coef, _series(inst.k, N, point[0], point[1], order)[1]))
+        terms.append((-coef, _series(inst.k, N, point[0], point[1], order)))
     return linear_combination(N, order, terms)
 
 

@@ -1,12 +1,18 @@
 import cmath
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eiskron.cyclotomic import CycNum, LevelMismatchError, zeta_pow
+import eiskron
+from eiskron.cyclotomic import CycNum, LevelMismatchError, reduction_norm, totient, zeta_pow
 from eiskron.qseries import (PackedSeries, QExpansion, _pack, convolve_int,
                              convolve_naive, from_int_form, int_form_is_zero,
                              linear_combination, reduce_int_form, to_int_form)
@@ -295,8 +301,10 @@ class TestIntForm:
                                          (Fraction(-10 ** 40 - 3, 7), x)]).is_zero()
 
     def test_packed_widen_and_unpack(self):
-        # limbs at the edges of a signed 8-byte limb, widened and read back
+        # limbs at the edges of signed 8-byte limbs, widened and read back;
+        # the layout has s = 2 phi - 1 limbs per exponent, columns >= phi zero
         N, T = 5, 4
+        s = 2 * 4 - 1
         top = 2 ** 63 - 1
         data = {n: tuple((top, -top, 0, 1, -1)[(n + j) % 5] for j in range(4))
                 for n in range(T)}
@@ -304,10 +312,21 @@ class TestIntForm:
         x = PackedSeries.pack(N, T, 7, data)
         assert (x.width, x.height) == (8, top)
         for width in (16, 24, 72):
-            assert x.at(width) == _pack(data, T * 4, width, 4)
+            assert x.at(width) == _pack(data, T * s, width, s)
         den, out = x.unpack()
         assert den == 7 and out == {n: v + (0,) for n, v in data.items()}
         assert PackedSeries.pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
+        # negative and extreme limbs, widened step by step 8 -> 16 -> 24 -> 32
+        for edge in (-top, 2 ** 64 - 1, -2 ** 64, 2 ** 127 - 1, -2 ** 127):
+            data = {n: tuple((edge, -1, 0, -edge, 1, top, -top)[(n * 3 + j) % 7]
+                             for j in range(4)) for n in range(T)}
+            y = PackedSeries.pack(N, T, 1, data)
+            for width in range(y.width + 8, 33, 8):
+                y = y._replace(width=width, value=y.at(width))
+                assert y.value == _pack(data, T * s, width, s)
+                assert y.unpack()[1] == {n: v + (0,) for n, v in data.items()}
+        with pytest.raises(ArithmeticError):
+            y.at(8)
 
     def test_reduce_int_form(self):
         # Phi_4 = x^2 + 1: zeta^2 = -1, zeta^3 = -zeta; field zeros drop out
@@ -320,6 +339,102 @@ class TestIntForm:
         assert int_form_is_zero(N, {2: (1, 1, 1)}) is None  # field zero
         assert int_form_is_zero(N, {2: (1, 1, 1), 4: (1, 0, 0)}) == 4
         assert int_form_is_zero(N, {}) is None
+
+
+# limbs at the edges of signed 8-byte limbs, and beyond
+EDGE_LIMBS = (2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 2 ** 64, 0)
+
+
+@st.composite
+def packed_operands(draw):
+    """(N, T, A, B): two reduced integer series, each signed random, all
+    zero, empty, or built from the edge limbs."""
+    N = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 12)))
+    T = draw(st.integers(1, 40))
+    phi = totient(N)
+
+    def series():
+        kind = draw(st.sampled_from(("signed", "edges", "zero", "empty")))
+        if kind == "empty":
+            return {}
+        limb = {"signed": st.integers(-10 ** 30, 10 ** 30),
+                "edges": st.sampled_from(EDGE_LIMBS),
+                "zero": st.just(0)}[kind]
+        keys = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+        return {n: tuple(draw(st.lists(limb, min_size=phi, max_size=phi)))
+                for n in keys}
+
+    return N, T, series(), series()
+
+
+class TestProductKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(packed_operands())
+    def test_product_matches_naive(self, case):
+        # one multiply, column masks and Phi_N row folds against the
+        # schoolbook convolution reduced mod Phi_N
+        N, T, A, B = case
+        phi = totient(N)
+        x, y = PackedSeries.pack(N, T, 3, A), PackedSeries.pack(N, T, 4, B)
+        p = convolve_int(N, T, x, y)
+        den, got = p.unpack()
+        expect = reduce_int_form(N, convolve_naive(N, T, A, B))
+        assert den == 12
+        assert {n: v[:phi] for n, v in got.items()} == expect
+        assert p.height == T * phi * x.height * y.height * reduction_norm(N)
+        assert p.is_zero() == (not expect)
+        # the product is a valid operand again, in the same layout
+        assert {n: v[:phi] for n, v in convolve_int(N, T, p, x).items()} == \
+            reduce_int_form(N, convolve_naive(N, T, expect, A))
+
+    def test_operands_must_fit_the_layout(self):
+        x = PackedSeries.pack(3, 4, 1, {0: (1, 2)})
+        for y in (PackedSeries.pack(3, 5, 1, {0: (1, 2)}),
+                  PackedSeries.pack(4, 4, 1, {0: (1, 2)}), {0: (1, 2)}):
+            for A, B in ((x, y), (y, x)):
+                with pytest.raises(ValueError):
+                    convolve_int(3, 4, A, B)
+        with pytest.raises(ValueError):  # unreduced vectors do not fit the layout
+            PackedSeries.pack(3, 4, 1, {0: (1, 2, 3)})
+        with pytest.raises(ValueError):  # nor do exponents beyond the order
+            PackedSeries.pack(3, 4, 1, {4: (1, 2)})
+
+    def test_no_tuple_arithmetic(self):
+        # a NamedTuple would repeat or concatenate instead of raising
+        x = PackedSeries.pack(3, 4, 1, {0: (1, 2)})
+        for op in (lambda: x * x, lambda: x * 3, lambda: 3 * x, lambda: x + x,
+                   lambda: x + (1,)):
+            with pytest.raises(TypeError):
+                op()
+        assert dict(x.items()) == x.unpack()[1] == {0: (1, 2, 0)}
+
+    def test_width_checks_survive_optimize(self):
+        # under python -O an assert would vanish; the checks must still raise
+        code = """
+import sys
+from eiskron import qseries
+from eiskron.qseries import PackedSeries, linear_combination
+if not sys.flags.optimize:
+    sys.exit(3)
+x = PackedSeries.pack(3, 4, 1, {0: (2 ** 70, -1), 3: (5, 2 ** 70)})
+narrow = qseries._limb_width
+qseries._limb_width = lambda bound: narrow(bound) - 8  # one limb too narrow
+for run in (lambda: qseries.convolve_int(3, 4, x, x), lambda: linear_combination(3, 4, [(1, x), (2, x)])):
+    try:
+        run()
+    except ArithmeticError as exc:
+        print(exc)
+    else:
+        sys.exit(4)
+"""
+        src = os.path.dirname(os.path.dirname(eiskron.__file__))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["limb width 16 too small for the product",
+                                            "limb width 8 too small for the residual"]
 
 
 class TestImmutability:

@@ -334,6 +334,27 @@ class TestProductCache:
         assert len(calls) == 836
         assert len(set(calls)) == len(calls)
 
+    def test_declared_height_bounds_every_product(self, monkeypatch):
+        # a product's height is a derived bound, used as is for the limb
+        # width: every limb of every product a cold scan caches must obey it
+        relations._product.cache_clear()
+        relations._series.cache_clear()
+        convolve = relations.convolve_int
+        checked, over = [0], []
+
+        def measuring(level, order, A, B):
+            p = convolve(level, order, A, B)
+            measured = max((abs(v) for vec in p.unpack()[1].values() for v in vec),
+                           default=0)
+            checked[0] += 1
+            if measured > p.height:
+                over.append((p.level, measured, p.height))
+            return p
+
+        monkeypatch.setattr(relations, "convolve_int", measuring)
+        assert run_scan(5, 6, 40)["failed"] == 0
+        assert checked[0] > 1000 and over == []
+
     def test_scan_keeps_one_level_cached(self):
         relations._product.cache_clear()
         relations._series.cache_clear()
