@@ -237,6 +237,10 @@ class TestNumeric:
         assert code == 0 and default == given
 
     def test_bad_tau_exits_2(self, capsys):
-        code, _, _ = run(capsys, "numeric", "--check", "relation",
-                         "--tau", "0,-1")
-        assert code == 2
+        # a NaN or infinite tau is bad input, not a failed check
+        for argv in (["relation", "--tau", "0,-1"],
+                     ["asymptotics", "--weight", "1", "--tau", "nan,1"],
+                     ["relation", "--weight", "4", "--tau", "0.3,inf"],
+                     ["relation", "--tau", "nan,nan"]):
+            code, out, _ = run(capsys, "numeric", "--check", *argv)
+            assert code == 2 and out == "", argv

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eiskron import numeric as nm
@@ -35,6 +36,15 @@ class TestConfig:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             nm.NumericConfig(tau=1 - 1j)
+
+    @pytest.mark.parametrize("tau", [complex(math.nan, 1), complex(0.3, math.inf),
+                                     complex(math.nan, math.nan),
+                                     complex(math.inf, 1)])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError):
+            nm.NumericConfig(tau=tau)
+        with pytest.raises(ValueError):
+            nm.eval_E_lattice(3, 0.3 + 0.4j, tau, CFG)
 
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(ValueError):
@@ -80,7 +90,59 @@ class TestFourierEvaluator:
             assert abs(lhs - rhs) < 1e-10
 
 
+def lattice_reference(k, z, tau, L):
+    """The windowed lattice sum with one term per lattice point, character
+    included: the unfactored reference for the separable eval_E_lattice."""
+    p = nm.TorusPoint.from_z(z, tau)
+    idx = np.arange(-L, L + 1)
+    m, n = np.meshgrid(idx, idx, indexing="ij")
+    lam = m * tau + n
+    nonzero = (m != 0) | (n != 0)
+    r = np.abs(lam)
+    R = nm.lattice_window_radius(L, tau)
+    t = np.clip((R - r) / (R - 0.5 * R), 0.0, 1.0)
+    w = t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
+    char = np.exp(2j * math.pi * (m * p.x2 - n * p.x1))
+    lam_safe = np.where(nonzero, lam, 1.0)
+    terms = np.where(nonzero, w * char / lam_safe ** k, 0.0)
+    pref = -math.factorial(k - 1) / (-2j * math.pi) ** k
+    return complex(pref * terms.sum())
+
+
+# |tau| > 1, |tau| < 1 (a different window radius), and |tau| = 1
+SEPARABLE_TAUS = (0.3 + 1.1j, 0.1 + 0.8j, 1j)
+
+
 class TestLatticeEvaluator:
+    @pytest.mark.parametrize("L", [20, 50])
+    @pytest.mark.parametrize("tau", SEPARABLE_TAUS)
+    def test_separable_form_matches_double_sum(self, L, tau):
+        rng = random.Random(L)
+        cfg = nm.NumericConfig(tau=tau, lattice_cutoff=L)
+        for k in range(3, 7):
+            for _ in range(3):
+                z = nm.TorusPoint(rng.uniform(-1, 1), rng.uniform(-1, 1)).to_z(tau)
+                ref = lattice_reference(k, z, tau, L)
+                assert abs(nm.eval_E_lattice(k, z, tau, cfg) - ref) <= 1e-13 * abs(ref)
+
+    def test_weights_depend_on_tau(self):
+        # same (k, L), two taus in a row: a grid cached on (k, L) alone fails
+        nm._lattice_weights.cache_clear()
+        z = 0.37 + 0.21j
+        for tau in (0.3 + 1.1j, 0.1 + 0.8j):
+            cfg = nm.NumericConfig(tau=tau, lattice_cutoff=20)
+            ref = lattice_reference(4, z, tau, 20)
+            assert abs(nm.eval_E_lattice(4, z, tau, cfg) - ref) <= 1e-13 * abs(ref)
+
+    def test_cached_weights_are_read_only_and_bounded(self):
+        cfg = nm.NumericConfig(tau=TAU, lattice_cutoff=20)
+        for k in range(3, 7):
+            nm.eval_E_lattice(k, 0.37 + 0.21j, TAU, cfg)
+            W = nm._lattice_weights(k, 20, TAU)
+            with pytest.raises(ValueError):
+                W[0, 0] = 1.0
+        info = nm._lattice_weights.cache_info()
+        assert info.maxsize == 2 and info.currsize <= info.maxsize
     def test_weight_bound(self):
         with pytest.raises(ValueError):
             nm.eval_E_lattice(2, 0.3 + 0.4j, TAU, CFG)
