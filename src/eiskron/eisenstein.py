@@ -153,4 +153,4 @@ def bg_tilde_s(k: int, N: int, a: int, order: int) -> QExpansion:
     """
     idx = EisensteinIndex(k, N, a, 0)
     f = eisenstein_qexp(idx, order)
-    return f.rescale_exponents(N).scale(-Fraction(N) ** (k - 1))
+    return f.rescale_exponents(N).scale(-N ** (k - 1))

@@ -62,6 +62,10 @@ class TorusPoint:
     x1: float
     x2: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
+            raise ValueError("torus coordinates must be finite")
+
     def to_z(self, tau: complex) -> complex:
         return self.x1 * tau + self.x2
 
@@ -151,7 +155,7 @@ def eval_E_lattice(k: int, z: complex, tau: complex, cfg: NumericConfig) -> comp
     tau = complex(tau)
     _check_tau(tau)
     L = cfg.lattice_cutoff
-    p = TorusPoint.from_z(z, tau)
+    p = TorusPoint.from_z(z, tau)  # ValueError for a non-finite z
     idx = np.arange(-L, L + 1)
     A = np.exp(TWO_PI_I * p.x2 * idx)
     B = np.exp(-TWO_PI_I * p.x1 * idx)

@@ -5,24 +5,24 @@ for 0 <= n < T (absent keys are zero).  All exponents are nonnegative,
 so products of two series of orders T1, T2 are fully correct up to
 order min(T1, T2).
 
-Multiplication runs on an integer representation (one common denominator
-per series) and packs each operand into a single big integer,
-two-dimensionally: the zeta exponent occupies a limb within a block, the
-q exponent selects the block.  One big-integer multiply then performs the
-entire 2-D convolution at C speed (Kronecker substitution); the limb
-width is chosen from a coefficient bound so that no carries cross limb
-boundaries.  Limbs are signed: two's complement bytes offset by a
-per-limb bias, so one multiply serves operands of either sign.
+A QExpansion holds its integer form: one common denominator and, per
+exponent, a length-N integer vector of coefficients of 1, zeta, ...,
+zeta^(N-1), unreduced (modulo x^N - 1).  Its ring operations run on these
+integers, and a product is the schoolbook convolve_naive, which shares no
+code with the packed kernel below and so is its oracle.  The CycNum view
+(``coeffs``) is built only for printing, JSON and tests.
 
 The exact scan runs on PackedSeries: each series is reduced mod Phi_N,
-which makes it canonical, and packed at stride 2*phi - 1 limbs per q
-exponent, so that a product of two packed series fits the same layout.
-A product (convolve_int with packed operands) is one multiply, a
-truncation mask, column masks and the rows x^c mod Phi_N applied to whole
-columns; a linear combination is a few big-int multiply-adds, and it is
-zero in Q(zeta_N) iff its value is 0.  No scan step loops over limbs in
-Python.  convolve_int with dict operands (unreduced) serves
-QExpansion.__mul__.
+which makes it canonical, and packed into one signed big integer,
+two-dimensionally: the zeta exponent selects a limb within a block of
+2*phi - 1 limbs, the q exponent selects the block, so that a product of
+two packed series fits the same layout.  A product (convolve_int) is one
+big-integer multiply (Kronecker substitution), a truncation mask, column
+masks and the rows x^c mod Phi_N applied to whole columns; a linear
+combination is a few big-int multiply-adds, and it is zero in Q(zeta_N)
+iff its value is 0.  Limbs are signed (two's complement bytes offset by a
+per-limb bias), every limb width comes from a derived height bound that
+is checked at run time, and no scan step loops over limbs in Python.
 """
 
 from __future__ import annotations
@@ -36,44 +36,64 @@ from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .cyclotomic import (CycNum, LevelMismatchError, Scalar, _reduction_rows,
-                         reduce_mod_cyclotomic, reduction_norm, totient, zeta_pow)
+                         reduce_mod_cyclotomic, reduction_norm, totient)
 
 # integer form of a series: common denominator + integer coefficient vectors
 IntCoeffs = Dict[int, Tuple[int, ...]]
 
 
 class QExpansion:
-    """Sparse truncated series sum_n c_n q^{n/N}, c_n in Q(zeta_N)."""
+    """Sparse truncated series sum_n c_n q^{n/N}, c_n in Q(zeta_N), held as
+    c_n = data[n] / den with length-N integer vectors data[n]."""
 
-    __slots__ = ("level", "order", "coeffs")
+    __slots__ = ("level", "order", "den", "data")
 
     def __init__(self, level: int, order: int, coeffs: Mapping[int, CycNum]):
-        if level < 1 or order < 1:
-            raise ValueError("level and order must be positive")
-        clean: Dict[int, CycNum] = {}
-        for n, c in coeffs.items():
-            if not 0 <= n < order:
-                raise ValueError(f"exponent numerator {n} outside [0, {order})")
+        # the one place where Fractions become integers
+        for c in coeffs.values():
             if c.level != level:
                 raise LevelMismatchError("coefficient level differs from series level")
-            if any(c.coeffs):
-                clean[n] = c
+        den = math.lcm(*(v.denominator for c in coeffs.values() for v in c.coeffs))
+        self._set(level, order, den, {
+            n: tuple(v.numerator * (den // v.denominator) for v in c.coeffs)
+            for n, c in coeffs.items()})
+
+    def _set(self, level: int, order: int, den: int, data: Mapping) -> None:
+        if level < 1 or order < 1 or den < 1:
+            raise ValueError("level, order and denominator must be positive")
+        clean: IntCoeffs = {}
+        for n, vec in data.items():
+            if not 0 <= n < order:
+                raise ValueError(f"exponent numerator {n} outside [0, {order})")
+            if len(vec) != level:
+                raise ValueError(f"expected vectors of {level} entries, got {len(vec)}")
+            if any(vec):
+                clean[n] = tuple(vec)
         self.level = level
         self.order = order
-        self.coeffs = MappingProxyType(clean)  # read-only: caches share expansions
+        self.den = den
+        self.data = MappingProxyType(clean)  # read-only: caches share expansions
 
     def __reduce__(self):
-        return QExpansion, (self.level, self.order, dict(self.coeffs))
+        return from_int_form, (self.level, self.order, self.den, dict(self.data))
+
+    @property
+    def coeffs(self) -> Mapping[int, CycNum]:
+        """{n: c_n} as CycNums, built on each access."""
+        den = self.den
+        return MappingProxyType({n: CycNum(self.level, [Fraction(v, den) for v in vec])
+                                 for n, vec in self.data.items()})
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def zero(cls, level: int, order: int) -> "QExpansion":
-        return cls(level, order, {})
+        return from_int_form(level, order, 1, {})
 
     @classmethod
     def constant(cls, level: int, order: int, value: Scalar) -> "QExpansion":
-        return cls(level, order, {0: CycNum.from_rat(level, value)})
+        return from_int_form(level, order, value.denominator,
+                             {0: (value.numerator,) + (0,) * (level - 1)})
 
     def _check(self, other: "QExpansion") -> None:
         if self.level != other.level:
@@ -81,78 +101,93 @@ class QExpansion:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign*other over the lcm of the denominators."""
         if not isinstance(other, QExpansion):
             return NotImplemented
         self._check(other)
         T = min(self.order, other.order)
-        out: Dict[int, CycNum] = {}
-        for n, c in self.coeffs.items():
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        out = {n: tuple(ma * x for x in v) for n, v in self.data.items() if n < T}
+        for n, v in other.data.items():
             if n < T:
-                out[n] = c
-        for n, c in other.coeffs.items():
-            if n < T:
-                out[n] = out[n] + c if n in out else c
-        return QExpansion(self.level, T, out)
+                w = out.get(n)
+                out[n] = (tuple(mb * y for y in v) if w is None
+                          else tuple(x + mb * y for x, y in zip(w, v)))
+        return from_int_form(self.level, T, den, out)
 
-    def __neg__(self):
-        return QExpansion(self.level, self.order, {n: -c for n, c in self.coeffs.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return from_int_form(self.level, self.order, self.den,
+                             {n: tuple(-x for x in v) for n, v in self.data.items()})
 
     def __mul__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
         self._check(other)
         T = min(self.order, other.order)
-        da, A = to_int_form(self, T)
-        db, B = to_int_form(other, T)
-        C = convolve_int(self.level, T, A, B)
-        return from_int_form(self.level, T, da * db, C)
+        return from_int_form(self.level, T, self.den * other.den,
+                             convolve_naive(self.level, T, self.data, other.data))
 
     def scale(self, c: Union[Scalar, CycNum]) -> "QExpansion":
-        return QExpansion(self.level, self.order, {n: v * c for n, v in self.coeffs.items()})
+        if isinstance(c, CycNum):
+            return self * QExpansion(self.level, self.order, {0: c})
+        num = c.numerator
+        return from_int_form(self.level, self.order, self.den * c.denominator,
+                             {n: tuple(num * x for x in v) for n, v in self.data.items()})
 
     def rescale_exponents(self, M: int) -> "QExpansion":
         """Substitute tau -> M*tau, i.e. q^{n/N} -> q^{nM/N}."""
         if M < 1:
             raise ValueError("M must be >= 1")
-        return QExpansion(self.level, self.order * M, {n * M: c for n, c in self.coeffs.items()})
+        return from_int_form(self.level, self.order * M, self.den,
+                             {n * M: v for n, v in self.data.items()})
 
     def twist(self, j: int) -> "QExpansion":
-        """Substitute tau -> tau + j: coefficient at q^{n/N} picks up zeta_N^{nj}."""
-        return QExpansion(
-            self.level, self.order,
-            {n: c * zeta_pow(self.level, n * j) for n, c in self.coeffs.items()},
-        )
+        """Substitute tau -> tau + j: coefficient at q^{n/N} picks up zeta_N^{nj},
+        which rotates its vector by nj places."""
+        out = {}
+        for n, v in self.data.items():
+            r = n * j % self.level
+            out[n] = v[-r:] + v[:-r] if r else v
+        return from_int_form(self.level, self.order, self.den, out)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         """True iff every coefficient is zero in the field Q(zeta_N)."""
-        return all(c.is_zero() for c in self.coeffs.values())
+        return int_form_is_zero(self.level, self.data) is None
 
     def field_equals(self, other: "QExpansion") -> bool:
         return (self - other).is_zero()
 
     def first_nonzero_exponent(self) -> Union[int, None]:
         """Smallest n with a field-nonzero coefficient, or None."""
-        for n in sorted(self.coeffs):
-            if not self.coeffs[n].is_zero():
-                return n
-        return None
+        return int_form_is_zero(self.level, self.data)
 
     # -- evaluation and serialization ----------------------------------------
 
     def eval_numeric(self, tau: complex) -> complex:
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
+        N, den = self.level, self.den
+        z = cmath.exp(2j * cmath.pi / N)
         acc = 0j
-        for n, c in self.coeffs.items():
-            acc += c.embed() * cmath.exp(2j * math.pi * tau * n / self.level)
+        for n, vec in self.data.items():
+            # c_n at zeta_N, summed as CycNum.embed sums it: int true division
+            # is correctly rounded, as float(Fraction(v, den)) is
+            c, pw = 0j, 1 + 0j
+            for v in vec:
+                if v:
+                    c += v / den * pw
+                pw *= z
+            acc += c * cmath.exp(2j * math.pi * tau * n / N)
         return acc
 
     def to_json_dict(self) -> dict:
@@ -161,12 +196,13 @@ class QExpansion:
             return [num if -2**63 <= num < 2**63 else str(num),
                     den if den < 2**63 else str(den)]
 
+        coeffs = self.coeffs
         return {
             "level": self.level,
             "order": self.order,
             "coeffs": [
-                {"n": n, "c": [enc(v) for v in self.coeffs[n].coeffs]}
-                for n in sorted(self.coeffs)
+                {"n": n, "c": [enc(v) for v in coeffs[n].coeffs]}
+                for n in sorted(coeffs)
             ],
         }
 
@@ -189,14 +225,15 @@ class QExpansion:
         return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
-        return f"QExpansion(level={self.level}, order={self.order}, terms={len(self.coeffs)})"
+        return f"QExpansion(level={self.level}, order={self.order}, terms={len(self.data)})"
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return f"O(q^{{{self.order}/{self.level}}})"
         parts = []
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
+        for n in sorted(coeffs):
+            c = coeffs[n]
             if n == 0:
                 parts.append(f"({c})")
             elif n % self.level == 0:
@@ -208,109 +245,28 @@ class QExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Integer form and packed convolution.
+# Integer form and the schoolbook product.
 # ---------------------------------------------------------------------------
 
 def to_int_form(f: QExpansion, order: Union[int, None] = None) -> Tuple[int, IntCoeffs]:
-    """(den, {n: integer vector}) with f's coefficients equal to vector/den."""
+    """(den, {n: integer vector}) with f's coefficients equal to vector/den,
+    keys below order (default f.order)."""
     T = f.order if order is None else order
-    den = 1
-    for n, c in f.coeffs.items():
-        if n >= T:
-            continue
-        for v in c.coeffs:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    data: IntCoeffs = {}
-    for n, c in f.coeffs.items():
-        if n >= T:
-            continue
-        data[n] = tuple(int(v * den) for v in c.coeffs)
-    return den, data
+    return f.den, {n: v for n, v in f.data.items() if n < T}
 
 
 def from_int_form(level: int, order: int, den: int, data: IntCoeffs) -> QExpansion:
-    coeffs = {
-        n: CycNum(level, [Fraction(v, den) for v in vec])
-        for n, vec in data.items()
-        if any(vec)
-    }
-    return QExpansion(level, order, coeffs)
-
-
-def convolve_int(level: int, order: int, A, B):
-    """Exact product of two integer-form series, truncated at q^order.
-
-    IntCoeffs operands give the 2-D convolution, cyclic in the zeta index
-    (zeta^N = 1, not reduced mod Phi_N), as IntCoeffs; keys >= order are
-    dropped from inputs and output.  PackedSeries operands of this level
-    and order give the product reduced mod Phi_N as a PackedSeries (see
-    _packed_product): the scan's product kernel.
-    """
-    if isinstance(A, PackedSeries) or isinstance(B, PackedSeries):
-        return _packed_product(level, order, A, B)
-    A = {n: v for n, v in A.items() if n < order and any(v)}
-    B = {n: v for n, v in B.items() if n < order and any(v)}
-    if not A or not B:
-        return {}
-    N = level
-    maxa = max(abs(x) for v in A.values() for x in v)
-    maxb = max(abs(x) for v in B.values() for x in v)
-    # Product limb (n, j) sums at most order*N terms a*b, |a| <= maxa and
-    # |b| <= maxb, and a signed limb of w bytes holds |v| < 2^(8w-1).  The
-    # operands fit too; to_bytes(signed=True) raises OverflowError if not.
-    bound = order * N * maxa * maxb
-    width = bound.bit_length() // 8 + 1
-    _check_width(bound, width, "convolution")
-    return _packed_conv(N, order, A, B, width)
-
-
-@lru_cache(maxsize=256)
-def _bias(positions: int, width: int, spacing: int = 0) -> int:
-    """H = sum_i 2^(8*width-1) * 2^(8*spacing*i), spacing defaulting to the
-    width: the top bit of every width-byte limb, limbs spacing bytes apart."""
-    pad = bytes((spacing or width) - width)
-    return int.from_bytes((bytes(width - 1) + b"\x80" + pad) * positions, "little")
-
-
-def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> int:
-    """sum of data[n][j] * 2^(8*width*(n*stride + j)), as one signed int."""
-    buf = bytearray(positions * width)
-    for n, vec in data.items():
-        off = n * stride * width
-        for v in vec:
-            buf[off:off + width] = v.to_bytes(width, "little", signed=True)
-            off += width
-    H = _bias(positions, width)
-    # flipping each limb's sign bit reads two's complement v as v + 2^(8w-1)
-    return (int.from_bytes(buf, "little") ^ H) - H
-
-
-def _packed_conv(N: int, order: int, A: IntCoeffs, B: IntCoeffs,
-                 width: int) -> IntCoeffs:
-    # the zeta part of a product of vectors of lengths la, lb spans
-    # la + lb - 1 <= 2N - 1 limbs (2 phi - 1 for reduced operands): one block
-    span = max(map(len, A.values())) + max(map(len, B.values())) - 1
-    positions = order * span
-    prod = _pack(A, positions, width, span) * _pack(B, positions, width, span)
-    # each limb plus 2^(8w-1) lies in [0, 2^(8w)): no carry crosses a limb
-    H = _bias(2 * positions, width)
-    buf = ((prod + H) ^ H).to_bytes(2 * positions * width, "little")
-    out: IntCoeffs = {}
-    for n in range(order):
-        vec = [0] * N
-        off = n * span * width
-        for j in range(span):
-            v = int.from_bytes(buf[off:off + width], "little", signed=True)
-            if v:
-                vec[j - N if j >= N else j] += v
-            off += width
-        if any(vec):
-            out[n] = tuple(vec)
-    return out
+    """The series with coefficients data[n] / den, for length-level integer
+    vectors data[n] (all-zero vectors are dropped); builds no Fraction."""
+    f = QExpansion.__new__(QExpansion)
+    f._set(level, order, den, data)
+    return f
 
 
 def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoeffs:
-    """Schoolbook reference convolution; oracle for convolve_int in tests."""
+    """Schoolbook 2-D convolution, cyclic in the zeta index (zeta^N = 1, not
+    reduced mod Phi_N), truncated at q^order: QExpansion's product, and the
+    oracle for convolve_int in tests."""
     out: Dict[int, list] = {}
     for n1, v1 in A.items():
         if n1 >= order:
@@ -328,7 +284,7 @@ def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoe
                             if k >= level:
                                 k -= level
                             vec[k] += a * b
-    return {n: tuple(v) for n, v in out.items() if any(v)}
+    return {n: tuple(v) for n, v in sorted(out.items()) if any(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +318,27 @@ def _stride(level: int) -> int:
     """Limbs per q exponent in a PackedSeries: 2 phi - 1, the zeta span of
     a product of two reduced vectors."""
     return 2 * totient(level) - 1
+
+
+@lru_cache(maxsize=256)
+def _bias(positions: int, width: int, spacing: int = 0) -> int:
+    """H = sum_i 2^(8*width-1) * 2^(8*spacing*i), spacing defaulting to the
+    width: the top bit of every width-byte limb, limbs spacing bytes apart."""
+    pad = bytes((spacing or width) - width)
+    return int.from_bytes((bytes(width - 1) + b"\x80" + pad) * positions, "little")
+
+
+def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> int:
+    """sum of data[n][j] * 2^(8*width*(n*stride + j)), as one signed int."""
+    buf = bytearray(positions * width)
+    for n, vec in data.items():
+        off = n * stride * width
+        for v in vec:
+            buf[off:off + width] = v.to_bytes(width, "little", signed=True)
+            off += width
+    H = _bias(positions, width)
+    # flipping each limb's sign bit reads two's complement v as v + 2^(8w-1)
+    return (int.from_bytes(buf, "little") ^ H) - H
 
 
 @lru_cache(maxsize=256)
@@ -462,9 +439,9 @@ class PackedSeries(NamedTuple):
         return self.unpack()[1].items()
 
 
-def _packed_product(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeries:
-    """The product of f and g (level N, order T) reduced mod Phi_N, in the
-    PackedSeries layout.
+def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeries:
+    """The product of packed series f and g (level N, order T) reduced mod
+    Phi_N, in the PackedSeries layout: the scan's product kernel.
 
     One multiply of the operands at a common width W does the whole 2-D
     convolution: operand limbs (n1, i1) and (n2, i2), i1, i2 < phi, land

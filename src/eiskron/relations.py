@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 from .cyclotomic import Rat
 from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (PackedSeries, QExpansion, convolve_int, from_int_form,
-                      int_form_is_zero, linear_combination, reduce_int_form)
+                      linear_combination, reduce_int_form)
 
 Pair = Tuple[int, int]
 
@@ -245,7 +245,7 @@ def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
 @lru_cache(maxsize=None)
 def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
     """E^{(i)}_a E^{(j)}_b reduced and packed, with its derived height bound
-    (see qseries._packed_product).  Callers pass the key in canonical order,
+    (see qseries.convolve_int).  Callers pass the key in canonical order,
     (i, a) <= (j, b), so a product and its swap share one entry."""
     return convolve_int(N, order, _series(i, N, a[0], a[1], order),
                         _series(j, N, b[0], b[1], order))
@@ -312,8 +312,8 @@ def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
     """Check one instance (overrides as in relation_residual); report in
     the scan's JSON schema."""
     res = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
-    # unpack only a failure, to report its first nonzero exponent
-    first = None if res.is_zero() else int_form_is_zero(inst.N, res.unpack()[1])
+    # unpack only a failure: its vectors are reduced, so every key is nonzero
+    first = None if res.is_zero() else min(res.unpack()[1])
     return {
         "instance": inst.as_dict(),
         "order": order,

@@ -235,6 +235,40 @@ class TestIntegerBuilder:
         report = relations.run_scan(3, 3, 20)
         assert report["instances"] > 0 and report["failed"] == 0
 
+    def test_identity_path_builds_no_cycnum(self, monkeypatch):
+        # the criterion-3 parity/twist check, bg_tilde_s and eval_numeric
+        # run on integer vectors: qseries builds no CycNum for a cached
+        # series, and once the series exist nothing builds one at all
+        from eiskron import eisenstein, qseries
+
+        class Refused(CycNum):
+            def __init__(self, *args):
+                raise AssertionError("CycNum built on the identity path")
+
+        def refuse(self, *args):
+            raise AssertionError("CycNum built on the identity path")
+
+        monkeypatch.setattr(qseries, "CycNum", Refused)
+        eisenstein._qexp_cached.cache_clear()
+        order, indices = 20, [(k, N, a1, a2) for N in range(1, 5) for k in range(1, 6)
+                              for a1 in range(N) for a2 in range(N)
+                              if (k, a1, a2) != (2, 0, 0)]
+        for k, N, a1, a2 in indices:
+            for b in ((a1, a2), (-a1, -a2), (a1, a1 + a2)):
+                eisenstein_qexp(EisensteinIndex(k, N, *b), order)
+        eisenstein_qexp(EisensteinIndex(3, 3, 1, 0), 10)
+        monkeypatch.setattr(CycNum, "__init__", refuse)
+        for k, N, a1, a2 in indices:
+            f = eisenstein_qexp(EisensteinIndex(k, N, a1, a2), order)
+            g = eisenstein_qexp(EisensteinIndex(k, N, -a1, -a2), order)
+            h = eisenstein_qexp(EisensteinIndex(k, N, a1, a1 + a2), order)
+            assert g.field_equals(f.scale(Fraction((-1) ** k)))
+            assert f.twist(1).field_equals(h)
+            assert abs(f.eval_numeric(0.3 + 1.1j)) < math.inf
+        s = bg_tilde_s(3, 3, 1, 10)
+        assert s.first_nonzero_exponent() == 0 and not s.is_zero()
+        assert s.eval_numeric(1j) != 0
+
 
 class TestBgTildeS:
     def test_weight_one_level_two_vanishes(self):

@@ -46,6 +46,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             nm.eval_E_lattice(3, 0.3 + 0.4j, tau, CFG)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point(self, x):
+        for coords in ((x, 0.25), (0.25, x)):
+            with pytest.raises(ValueError):
+                nm.TorusPoint(*coords)
+        with pytest.raises(ValueError):
+            nm.eval_E_lattice(3, complex(x, 0.4), 0.3 + 1.1j, CFG)
+        with pytest.raises(ValueError):
+            nm.eval_E_lattice(3, complex(0.3, x), 0.3 + 1.1j, CFG)
+
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(ValueError):
             nm.NumericConfig(tau=1j, fourier_terms=0)

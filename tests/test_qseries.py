@@ -8,11 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eiskron
-from eiskron.cyclotomic import CycNum, LevelMismatchError, reduction_norm, totient, zeta_pow
+from eiskron.cyclotomic import (CycNum, LevelMismatchError, cyclotomic_polynomial,
+                                reduction_norm, totient, zeta_pow)
 from eiskron.qseries import (PackedSeries, QExpansion, _pack, convolve_int,
                              convolve_naive, from_int_form, int_form_is_zero,
                              linear_combination, reduce_int_form, to_int_form)
@@ -125,6 +126,76 @@ class TestScaleAndSubstitutions:
                 assert (f * g).twist(j).field_equals(f.twist(j) * g.twist(j))
 
 
+def hidden_zero(N):
+    """Phi_N folded mod x^N - 1: a nonzero vector that is zero in Q(zeta_N)."""
+    vec = [0] * N
+    for i, c in enumerate(cyclotomic_polynomial(N)):
+        vec[i % N] += c
+    return CycNum(N, vec)
+
+
+@st.composite
+def series_cases(draw):
+    """(f, g, r, c, j, M): two random series of one level N <= 8, a
+    rational, a CycNum, a twist and an exponent multiplier."""
+    N = draw(st.integers(1, 8))
+    rat = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    cyc = st.lists(rat, min_size=N, max_size=N).map(lambda v: CycNum(N, v))
+
+    def series():
+        T = draw(st.integers(1, 12))
+        keys = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+        return QExpansion(N, T, {n: draw(cyc) for n in keys})
+
+    return (series(), series(), draw(rat), draw(cyc), draw(st.integers(-2 * N, 2 * N)),
+            draw(st.integers(1, 4)))
+
+
+class TestIntegerOperationsOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(series_cases())
+    def test_matches_cycnum_arithmetic(self, case):
+        # every integer operation against CycNum arithmetic done coefficient
+        # by coefficient: the same vectors, not just the same field elements
+        f, g, r, c, j, M = case
+        N, T = f.level, min(f.order, g.order)
+        zero = CycNum.zero(N)
+
+        def vectors(h):
+            return {n: v.coeffs for n, v in h.coeffs.items()}
+
+        def oracle(coeffs):
+            return {n: v.coeffs for n, v in coeffs.items() if any(v.coeffs)}
+
+        F, G = f.coeffs, g.coeffs
+        get = lambda h, n: h.get(n, zero)  # noqa: E731
+        cases = [
+            (f + g, T, {n: get(F, n) + get(G, n) for n in range(T)}),
+            (f - g, T, {n: get(F, n) - get(G, n) for n in range(T)}),
+            (-f, f.order, {n: -v for n, v in F.items()}),
+            (f.scale(r), f.order, {n: v * r for n, v in F.items()}),
+            (f.scale(c), f.order, {n: v * c for n, v in F.items()}),
+            (f.twist(j), f.order, {n: v * zeta_pow(N, n * j) for n, v in F.items()}),
+            (f.rescale_exponents(M), f.order * M, {n * M: v for n, v in F.items()}),
+            (f * g, T, {n: sum((get(F, i) * get(G, n - i) for i in range(n + 1)), zero)
+                        for n in range(T)}),
+        ]
+        for got, order, expect in cases:
+            assert got.order == order
+            assert vectors(got) == oracle(expect)
+        assert f.field_equals(g) == all((get(F, n) - get(G, n)).is_zero() for n in range(T))
+        hidden = QExpansion(N, f.order, {n: hidden_zero(N) * v for n, v in F.items()})
+        assert (f + hidden).field_equals(f) and hidden.is_zero()
+        assert f.first_nonzero_exponent() == min(
+            (n for n, v in F.items() if not v.is_zero()), default=None)
+        tau = complex(0.3, 1.1)
+        for h in (f, g, f * g):
+            expect = 0j
+            for n, v in h.coeffs.items():
+                expect += v.embed() * cmath.exp(2j * math.pi * tau * n / N)
+            assert h.eval_numeric(tau) == expect  # bit for bit
+
+
 class TestIsZero:
     def test_hidden_zero_coefficient(self):
         c = CycNum(3, [1, 1, 1])  # zero in the field, nonzero as a vector
@@ -200,65 +271,6 @@ class TestIntForm:
         assert den == 6
         g = from_int_form(3, 7, den, data)
         assert g.coeffs == f.coeffs
-
-    def test_packed_matches_naive(self):
-        # the packed big-integer convolution against the schoolbook oracle
-        rng = random.Random(42)
-        for trial in range(30):
-            N = rng.randint(1, 6)
-            T = rng.randint(1, 30)
-            def rand_series():
-                return {n: tuple(rng.randint(-10 ** rng.randint(0, 6),
-                                             10 ** rng.randint(0, 6))
-                                 for _ in range(N))
-                        for n in rng.sample(range(T), rng.randint(0, T))}
-            A, B = rand_series(), rand_series()
-            assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
-            # all-negative operands
-            negA = {n: tuple(-abs(x) for x in v) for n, v in A.items()}
-            negB = {n: tuple(-abs(x) for x in v) for n, v in B.items()}
-            assert convolve_int(N, T, negA, negB) == convolve_naive(N, T, negA, negB)
-            assert convolve_int(N, T, negA, B) == convolve_naive(N, T, negA, B)
-        # N = 1, T = 1, and one empty operand
-        for N, T, A, B in [(1, 9, {0: (-3,), 4: (5,)}, {1: (-2,), 2: (7,)}),
-                           (3, 1, {0: (-1, 4, -9)}, {0: (2, -5, 0)}),
-                           (1, 1, {0: (-128,)}, {0: (-128,)}),
-                           (4, 6, {}, {0: (1, -1, 2, 0)}),
-                           (4, 6, {2: (1, -1, 2, 0)}, {})]:
-            assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
-
-    def test_packed_short_vectors(self):
-        # reduced operands have phi(N) <= N entries; lengths may differ
-        rng = random.Random(7)
-        for trial in range(30):
-            N = rng.randint(1, 9)
-            T = rng.randint(1, 20)
-            la, lb = rng.randint(1, N), rng.randint(1, N)
-            A = {n: tuple(rng.randint(-99, 99) for _ in range(la))
-                 for n in rng.sample(range(T), rng.randint(1, T))}
-            B = {n: tuple(rng.randint(-99, 99) for _ in range(lb))
-                 for n in rng.sample(range(T), rng.randint(1, T))}
-            assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
-
-    def test_packed_huge_coefficients(self):
-        # stress the limb-width selection
-        N, T = 4, 12
-        A = {n: tuple((-1) ** j * 10 ** 40 + j for j in range(N)) for n in range(T)}
-        B = {n: tuple(10 ** 35 - j for j in range(N)) for n in range(0, T, 2)}
-        assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
-        # two's complement edges at byte boundaries: +-(2^(8m-1) - 1), -2^(8m-1)
-        for m in (1, 2, 3, 8, 9):
-            top, low = 2 ** (8 * m - 1) - 1, -2 ** (8 * m - 1)
-            for N, T in [(1, 1), (1, 5), (3, 4), (5, 7)]:
-                A = {n: tuple((top, -top, low)[(n + j) % 3] for j in range(N))
-                     for n in range(T)}
-                B = {n: tuple((low, top, -top, 0)[(n * j) % 4] for j in range(N))
-                     for n in range(0, T, 2)}
-                assert convolve_int(N, T, A, B) == convolve_naive(N, T, A, B)
-                assert convolve_int(N, T, B, B) == convolve_naive(N, T, B, B)
-                # a product limb that reaches the width bound itself
-                two = {0: (2,) + (0,) * (N - 1)}
-                assert convolve_int(N, T, A, two) == convolve_naive(N, T, A, two)
 
     def test_linear_combination(self):
         # N = 3: Phi_3 = x^2 + x + 1, so zeta^2 reduces to -1 - zeta
@@ -367,7 +379,44 @@ def packed_operands(draw):
     return N, T, series(), series()
 
 
+def edge_products():
+    """(N, T, A, B) inputs at the edges of the packing: huge coefficients,
+    limbs at the byte boundaries of two's complement, a product limb at the
+    width bound, N = T = 1 and empty operands."""
+    N, T = 4, 12
+    yield (N, T, {n: ((-1) ** n * 10 ** 40 + n, 10 ** 40 - 1) for n in range(T)},
+           {n: (10 ** 35 - n, -10 ** 40) for n in range(0, T, 2)})
+    for m in (1, 2, 3, 8, 9):
+        top, low = 2 ** (8 * m - 1) - 1, -2 ** (8 * m - 1)
+        for N, T in [(1, 1), (1, 5), (3, 4), (5, 7)]:
+            phi = totient(N)
+            A = {n: tuple((top, -top, low)[(n + j) % 3] for j in range(phi))
+                 for n in range(T)}
+            B = {n: tuple((low, top, -top, 0)[(n * j) % 4] for j in range(phi))
+                 for n in range(0, T, 2)}
+            two = {0: (2,) + (0,) * (phi - 1)}
+            yield from ((N, T, A, B), (N, T, B, B), (N, T, A, two))
+    # the product limb +-(2^127 - 1) fills a signed 16-byte limb exactly
+    for top in (2 ** 127 - 1, -(2 ** 127 - 1)):
+        yield 1, 1, {0: (top,)}, {0: (1,)}
+    yield 1, 1, {0: (-128,)}, {0: (-128,)}
+    yield 1, 9, {0: (-3,), 4: (5,)}, {1: (-2,), 2: (7,)}
+    yield 3, 1, {0: (-1, 4)}, {0: (2, -5)}
+    yield 4, 6, {}, {0: (1, -1)}
+    yield 4, 6, {2: (1, -1)}, {}
+
+
+def with_examples(cases):
+    """hypothesis.example for each case, run before the drawn inputs."""
+    def apply(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return apply
+
+
 class TestProductKernel:
+    @with_examples(edge_products())
     @settings(max_examples=150, deadline=None)
     @given(packed_operands())
     def test_product_matches_naive(self, case):
@@ -394,6 +443,8 @@ class TestProductKernel:
             for A, B in ((x, y), (y, x)):
                 with pytest.raises(ValueError):
                     convolve_int(3, 4, A, B)
+        with pytest.raises(ValueError):  # dicts are not packed series
+            convolve_int(3, 4, {0: (1, 2, 0)}, {1: (0, 1, 0)})
         with pytest.raises(ValueError):  # unreduced vectors do not fit the layout
             PackedSeries.pack(3, 4, 1, {0: (1, 2, 3)})
         with pytest.raises(ValueError):  # nor do exponents beyond the order
