@@ -272,6 +272,46 @@ class TestIntForm:
         g = from_int_form(3, 7, den, data)
         assert g.coeffs == f.coeffs
 
+    def test_packed_matches_naive(self):
+        # the packed product against the schoolbook oracle reduced mod Phi_N
+        rng = random.Random(42)
+        for trial in range(30):
+            N = rng.randint(1, 6)
+            T = rng.randint(1, 30)
+            def rand_series():
+                return {n: tuple(rng.randint(-10 ** rng.randint(0, 6),
+                                             10 ** rng.randint(0, 6))
+                                 for _ in range(N))
+                        for n in rng.sample(range(T), rng.randint(0, T))}
+            A, B = rand_series(), rand_series()
+            # all-negative operands
+            negA = {n: tuple(-abs(x) for x in v) for n, v in A.items()}
+            negB = {n: tuple(-abs(x) for x in v) for n, v in B.items()}
+            for X, Y in ((A, B), (negA, negB), (negA, B)):
+                assert_product_matches(N, T, reduce_int_form(N, X), reduce_int_form(N, Y))
+        # N = 1, T = 1, and one empty operand
+        for case in small_products():
+            assert_product_matches(*case)
+
+    def test_packed_short_vectors(self):
+        # reduced operands have at most phi(N) entries; lengths may differ
+        rng = random.Random(7)
+        for trial in range(30):
+            N = rng.randint(1, 9)
+            T = rng.randint(1, 20)
+            phi = totient(N)
+            la, lb = rng.randint(1, phi), rng.randint(1, phi)
+            A = {n: tuple(rng.randint(-99, 99) for _ in range(la))
+                 for n in rng.sample(range(T), rng.randint(1, T))}
+            B = {n: tuple(rng.randint(-99, 99) for _ in range(lb))
+                 for n in rng.sample(range(T), rng.randint(1, T))}
+            assert_product_matches(N, T, A, B)
+
+    def test_packed_huge_coefficients(self):
+        # stress the limb-width selection
+        for case in huge_products():
+            assert_product_matches(*case)
+
     def test_linear_combination(self):
         # N = 3: Phi_3 = x^2 + x + 1, so zeta^2 reduces to -1 - zeta
         N, T = 3, 5
@@ -379,10 +419,21 @@ def packed_operands(draw):
     return N, T, series(), series()
 
 
-def edge_products():
-    """(N, T, A, B) inputs at the edges of the packing: huge coefficients,
-    limbs at the byte boundaries of two's complement, a product limb at the
-    width bound, N = T = 1 and empty operands."""
+def assert_product_matches(N, T, A, B):
+    """convolve_int of the packed A and B equals the schoolbook convolution
+    reduced mod Phi_N."""
+    phi = totient(N)
+    x, y = PackedSeries.pack(N, T, 3, A), PackedSeries.pack(N, T, 4, B)
+    den, got = convolve_int(N, T, x, y).unpack()
+    assert den == 12
+    assert {n: v[:phi] for n, v in got.items()} == \
+        reduce_int_form(N, convolve_naive(N, T, A, B))
+
+
+def huge_products():
+    """(N, T, A, B) inputs at the edges of the limb width: huge coefficients,
+    limbs at the byte boundaries of two's complement and a product limb at
+    the width bound."""
     N, T = 4, 12
     yield (N, T, {n: ((-1) ** n * 10 ** 40 + n, 10 ** 40 - 1) for n in range(T)},
            {n: (10 ** 35 - n, -10 ** 40) for n in range(0, T, 2)})
@@ -399,11 +450,21 @@ def edge_products():
     # the product limb +-(2^127 - 1) fills a signed 16-byte limb exactly
     for top in (2 ** 127 - 1, -(2 ** 127 - 1)):
         yield 1, 1, {0: (top,)}, {0: (1,)}
+
+
+def small_products():
+    """(N, T, A, B) inputs with N = 1, T = 1 or one empty operand."""
     yield 1, 1, {0: (-128,)}, {0: (-128,)}
     yield 1, 9, {0: (-3,), 4: (5,)}, {1: (-2,), 2: (7,)}
     yield 3, 1, {0: (-1, 4)}, {0: (2, -5)}
     yield 4, 6, {}, {0: (1, -1)}
     yield 4, 6, {2: (1, -1)}, {}
+
+
+def edge_products():
+    """(N, T, A, B) inputs at the edges of the packing."""
+    yield from huge_products()
+    yield from small_products()
 
 
 def with_examples(cases):
