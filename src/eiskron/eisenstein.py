@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Dict, List, Tuple
 
-from .cyclotomic import CycNum, Rat, reduce_mod_cyclotomic, totient, zeta_pow
+from .cyclotomic import CycNum, Rat, reduce_mod_cyclotomic, totient
 from .qseries import IntCoeffs, QExpansion, from_int_form
 
 
@@ -88,23 +88,34 @@ def bernoulli_poly_eval(m: int, t: Rat) -> Rat:
     return acc
 
 
-def constant_term(idx: EisensteinIndex) -> CycNum:
-    """Coefficient of q^0, per the weight-1 case split / Bernoulli values."""
+def _constant_int(idx: EisensteinIndex) -> Tuple[int, Tuple[int, ...]]:
+    """(den, vector): the coefficient of q^0 as a length-N integer vector
+    over den, per the weight-1 case split / Bernoulli values."""
     N, k, a1, a2 = idx.N, idx.k, idx.a1, idx.a2
+    pad = (0,) * (N - 1)
     if k >= 2:
-        return CycNum.from_rat(N, bernoulli_poly_eval(k, Fraction(a1, N)) / k)
+        c = bernoulli_poly_eval(k, Fraction(a1, N)) / k
+        return c.denominator, (c.numerator,) + pad
     if a1 == 0 and a2 == 0:
-        return CycNum.zero(N)
+        return 1, (0,) + pad
     if a1 == 0:
         # -(1/2) (1 + w) / (1 - w) for w = zeta^{a2} of exact order d, where
-        # 1/(1 - w) = -(1/d) sum_{j<d} j w^j (as sum_{j<d} w^j = 0), mod Phi_N
+        # 1/(1 - w) = -(1/d) sum_{j<d} j w^j (as sum_{j<d} w^j = 0): with
+        # r = sum_{j<d} j w^j mod Phi_N it is (1 + w) r / (2d), where w r
+        # is r shifted cyclically by a2 places
         d = N // gcd(N, a2)
-        inv = [Fraction(0)] * N
+        inv = [0] * N
         for j in range(d):
-            inv[j * a2 % N] = Fraction(-j, d)
-        inv = CycNum(N, reduce_mod_cyclotomic(N, inv) + [0] * (N - totient(N)))
-        return (1 + zeta_pow(N, a2)) * inv * Fraction(-1, 2)
-    return CycNum.from_rat(N, Fraction(a1, N) - Fraction(1, 2))
+            inv[j * a2 % N] = j
+        r = reduce_mod_cyclotomic(N, inv) + [0] * (N - totient(N))
+        return 2 * d, tuple(r[m] + r[m - a2] for m in range(N))
+    return 2 * N, (2 * a1 - N,) + pad
+
+
+def constant_term(idx: EisensteinIndex) -> CycNum:
+    """Coefficient of q^0, per the weight-1 case split / Bernoulli values."""
+    den, vec = _constant_int(idx)
+    return CycNum(idx.N, [Fraction(x, den) for x in vec])
 
 
 def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, IntCoeffs]:
@@ -114,10 +125,10 @@ def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, IntCoeff
     if order < 1:
         raise ValueError("order must be >= 1")
     k, N, a1, a2 = idx.k, idx.N, idx.a1, idx.a2
-    c0 = constant_term(idx).coeffs
+    c_den, c0 = _constant_int(idx)
     # (m/N)^{k-1} and the constant term are integers over D; den = D / gcd
-    D = lcm(N ** (k - 1), *(v.denominator for v in c0))
-    acc: Dict[int, list] = {0: [int(v * D) for v in c0]}
+    D = lcm(N ** (k - 1), c_den)
+    acc: Dict[int, list] = {0: [x * (D // c_den) for x in c0]}
 
     # branch over nu in a1/N + Z (sign -1) and nu in -a1/N + Z (sign (-1)^{k+1})
     for start, chsign, sign in (

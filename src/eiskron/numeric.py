@@ -148,12 +148,15 @@ def eval_E_lattice(k: int, z: complex, tau: complex, cfg: NumericConfig) -> comp
 
     Independent oracle for eval_E_fourier; absolutely convergent for k >= 3.
     The character e(m*x2 - n*x1) is the outer product A[m] * B[n], so the
-    sum is A . W_k . B with W_k from ``_lattice_weights``.
+    sum is A . W_k . B with W_k from ``_lattice_weights``.  ``tau`` must be
+    ``cfg.tau``: a sum at another tau raises ValueError.
     """
     if k < 3:
         raise ValueError("lattice sum requires weight >= 3")
     tau = complex(tau)
     _check_tau(tau)
+    if tau != complex(cfg.tau):
+        raise ValueError(f"tau {tau} differs from the configuration's {cfg.tau}")
     L = cfg.lattice_cutoff
     p = TorusPoint.from_z(z, tau)  # ValueError for a non-finite z
     idx = np.arange(-L, L + 1)

@@ -498,16 +498,21 @@ def linear_combination(level: int, order: int,
     no carry crosses a limb: the packed sum is sum_l s_l 2^(8wl) exactly,
     and it is 0 iff every s_l is 0.
     """
-    terms = [(c if isinstance(c, Fraction) else Fraction(c), x) for c, x in terms]
-    D = math.lcm(*(x.den * c.denominator for c, x in terms))
-    scaled = [(D // (x.den * c.denominator) * c.numerator, x) for c, x in terms if c]
-    for _, x in scaled:
-        if (x.level, x.order) != (level, order):
-            raise ValueError("terms differ in level or order")
-    bound = sum(abs(m) * x.height for m, x in scaled)
+    # int and Fraction both have numerator and denominator: no Fraction is built
+    D = math.lcm(*[x.den * c.denominator for c, x in terms])
+    scaled, bound = [], 0
+    for c, x in terms:
+        if c:
+            if x.level != level or x.order != order:
+                raise ValueError("terms differ in level or order")
+            m = D // (x.den * c.denominator) * c.numerator
+            scaled.append((m, x))
+            bound += abs(m) * x.height
     width = _limb_width(bound)  # >= every term's width: |m_i| >= 1
     _check_width(bound, width, "residual")
-    value = sum(m * x.at(width) for m, x in scaled)
+    value = 0
+    for m, x in scaled:
+        value += m * (x.value if x.width == width else x.at(width))
     return PackedSeries(level, order, D, bound, width, value)
 
 

@@ -10,10 +10,16 @@ The exact path has one of everything: one pair-major generator
 enumerates a level's instances, for ``enumerate_instances`` and the scan
 workers alike, and one residual function serves ``relation_residual`` and
 ``verify_instance``.  It works on series reduced mod Phi_N and packed
-into one signed big int each (see qseries.PackedSeries).  Every single
-series and every product is built once per level and order (a scan
-keeps one level's), so checking an instance costs a few big-int
-multiply-adds and a comparison with 0.
+into one signed big int each (see qseries.PackedSeries), and it reads a
+split's weights from an integer plan built once per split.
+
+The instance at (a, b, c), a + b + c = 0, uses only the products over
+the pairs inside its triple {a, b, c}, and the pair {x, y} fixes the
+triple {x, y, -x-y}: products of different triples never meet.  A scan
+task therefore owns whole triples.  It builds each of its products once
+and drops them when it ends, while the single series are kept per level,
+so that checking an instance costs a few big-int multiply-adds and a
+comparison with 0.
 """
 
 from __future__ import annotations
@@ -21,12 +27,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import permutations
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .cyclotomic import Rat
+from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (PackedSeries, QExpansion, convolve_int, from_int_form,
                       linear_combination, reduce_int_form)
@@ -253,34 +260,79 @@ def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeri
 
 @lru_cache(maxsize=None)
 def _canonical(k1: int, k2: int) -> Mapping[str, object]:
-    """The closed-form weights of split (k1, k2), keyed as _residual's."""
+    """The closed-form weights of split (k1, k2), keyed as _build_plan's."""
     return MappingProxyType(dict(
         alpha=coeff_alpha(k1, k2), beta=coeff_beta(k1, k2), gamma=coeff_gamma(k1, k2),
         P=poly_P(k1, k2), Q=poly_Q(k1, k2), R=poly_R(k1, k2)))
 
 
-def _product_terms(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> List[tuple]:
-    """Terms (coef, packed product) of P[a, b], one cached product per monomial."""
+Monomials = Tuple[Tuple[int, int, Scalar], ...]
+
+
+class Plan(NamedTuple):
+    """A split's weights as the residual reads them: per bracket P[a, b],
+    Q[b, c], R[c, a] the (i, j, coef) of each product E^{(i)} E^{(j)} with
+    a nonzero coefficient (an int where it is one), and the negated weights
+    of E_a, E_b, E_c.  A tuple, so a cached plan cannot be changed."""
+
+    P: Monomials
+    Q: Monomials
+    R: Monomials
+    negated: Tuple[Scalar, Scalar, Scalar]
+
+
+def _integral(c: Rat) -> Scalar:
+    # linear_combination reads an int's numerator faster than a Fraction's
+    return c.numerator if c.denominator == 1 else c
+
+
+def _monomials(P: HomPoly) -> Monomials:
+    """(i + 1, degree - i + 1, coef) of each nonzero monomial coef X^i Y^(degree-i)."""
     ell = P.degree
+    return tuple((i + 1, ell - i + 1, _integral(c)) for i, c in enumerate(P.coeffs) if c)
+
+
+def _build_plan(*, alpha: Rat, beta: Rat, gamma: Rat, P: HomPoly, Q: HomPoly,
+                R: HomPoly) -> Plan:
+    return Plan(_monomials(P), _monomials(Q), _monomials(R),
+                tuple(_integral(-Fraction(w)) for w in (alpha, beta, gamma)))
+
+
+@lru_cache(maxsize=None)
+def _plan(k1: int, k2: int) -> Plan:
+    """The plan of the closed-form weights of split (k1, k2)."""
+    return _build_plan(**_canonical(k1, k2))
+
+
+def _instance_plan(inst: RelationInstance, overrides: Mapping[str, object]) -> Plan:
+    """The cached plan, or an uncached one with the overrides (alpha, beta,
+    gamma, P, Q, R; any other raises TypeError) replacing canonical weights."""
+    if not overrides:
+        return _plan(inst.k1, inst.k2)
+    return _build_plan(**{**_canonical(inst.k1, inst.k2), **overrides})
+
+
+def _product_terms(monomials: Monomials, a: Pair, b: Pair, N: int,
+                   order: int) -> List[tuple]:
+    """Terms (coef, packed product) of a bracket at [a, b], one cached
+    product per monomial."""
     terms = []
-    for i, coef in enumerate(P.coeffs):
-        if coef:
-            # the product is commutative: canonicalize the key before the lookup
-            key = min((i + 1, a, ell - i + 1, b), (ell - i + 1, b, i + 1, a))
-            terms.append((coef, _product(*key, N, order)))
+    for i, j, coef in monomials:
+        # the product is commutative: canonicalize the key before the lookup
+        key = (i, a, j, b) if (i, a) <= (j, b) else (j, b, i, a)
+        terms.append((coef, _product(*key, N, order)))
     return terms
 
 
-def _residual(inst: RelationInstance, order: int, *, alpha: Rat, beta: Rat,
-              gamma: Rat, P: HomPoly, Q: HomPoly, R: HomPoly) -> PackedSeries:
+def _residual(inst: RelationInstance, order: int, plan: Plan) -> PackedSeries:
     """P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c, reduced
     mod Phi_N and packed: zero in Q(zeta_N) iff its packed value is 0."""
-    N = inst.N
-    terms = (_product_terms(P, inst.a, inst.b, N, order)
-             + _product_terms(Q, inst.b, inst.c, N, order)
-             + _product_terms(R, inst.c, inst.a, N, order))
-    for coef, point in ((alpha, inst.a), (beta, inst.b), (gamma, inst.c)):
-        terms.append((-coef, _series(inst.k, N, point[0], point[1], order)))
+    N, k, a, b, c = inst.N, inst.k, inst.a, inst.b, inst.c
+    terms = (_product_terms(plan.P, a, b, N, order)
+             + _product_terms(plan.Q, b, c, N, order)
+             + _product_terms(plan.R, c, a, N, order))
+    for coef, point in zip(plan.negated, (a, b, c)):
+        terms.append((coef, _series(k, N, point[0], point[1], order)))
     return linear_combination(N, order, terms)
 
 
@@ -293,7 +345,8 @@ def bracket(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> QExpansion:
 
     Coefficients are in the Phi_N-reduced basis (see qseries.PackedSeries).
     """
-    terms = _product_terms(P, (a[0] % N, a[1] % N), (b[0] % N, b[1] % N), N, order)
+    terms = _product_terms(_monomials(P), (a[0] % N, a[1] % N), (b[0] % N, b[1] % N),
+                           N, order)
     return from_int_form(N, order, *linear_combination(N, order, terms).unpack())
 
 
@@ -304,14 +357,14 @@ def relation_residual(inst: RelationInstance, order: int, **overrides) -> QExpan
     Keyword overrides (alpha, beta, gamma, P, Q, R; any other raises
     TypeError) replace the canonical weights, for mutation testing.
     """
-    res = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
+    res = _residual(inst, order, _instance_plan(inst, overrides))
     return from_int_form(inst.N, order, *res.unpack())
 
 
 def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
     """Check one instance (overrides as in relation_residual); report in
     the scan's JSON schema."""
-    res = _residual(inst, order, **{**_canonical(inst.k1, inst.k2), **overrides})
+    res = _residual(inst, order, _instance_plan(inst, overrides))
     # unpack only a failure: its vectors are reduced, so every key is nonzero
     first = None if res.is_zero() else min(res.unpack()[1])
     return {
@@ -374,27 +427,46 @@ def recurrence_check(k_max: int) -> dict:
 # Scan driver (parallel-capable, deterministic output).
 # ---------------------------------------------------------------------------
 
-SCAN_CHUNK_PAIRS = 8  # (a, b) pairs per scan task
+SCAN_CHUNK_PAIRS = 8  # least number of (a, b) pairs per scan task
+
+
+def _triples(N: int) -> Iterator[List[Tuple[Pair, Pair]]]:
+    """The ordered pairs of each zero-sum triple {a, b, -a-b} at level N,
+    one list per triple: every pair of _pairs(N) is in exactly one."""
+    for a, b in _pairs(N):
+        c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
+        if a <= b <= c:  # the triple's sorted form: one visit per triple
+            yield sorted({(x, y) for x, y, _ in permutations((a, b, c))})
 
 
 def _scan_tasks(level_max: int, weight_max: int, order: int) -> Iterator[tuple]:
-    """(N, pair chunk, weight_max, order) tasks, built lazily per level."""
+    """(N, pairs, weight_max, order) tasks, built lazily per level; a task
+    holds whole triples, at least SCAN_CHUNK_PAIRS pairs unless it is a
+    level's last."""
     for N in range(2, level_max + 1):
-        pairs = _pairs(N)
-        while chunk := list(islice(pairs, SCAN_CHUNK_PAIRS)):
+        chunk: List[Tuple[Pair, Pair]] = []
+        for group in _triples(N):
+            chunk += group
+            if len(chunk) >= SCAN_CHUNK_PAIRS:
+                yield N, chunk, weight_max, order
+                chunk = []
+        if chunk:
             yield N, chunk, weight_max, order
 
 
-_cached_at: Optional[Tuple[int, int]] = None  # (level, order) of the cached entries
+_cached_at: Optional[Tuple[int, int]] = None  # (level, order) of the cached series
 
 
 def _scan_chunk(args) -> Tuple[int, List[dict]]:
-    """(instances verified, failure reports) for a chunk of pairs at one level."""
+    """(instances verified, failure reports) for a task's pairs at one level."""
     global _cached_at
     N, pairs, k_max, order = args
-    if _cached_at != (N, order):  # no entry is used at another level or order
-        _series.cache_clear()  # per process: a pool worker clears its own
-        _product.cache_clear()
+    # A product key fixes its triple, and a task owns whole triples: no
+    # other task uses this task's products, so the cache holds one task's.
+    # Caches are per process: a pool worker clears its own.
+    _product.cache_clear()
+    if _cached_at != (N, order):  # no series is used at another level or order
+        _series.cache_clear()
         _cached_at = (N, order)
     reports = [verify_instance(inst, order) for inst in _instances(N, k_max, pairs)]
     return len(reports), [r for r in reports if not r["residual_zero"]]
@@ -403,9 +475,10 @@ def _scan_chunk(args) -> Tuple[int, List[dict]]:
 def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> dict:
     """Verify every enumerated instance with N <= level_max, k <= weight_max.
 
-    Instances are grouped by parameter pair so that product caches are
-    reused across weights and splits.  The summary is independent of the
-    worker count (failure reports are sorted before emission).
+    A task holds whole zero-sum triples, so that each product is built
+    once, by one task, and reused across the triple's weights and splits.
+    The summary is independent of the worker count (failure reports are
+    sorted before emission).
     """
     tasks = _scan_tasks(level_max, weight_max, order)
     if workers > 1:

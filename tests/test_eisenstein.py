@@ -237,8 +237,8 @@ class TestIntegerBuilder:
 
     def test_identity_path_builds_no_cycnum(self, monkeypatch):
         # the criterion-3 parity/twist check, bg_tilde_s and eval_numeric
-        # run on integer vectors: qseries builds no CycNum for a cached
-        # series, and once the series exist nothing builds one at all
+        # run on integer vectors: no CycNum is built, neither while the
+        # series are built (the constant term included) nor after
         from eiskron import eisenstein, qseries
 
         class Refused(CycNum):
@@ -249,6 +249,7 @@ class TestIntegerBuilder:
             raise AssertionError("CycNum built on the identity path")
 
         monkeypatch.setattr(qseries, "CycNum", Refused)
+        monkeypatch.setattr(CycNum, "__init__", refuse)
         eisenstein._qexp_cached.cache_clear()
         order, indices = 20, [(k, N, a1, a2) for N in range(1, 5) for k in range(1, 6)
                               for a1 in range(N) for a2 in range(N)
@@ -257,7 +258,6 @@ class TestIntegerBuilder:
             for b in ((a1, a2), (-a1, -a2), (a1, a1 + a2)):
                 eisenstein_qexp(EisensteinIndex(k, N, *b), order)
         eisenstein_qexp(EisensteinIndex(3, 3, 1, 0), 10)
-        monkeypatch.setattr(CycNum, "__init__", refuse)
         for k, N, a1, a2 in indices:
             f = eisenstein_qexp(EisensteinIndex(k, N, a1, a2), order)
             g = eisenstein_qexp(EisensteinIndex(k, N, -a1, -a2), order)

@@ -56,6 +56,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             nm.eval_E_lattice(3, complex(0.3, x), 0.3 + 1.1j, CFG)
 
+    def test_rejects_tau_other_than_config(self):
+        # every caller passes cfg.tau; another tau must not be summed silently
+        with pytest.raises(ValueError):
+            nm.eval_E_lattice(3, 0.3 + 0.4j, 0.1 + 0.8j, CFG)
+        z = 0.37 + 0.21j
+        assert nm.eval_E_lattice(3, z, TAU, CFG) == nm.eval_E_lattice(3, z, complex(TAU), CFG)
+
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(ValueError):
             nm.NumericConfig(tau=1j, fourier_terms=0)

@@ -376,6 +376,112 @@ class TestProductCache:
             if task[0] == 4:
                 relations._scan_chunk(task)
         assert [c.cache_info().currsize for c in caches] == sizes
+        # the series cache holds the whole level, the product cache the last
+        # task's products only
+        series = {(k, 4, *p, 40) for k in range(1, 5)
+                  for p in itertools.product(range(4), repeat=2) if p != (0, 0)}
+        assert sizes[0] == len(series)
+        assert sizes[1] == len(product_keys(4, task[1], 4, 40))
+
+
+def product_keys(N, pairs, k_max, order):
+    """The distinct _product keys of the instances on these (a, b) pairs,
+    read off the closed-form polynomials: (i, x, j, y, N, order) with
+    (i, x) <= (j, y) for each nonzero monomial of P[a,b], Q[b,c], R[c,a]."""
+    keys = set()
+    for a, b in pairs:
+        for k in range(2, k_max + 1):
+            for k1 in range(k - 1):
+                inst = RelationInstance(N, k, k1, k - 2 - k1, a, b)
+                for poly, u, v in ((poly_P, inst.a, inst.b), (poly_Q, inst.b, inst.c),
+                                   (poly_R, inst.c, inst.a)):
+                    P = poly(k1, k - 2 - k1)
+                    for i, coef in enumerate(P.coeffs):
+                        if coef:
+                            x, y = sorted([(i + 1, u), (P.degree - i + 1, v)])
+                            keys.add((*x, *y, N, order))
+    return keys
+
+
+def holds_exactly(cache, keys):
+    """True iff an lru_cache holds these keys and no other: every lookup
+    hits, and the cache has as many entries as keys."""
+    info = cache.cache_info()
+    for key in keys:
+        cache(*key)
+    after = cache.cache_info()
+    return after.misses == info.misses and after.currsize == len(keys)
+
+
+class TestScanSharding:
+    def test_tasks_own_whole_triples(self):
+        owner, scanned = {}, []
+        tasks = list(relations._scan_tasks(5, 4, 24))
+        for t, (N, pairs, k_max, order) in enumerate(tasks):
+            assert (k_max, order) == (4, 24)
+            if t + 1 < len(tasks) and tasks[t + 1][0] == N:  # not the level's last
+                assert len(pairs) >= relations.SCAN_CHUNK_PAIRS
+            scanned += [(N, a, b) for a, b in pairs]
+            for a, b in pairs:
+                c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
+                for x, y in ((a, b), (b, c), (c, a)):
+                    # every unordered pair {x, y} at a level is in one task
+                    assert owner.setdefault((N, frozenset((x, y))), t) == t
+        # every ordered pair is scanned, once
+        expected = [(N, a, b) for N in range(2, 6) for a, b in relations._pairs(N)]
+        assert sorted(scanned) == sorted(expected)
+
+    def test_cold_scan_builds_each_product_once(self, monkeypatch):
+        # the misses of every task add up to the scan's distinct product keys,
+        # and after each task the cache holds that task's products only
+        relations._product.cache_clear()
+        relations._series.cache_clear()
+        scan_chunk, misses, seen = relations._scan_chunk, [], []
+
+        def checking(task):
+            out = scan_chunk(task)
+            N, pairs, k_max, order = task
+            keys = product_keys(N, pairs, k_max, order)
+            misses.append(relations._product.cache_info().misses)
+            assert holds_exactly(relations._product, keys)
+            seen.append(keys)
+            return out
+
+        monkeypatch.setattr(relations, "_scan_chunk", checking)
+        assert run_scan(4, 4, 40)["failed"] == 0
+        distinct = set().union(*seen)
+        assert len(distinct) == sum(len(keys) for keys in seen)  # tasks share none
+        assert sum(misses) == len(distinct) == 836
+
+
+class TestPlan:
+    def test_cached_and_override_plans_agree(self):
+        failing = 0
+        for N in range(2, 5):
+            for inst in enumerate_instances(N, 5):
+                canonical = dict(relations._canonical(inst.k1, inst.k2))
+                cached = relations._residual(inst, 24, relations._plan(inst.k1, inst.k2))
+                override = relations._residual(
+                    inst, 24, relations._instance_plan(inst, canonical))
+                fields = ("den", "height", "width", "value")
+                assert ([getattr(cached, f) for f in fields]
+                        == [getattr(override, f) for f in fields])
+                assert cached.is_zero()
+                # a +1 weight fails unless its series vanishes (2-torsion, odd k)
+                for name, p in (("alpha", inst.a), ("beta", inst.b), ("gamma", inst.c)):
+                    report = verify_instance(inst, 24, **{name: canonical[name] + 1})
+                    vanishes = relations._series(inst.k, N, *p, 24).is_zero()
+                    assert report["residual_zero"] == vanishes
+                    failing += not vanishes
+        assert failing > 7000
+
+    def test_cached_plan_cannot_be_changed(self):
+        plan = relations._plan(2, 1)
+        assert relations._plan(2, 1) is plan
+        with pytest.raises((AttributeError, TypeError)):
+            plan.negated = (0, 0, 0)
+        with pytest.raises(TypeError):
+            plan.P[0] = (1, 1, 0)
 
 
 class TestRecurrences:
