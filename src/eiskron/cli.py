@@ -142,8 +142,7 @@ def cmd_scan(args) -> int:
 
 def cmd_recurrences(args) -> int:
     if args.degree_max < 0:
-        print("degree-max must be >= 0", file=sys.stderr)
-        return 2
+        raise ValueError("--degree-max must be >= 0")
     report = recurrence_check(args.degree_max + 2)
     ok = report["all_pass"]
     human = (f"{len(report['checks'])} identities checked up to degree "

@@ -92,6 +92,7 @@ class QExpansion:
 
     @classmethod
     def constant(cls, level: int, order: int, value: Scalar) -> "QExpansion":
+        _check_scalar(value, "constant takes an int or a Fraction")
         return from_int_form(level, order, value.denominator,
                              {0: (value.numerator,) + (0,) * (level - 1)})
 
@@ -138,6 +139,7 @@ class QExpansion:
     def scale(self, c: Union[Scalar, CycNum]) -> "QExpansion":
         if isinstance(c, CycNum):
             return self * QExpansion(self.level, self.order, {0: c})
+        _check_scalar(c, "scale takes an int, a Fraction or a CycNum")
         num = c.numerator
         return from_int_form(self.level, self.order, self.den * c.denominator,
                              {n: tuple(num * x for x in v) for n, v in self.data.items()})
@@ -242,6 +244,12 @@ class QExpansion:
             else:
                 parts.append(f"({c})*q^({n}/{self.level})")
         return " + ".join(parts) + f" + O(q^{{{self.order}/{self.level}}})"
+
+
+def _check_scalar(c, accepted: str) -> None:
+    # a float has no .numerator: fail with the accepted types, not an AttributeError
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"{accepted}, not {type(c).__name__}")
 
 
 # ---------------------------------------------------------------------------

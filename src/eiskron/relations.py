@@ -15,11 +15,22 @@ split's weights from an integer plan built once per split.
 
 The instance at (a, b, c), a + b + c = 0, uses only the products over
 the pairs inside its triple {a, b, c}, and the pair {x, y} fixes the
-triple {x, y, -x-y}: products of different triples never meet.  A scan
-task therefore owns whole triples.  It builds each of its products once
-and drops them when it ends, while the single series are kept per level,
-so that checking an instance costs a few big-int multiply-adds and a
-comparison with 0.
+triple {x, y, -x-y}.  The parity E^{(k)}_{-x} = (-1)^k E^{(k)}_x gives
+E^{(i)}_{-x} E^{(j)}_{-y} = (-1)^{i+j} E^{(i)}_x E^{(j)}_y, so the triple
+and its negative {-a, -b, -c} (the same triple when every point is
+2-torsion) need the same products, and products of different +- classes
+never meet.  A product key is therefore canonical under the swap of its
+factors and under negation; a term whose negated key is the canonical one
+carries the sign (-1)^{i+j} in its coefficient.  That sharing is checked,
+not assumed: a packed series at a point x with -x < x is compared with
+the one at -x when it is built (_series), once per series, a mismatch
+raises ArithmeticError, and a product is built only with the series at
+the negatives of its factors' points.
+
+A scan task owns whole +- classes of triples.  It builds each of its
+products once and drops them when it ends, while the single series are
+kept per level, so that checking an instance costs a few big-int
+multiply-adds and a comparison with 0.
 """
 
 from __future__ import annotations
@@ -242,18 +253,51 @@ def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
 # Phi_N-reduced packed caches for the hot path.
 # ---------------------------------------------------------------------------
 
+def _negate(x: Pair, N: int) -> Pair:
+    return (-x[0] % N, -x[1] % N)
+
+
 @lru_cache(maxsize=None)
 def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
-    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed."""
+    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed.  At a point x with
+    -x < x, it is returned only if it is (-1)^k times E^{(k)}_{-x} (same den,
+    height and width, value times (-1)^k); else ArithmeticError.
+
+    Why that makes a shared product exact: let f = E^{(i)}_x, g = E^{(j)}_y
+    and f', g' the packed series at -x, -y, with the same den, height and
+    width as f, g and values (-1)^i f.value, (-1)^j g.value.  At one width
+    a packed value fixes its limbs, so the limbs of f' are (-1)^i times
+    those of f, and likewise for g'.  convolve_int reads its operands only
+    through den, height and limbs, and each limb of its result is a
+    Z-linear form in the products (limb of f) * (limb of g): so
+    convolve_int(f', g') has the den, height and width of convolve_int(f, g)
+    and (-1)^{i+j} times its value.  In linear_combination the term
+    ((-1)^{i+j} c, convolve_int(f', g')) then has the same denominator,
+    the same |multiplier| * height in the bound and the same multiplier *
+    value as (c, convolve_int(f, g)): the residual is the same, bit for bit.
+    """
     den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
-    return PackedSeries.pack(N, order, den, reduce_int_form(N, data))
+    f = PackedSeries.pack(N, order, den, reduce_int_form(N, data))
+    x, nx = (a1, a2), _negate((a1, a2), N)
+    if nx < x:
+        g = _series(k, N, *nx, order)
+        # an explicit raise, not an assert: python -O must not drop exactness
+        if (f.den, f.height, f.width) != (g.den, g.height, g.width) or (
+                f.value != (g.value if k % 2 == 0 else -g.value)):
+            raise ArithmeticError(f"E^({k})_{x} at level {N} is not (-1)^{k} times "
+                                  f"E^({k})_{nx}: no product can be shared")
+    return f
 
 
 @lru_cache(maxsize=None)
 def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
     """E^{(i)}_a E^{(j)}_b reduced and packed, with its derived height bound
-    (see qseries.convolve_int).  Callers pass the key in canonical order,
-    (i, a) <= (j, b), so a product and its swap share one entry."""
+    (see qseries.convolve_int).  Callers pass the key in canonical order
+    (see _product_terms), so a product, its swap and its negative share
+    one entry.  It is returned only once the series at -a and -b are built
+    too, which checks that it may serve the negated key (see _series)."""
+    _series(i, N, *_negate(a, N), order)
+    _series(j, N, *_negate(b, N), order)
     return convolve_int(N, order, _series(i, N, a[0], a[1], order),
                         _series(j, N, b[0], b[1], order))
 
@@ -266,14 +310,15 @@ def _canonical(k1: int, k2: int) -> Mapping[str, object]:
         P=poly_P(k1, k2), Q=poly_Q(k1, k2), R=poly_R(k1, k2)))
 
 
-Monomials = Tuple[Tuple[int, int, Scalar], ...]
+Monomials = Tuple[Tuple[int, int, Scalar, Scalar], ...]
 
 
 class Plan(NamedTuple):
     """A split's weights as the residual reads them: per bracket P[a, b],
-    Q[b, c], R[c, a] the (i, j, coef) of each product E^{(i)} E^{(j)} with
-    a nonzero coefficient (an int where it is one), and the negated weights
-    of E_a, E_b, E_c.  A tuple, so a cached plan cannot be changed."""
+    Q[b, c], R[c, a] the (i, j, coef, (-1)^{i+j} coef) of each product
+    E^{(i)} E^{(j)} with a nonzero coefficient (an int where it is one),
+    and the negated weights of E_a, E_b, E_c.  A tuple, so a cached plan
+    cannot be changed."""
 
     P: Monomials
     Q: Monomials
@@ -287,9 +332,12 @@ def _integral(c: Rat) -> Scalar:
 
 
 def _monomials(P: HomPoly) -> Monomials:
-    """(i + 1, degree - i + 1, coef) of each nonzero monomial coef X^i Y^(degree-i)."""
+    """(i + 1, degree - i + 1, coef, (-1)^degree coef) of each nonzero
+    monomial coef X^i Y^(degree-i): (-1)^degree is the sign (-1)^{i+j} of
+    a product's negated key."""
     ell = P.degree
-    return tuple((i + 1, ell - i + 1, _integral(c)) for i, c in enumerate(P.coeffs) if c)
+    return tuple((i + 1, ell - i + 1, _integral(c), _integral(-c if ell % 2 else c))
+                 for i, c in enumerate(P.coeffs) if c)
 
 
 def _build_plan(*, alpha: Rat, beta: Rat, gamma: Rat, P: HomPoly, Q: HomPoly,
@@ -315,12 +363,18 @@ def _instance_plan(inst: RelationInstance, overrides: Mapping[str, object]) -> P
 def _product_terms(monomials: Monomials, a: Pair, b: Pair, N: int,
                    order: int) -> List[tuple]:
     """Terms (coef, packed product) of a bracket at [a, b], one cached
-    product per monomial."""
+    product per monomial and +- class."""
+    na, nb = _negate(a, N), _negate(b, N)
     terms = []
-    for i, j, coef in monomials:
-        # the product is commutative: canonicalize the key before the lookup
+    for i, j, coef, flipped in monomials:
+        # the key is canonical under the swap of the (commutative) factors
+        # and under negation, which costs the sign (-1)^{i+j}
         key = (i, a, j, b) if (i, a) <= (j, b) else (j, b, i, a)
-        terms.append((coef, _product(*key, N, order)))
+        neg = (i, na, j, nb) if (i, na) <= (j, nb) else (j, nb, i, na)
+        if neg < key:
+            terms.append((flipped, _product(*neg, N, order)))
+        else:
+            terms.append((coef, _product(*key, N, order)))
     return terms
 
 
@@ -431,18 +485,22 @@ SCAN_CHUNK_PAIRS = 8  # least number of (a, b) pairs per scan task
 
 
 def _triples(N: int) -> Iterator[List[Tuple[Pair, Pair]]]:
-    """The ordered pairs of each zero-sum triple {a, b, -a-b} at level N,
-    one list per triple: every pair of _pairs(N) is in exactly one."""
+    """The ordered pairs of each zero-sum triple {a, b, -a-b} at level N
+    and of its negative, one list per +- class: every pair of _pairs(N) is
+    in exactly one."""
     for a, b in _pairs(N):
         c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
         if a <= b <= c:  # the triple's sorted form: one visit per triple
-            yield sorted({(x, y) for x, y, _ in permutations((a, b, c))})
+            neg = tuple(sorted(_negate(x, N) for x in (a, b, c)))
+            if (a, b, c) <= neg:  # and one per class (a 2-torsion triple is its own)
+                yield sorted({(x, y) for t in ((a, b, c), neg)
+                              for x, y, _ in permutations(t)})
 
 
 def _scan_tasks(level_max: int, weight_max: int, order: int) -> Iterator[tuple]:
     """(N, pairs, weight_max, order) tasks, built lazily per level; a task
-    holds whole triples, at least SCAN_CHUNK_PAIRS pairs unless it is a
-    level's last."""
+    holds whole +- classes of triples, at least SCAN_CHUNK_PAIRS pairs
+    unless it is a level's last."""
     for N in range(2, level_max + 1):
         chunk: List[Tuple[Pair, Pair]] = []
         for group in _triples(N):
@@ -461,9 +519,9 @@ def _scan_chunk(args) -> Tuple[int, List[dict]]:
     """(instances verified, failure reports) for a task's pairs at one level."""
     global _cached_at
     N, pairs, k_max, order = args
-    # A product key fixes its triple, and a task owns whole triples: no
-    # other task uses this task's products, so the cache holds one task's.
-    # Caches are per process: a pool worker clears its own.
+    # A product key fixes its triple's +- class, and a task owns whole
+    # classes: no other task uses this task's products, so the cache holds
+    # one task's.  Caches are per process: a pool worker clears its own.
     _product.cache_clear()
     if _cached_at != (N, order):  # no series is used at another level or order
         _series.cache_clear()
@@ -475,8 +533,9 @@ def _scan_chunk(args) -> Tuple[int, List[dict]]:
 def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> dict:
     """Verify every enumerated instance with N <= level_max, k <= weight_max.
 
-    A task holds whole zero-sum triples, so that each product is built
-    once, by one task, and reused across the triple's weights and splits.
+    A task holds whole +- classes of zero-sum triples, so that each product
+    is built once, by one task, and reused across the weights and splits
+    of the triple and its negative.
     The summary is independent of the worker count (failure reports are
     sorted before emission).
     """

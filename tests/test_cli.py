@@ -153,8 +153,10 @@ class TestRecurrences:
         assert len(doc["checks"]) == 10 * sum(d + 1 for d in range(11))
 
     def test_negative_degree_exits_2(self, capsys):
-        code, _, _ = run(capsys, "recurrences", "--degree-max", "-1")
+        code, out, err = run(capsys, "recurrences", "--degree-max", "-1")
         assert code == 2
+        assert out == ""
+        assert err == "error: --degree-max must be >= 0\n"
 
 
 class TestNumeric:

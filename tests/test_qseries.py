@@ -90,6 +90,14 @@ class TestScaleAndSubstitutions:
         g = f.scale(zeta_pow(3, 1))
         assert g.coeffs == {0: zeta_pow(3, 1), 1: zeta_pow(3, 1)}
 
+    def test_float_scalar_is_a_type_error(self):
+        f = QExpansion(3, 10, {0: one(3)})
+        with pytest.raises(TypeError, match="int, a Fraction or a CycNum, not float"):
+            f.scale(0.5)
+        with pytest.raises(TypeError, match="int or a Fraction, not float"):
+            QExpansion.constant(3, 10, 0.5)
+        assert f.scale(Fraction(1, 2)).field_equals(QExpansion.constant(3, 10, Fraction(1, 2)))
+
     def test_rescale_identity(self):
         f = QExpansion(2, 10, {3: one(2)})
         assert f.rescale_exponents(1).coeffs == f.coeffs

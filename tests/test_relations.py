@@ -1,14 +1,19 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import eiskron
 from eiskron import relations
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import QExpansion
+from eiskron.qseries import QExpansion, convolve_int
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -319,20 +324,28 @@ class TestPackedResidualOracle:
 
 class TestProductCache:
     def test_cold_scan_convolves_each_unordered_product_once(self, monkeypatch):
-        # (i, a, j, b) and (j, b, i, a) are one product: one convolution
+        # (i, a, j, b), (j, b, i, a) and their negatives (i, -a, j, -b),
+        # (j, -b, i, -a) are one product up to sign: one convolution
         relations._product.cache_clear()
         relations._series.cache_clear()
-        calls = []
-        convolve = relations.convolve_int
+        calls, built = [], []
+        convolve, product = relations.convolve_int, relations._product.__wrapped__
 
         def counting(level, order, A, B):
             calls.append((level, tuple(sorted((id(A), id(B))))))
             return convolve(level, order, A, B)
 
+        def recording(i, a, j, b, N, order):
+            built.append(pm_class(N, i, a, j, b))
+            return product(i, a, j, b, N, order)
+
         monkeypatch.setattr(relations, "convolve_int", counting)
+        monkeypatch.setattr(relations, "_product", lru_cache(maxsize=None)(recording))
         assert run_scan(4, 4, 40)["failed"] == 0
-        assert len(calls) == 836
+        assert len(calls) == 436
         assert len(set(calls)) == len(calls)
+        # no product of a +- class is built twice
+        assert len(built) == len(set(built)) == 436
 
     def test_declared_height_bounds_every_product(self, monkeypatch):
         # a product's height is a derived bound, used as is for the limb
@@ -384,10 +397,22 @@ class TestProductCache:
         assert sizes[1] == len(product_keys(4, task[1], 4, 40))
 
 
+def negate(x, N):
+    return (-x[0] % N, -x[1] % N)
+
+
+def pm_class(N, i, x, j, y):
+    """The product E^{(i)}_x E^{(j)}_y up to the order of its factors and
+    up to the sign of negating both points."""
+    return (N, frozenset([frozenset([(i, x), (j, y)]),
+                          frozenset([(i, negate(x, N)), (j, negate(y, N))])]))
+
+
 def product_keys(N, pairs, k_max, order):
     """The distinct _product keys of the instances on these (a, b) pairs,
-    read off the closed-form polynomials: (i, x, j, y, N, order) with
-    (i, x) <= (j, y) for each nonzero monomial of P[a,b], Q[b,c], R[c,a]."""
+    read off the closed-form polynomials: (i, x, j, y, N, order) for each
+    nonzero monomial of P[a,b], Q[b,c], R[c,a], the least of the key with
+    (i, x) <= (j, y) and its negative (i, -x, j, -y) ordered alike."""
     keys = set()
     for a, b in pairs:
         for k in range(2, k_max + 1):
@@ -399,7 +424,9 @@ def product_keys(N, pairs, k_max, order):
                     for i, coef in enumerate(P.coeffs):
                         if coef:
                             x, y = sorted([(i + 1, u), (P.degree - i + 1, v)])
-                            keys.add((*x, *y, N, order))
+                            nx, ny = sorted([(i + 1, negate(u, N)),
+                                             (P.degree - i + 1, negate(v, N))])
+                            keys.add((*min((*x, *y), (*nx, *ny)), N, order))
     return keys
 
 
@@ -425,8 +452,10 @@ class TestScanSharding:
             for a, b in pairs:
                 c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
                 for x, y in ((a, b), (b, c), (c, a)):
-                    # every unordered pair {x, y} at a level is in one task
-                    assert owner.setdefault((N, frozenset((x, y))), t) == t
+                    # every unordered pair {x, y} at a level and its
+                    # negative {-x, -y} are in one task
+                    for pair in ((x, y), (negate(x, N), negate(y, N))):
+                        assert owner.setdefault((N, frozenset(pair)), t) == t
         # every ordered pair is scanned, once
         expected = [(N, a, b) for N in range(2, 6) for a, b in relations._pairs(N)]
         assert sorted(scanned) == sorted(expected)
@@ -451,7 +480,111 @@ class TestScanSharding:
         assert run_scan(4, 4, 40)["failed"] == 0
         distinct = set().union(*seen)
         assert len(distinct) == sum(len(keys) for keys in seen)  # tasks share none
-        assert sum(misses) == len(distinct) == 836
+        assert sum(misses) == len(distinct) == 436
+        # and no two keys are one product up to sign
+        assert len({pm_class(N, i, x, j, y) for i, x, j, y, N, _ in distinct}) == 436
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty scan caches before and after the test, so that no series it
+    built outlives it."""
+    caches = (relations._series, relations._product)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+class TestParitySharing:
+    def test_shared_products_are_exact(self, cold_caches):
+        # every term of every instance with N <= 5, k <= 5: the cached product
+        # times the sign the term carries is the product of the term's own
+        # series, field by field
+        order, own, flipped, torsion = 24, {}, 0, set()
+        for N in range(2, 6):
+            for inst in enumerate_instances(N, 5):
+                plan = relations._plan(inst.k1, inst.k2)
+                for monomials, u, v in ((plan.P, inst.a, inst.b), (plan.Q, inst.b, inst.c),
+                                        (plan.R, inst.c, inst.a)):
+                    terms = relations._product_terms(monomials, u, v, N, order)
+                    for (i, j, coef, _), (c, product) in zip(monomials, terms):
+                        assert c in (coef, -coef)
+                        sign = 1 if c == coef else -1
+                        flipped += sign < 0
+                        key = (i, u, j, v, N)
+                        if key not in own:
+                            own[key] = convolve_int(
+                                N, order, relations._series(i, N, *u, order),
+                                relations._series(j, N, *v, order))
+                        p = own[key]
+                        assert ((product.den, product.height, product.width, sign * product.value)
+                                == (p.den, p.height, p.width, p.value))
+                        torsion.update((N, x) for x in (u, v) if negate(x, N) == x)
+        assert flipped > 1000
+        # the 2-torsion points at N = 2 and 4 are among the factors
+        assert {(2, (0, 1)), (2, (1, 0)), (2, (1, 1)), (4, (2, 0)), (4, (0, 2)),
+                (4, (2, 2))} <= torsion
+
+    def test_parity_mismatch_stops_the_scan(self, monkeypatch, cold_caches):
+        # E^{(1)}_{(2,2)} at N = 3, off by 1 in one coefficient: a product
+        # served for a negated key with it as a factor is built from
+        # E^{(1)}_{(1,1)} and would hide the change; the parity check stops
+        # the scan instead of letting it report a result
+        exact = relations.eisenstein_int_form
+
+        def perturbed(idx, order):
+            den, data = exact(idx, order)
+            if (idx.k, idx.N, idx.a1, idx.a2) == (1, 3, 2, 2):
+                data = dict(data)
+                n = min(data)
+                data[n] = (data[n][0] + 1, *data[n][1:])
+            return den, data
+
+        monkeypatch.setattr(relations, "eisenstein_int_form", perturbed)
+        with pytest.raises(ArithmeticError, match="not"):
+            run_scan(3, 3, 20)
+        # E^{(1)}_{(2,2)}^2 is served from the key of E^{(1)}_{(1,1)}^2 alone:
+        # the product is not built before the series at (2, 2) is checked
+        relations._series.cache_clear()
+        relations._product.cache_clear()
+        with pytest.raises(ArithmeticError, match="not"):
+            bracket(HomPoly.monomial(0, 0), (2, 2), (2, 2), 3, 20)
+
+    def test_parity_mismatch_stops_the_scan_under_O(self):
+        code = """
+import sys
+from eiskron import relations
+if not sys.flags.optimize:
+    sys.exit(3)
+exact = relations.eisenstein_int_form
+def perturbed(idx, order):
+    den, data = exact(idx, order)
+    if (idx.k, idx.N, idx.a1, idx.a2) == (1, 3, 2, 2):
+        data = dict(data)
+        n = min(data)
+        data[n] = (data[n][0] + 1, *data[n][1:])
+    return den, data
+relations.eisenstein_int_form = perturbed
+try:
+    summary = relations.run_scan(3, 3, 20)
+except ArithmeticError as exc:
+    print(type(exc).__name__)
+else:
+    print(summary["failed"])
+    sys.exit(4)
+"""
+        src = os.path.dirname(os.path.dirname(eiskron.__file__))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == ["ArithmeticError"]
 
 
 class TestPlan:
