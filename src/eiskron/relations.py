@@ -13,6 +13,41 @@ workers alike, and one residual function serves ``relation_residual`` and
 into one signed big int each (see qseries.PackedSeries), and it reads a
 split's weights from an integer plan built once per split.
 
+Orbit transport.  Let B be the maps g = (s, j, t): x -> s*(x1, j*x1 + t*x2)
+on (Z/N)^2, with s = +-1, j in Z/N and t a unit mod N.  They form a group,
+(s, j, t)(s', j', t') = (ss', j + tj', tt'), and g acts on a weight-k
+series as s^k tau_j sigma_t: sigma_t is the Galois map zeta -> zeta^t on
+every coefficient, and tau_j the twist tau -> tau + j, which multiplies
+the coefficient of q^{n/N} by zeta^{nj}.  That is an action, since
+sigma_t tau_j' = tau_{tj'} sigma_t, and tau_j sigma_t is a ring
+automorphism of the truncated series that fixes Q and every exponent.
+The series have E^{(k)}_{g x} = g E^{(k)}_x: the builder's coefficients
+are zeta^{+-mu a2} and Bernoulli constants, so sigma_t moves (a1, a2) to
+(a1, t a2); the twist moves it to (a1, a2 + j a1) (acceptance criterion
+3); and E^{(k)}_{-x} = (-1)^k E^{(k)}_x.
+
+Granted that, transport is exact.  g is linear and invertible, so it
+sends the instance (k; k1, k2; a, b, c) to the instance (k; k1, k2; ga,
+gb, gc) of the same split.  Every term of a residual has weight k (a
+product E^{(i)} E^{(j)} has i + j = k) and a rational weight, which g
+fixes, so residual(g inst) = s^k tau_j sigma_t residual(inst).  And
+tau_j sigma_t keeps every exponent and sends a coefficient to zero only if
+it is zero: g inst passes exactly when inst does, with the same first
+nonzero exponent.  So the scan verifies one ordered pair (a, b) per
+B-orbit and derives the reports of the rest of the orbit from it.
+
+The equivariance is checked, not assumed, once per series, when _series
+builds it.  Each point x has the least point r of its orbit and one
+g_x in B with g_x r = x.  At x != r the series must equal g_x E_r; at r
+it must equal h E_r for every h in the stabilizer of r; a mismatch raises
+ArithmeticError.  Together these give E_{g y} = g E_y for every y and g
+in B: g g_y r = g y = g_{gy} r, so h = g_{gy}^{-1} g g_y fixes r, and
+E_{gy} = g_{gy} E_r = g_{gy} h E_r = g g_y E_r = g E_y.  The stabilizer
+half is needed: the checks at x != r alone hold for E_r + d and
+E_x + g_x d with any d, which need not be equivariant.  At a 2-torsion
+point x = -x, for one, parity is in the stabilizer, and the check asks
+that E^{(k)}_x = 0 for odd k.
+
 The instance at (a, b, c), a + b + c = 0, uses only the products over
 the pairs inside its triple {a, b, c}, and the pair {x, y} fixes the
 triple {x, y, -x-y}.  The parity E^{(k)}_{-x} = (-1)^k E^{(k)}_x gives
@@ -21,16 +56,17 @@ and its negative {-a, -b, -c} (the same triple when every point is
 2-torsion) need the same products, and products of different +- classes
 never meet.  A product key is therefore canonical under the swap of its
 factors and under negation; a term whose negated key is the canonical one
-carries the sign (-1)^{i+j} in its coefficient.  That sharing is checked,
-not assumed: a packed series at a point x with -x < x is compared with
-the one at -x when it is built (_series), once per series, a mismatch
-raises ArithmeticError, and a product is built only with the series at
-the negatives of its factors' points.
+carries the sign (-1)^{i+j} in its coefficient.  Parity is in B, so the
+equivariance check covers that sharing, at 2-torsion points too, and a
+product is built only with the series at the negatives of its factors'
+points.
 
-A scan task owns whole +- classes of triples.  It builds each of its
-products once and drops them when it ends, while the single series are
-kept per level, so that checking an instance costs a few big-int
-multiply-adds and a comparison with 0.
+A scan task owns the orbits of whole triples: for each B-orbit of
+zero-sum triples, the representatives of the orbits of the ordered pairs
+of one triple in it, so that the representatives in a task share their
+products.  A task builds each of its products once and drops them when it
+ends, while the single series are kept per level, so that checking an
+instance costs a few big-int multiply-adds and a comparison with 0.
 """
 
 from __future__ import annotations
@@ -39,15 +75,15 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 from types import MappingProxyType
 from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
-from .qseries import (PackedSeries, QExpansion, convolve_int, from_int_form,
-                      linear_combination, reduce_int_form)
+from .qseries import (IntCoeffs, PackedSeries, QExpansion, convolve_int,
+                      from_int_form, linear_combination, reduce_int_form)
 
 Pair = Tuple[int, int]
 
@@ -257,36 +293,106 @@ def _negate(x: Pair, N: int) -> Pair:
     return (-x[0] % N, -x[1] % N)
 
 
+Symmetry = Tuple[int, int, int]
+
+
+@lru_cache(maxsize=None)
+def _symmetries(N: int) -> Tuple[Symmetry, ...]:
+    """The group B at level N: each (s, j, t), x -> s*(x1, j*x1 + t*x2) with
+    s = +-1, j mod N and t a unit mod N; the identity (1, 0, 1) first."""
+    return tuple((s, j, t) for s in (1, -1) for j in range(N)
+                 for t in range(1, N + 1) if gcd(t, N) == 1)
+
+
+def _act(g: Symmetry, x: Pair, N: int) -> Pair:
+    s, j, t = g
+    return (s * x[0] % N, s * (j * x[0] + t * x[1]) % N)
+
+
+@lru_cache(maxsize=None)
+def _orbit_map(N: int) -> Mapping[Pair, Tuple[Pair, Tuple[Symmetry, ...]]]:
+    """x -> (r, gs) for every point x mod N: r is the least point of the
+    B-orbit of x; gs is (g_x,), the first g in _symmetries(N) with
+    g r = x, if x != r, and the stabilizer of r but the identity if x == r.
+    _series checks E_x = g E_r for each g in gs."""
+    out: dict = {}
+    for r in sorted((a1, a2) for a1 in range(N) for a2 in range(N)):
+        if r not in out:
+            stabilizer = []
+            for g in _symmetries(N)[1:]:
+                x = _act(g, r, N)
+                if x == r:
+                    stabilizer.append(g)
+                elif x not in out:
+                    out[x] = (r, (g,))
+            out[r] = (r, tuple(stabilizer))
+    return MappingProxyType(out)
+
+
+def _image(g: Symmetry, k: int, N: int, data: IntCoeffs) -> IntCoeffs:
+    """g applied to the weight-k series with length-N vectors data[n]
+    (modulo x^N - 1): zeta^i q^{n/N} goes to s^k zeta^{t i + n j} q^{n/N}.
+    A signed permutation of each vector, so no vector becomes zero."""
+    s, j, t = g
+    t_inv = pow(t, -1, N)
+    # entry m of the image at q^{n/N} is entry t^-1 (m - n j) of the vector
+    sources = [[t_inv * (m - r) % N for m in range(N)] for r in range(N)]
+    if s < 0 and k % 2:
+        return {n: tuple([-vec[i] for i in sources[n * j % N]]) for n, vec in data.items()}
+    return {n: tuple([vec[i] for i in sources[n * j % N]]) for n, vec in data.items()}
+
+
+@lru_cache(maxsize=None)
+def _int_form(k: int, N: int, a1: int, a2: int, order: int) -> Tuple[int, IntCoeffs]:
+    """The builder's (den, unreduced vectors) of E^{(k)}_{(a1,a2)}, read-only;
+    _series caches it for orbit representatives only, which every point of
+    their orbit is checked against."""
+    den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
+    return den, MappingProxyType(data)
+
+
 @lru_cache(maxsize=None)
 def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
-    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed.  At a point x with
-    -x < x, it is returned only if it is (-1)^k times E^{(k)}_{-x} (same den,
-    height and width, value times (-1)^k); else ArithmeticError.
+    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed, returned only once it
+    passed the equivariance check (see the module docstring): with (r, gs)
+    = _orbit_map(N)[x], E_x must have the den of E_r and equal g E_r for
+    each g in gs, else ArithmeticError.  The unreduced vectors are compared
+    first; where they differ (the weight-1 constant term at a1 = 0 is built
+    reduced), the reduced ones decide.  At x != r the series at r is built,
+    and so checked against its stabilizer, first.
 
-    Why that makes a shared product exact: let f = E^{(i)}_x, g = E^{(j)}_y
-    and f', g' the packed series at -x, -y, with the same den, height and
-    width as f, g and values (-1)^i f.value, (-1)^j g.value.  At one width
-    a packed value fixes its limbs, so the limbs of f' are (-1)^i times
-    those of f, and likewise for g'.  convolve_int reads its operands only
-    through den, height and limbs, and each limb of its result is a
-    Z-linear form in the products (limb of f) * (limb of g): so
+    Why parity makes a shared product exact: let f = E^{(i)}_x, g = E^{(j)}_y
+    and f', g' the packed series at -x, -y.  Parity is in B, so the check
+    gives f' the den and reduced vectors of f times (-1)^i, hence its
+    height, its width and the value (-1)^i f.value, and likewise for g'.
+    At one width a packed value fixes its limbs, so the limbs of f' are
+    (-1)^i times those of f, and likewise for g'.  convolve_int reads its
+    operands only through den, height and limbs, and each limb of its
+    result is a Z-linear form in the products (limb of f) * (limb of g): so
     convolve_int(f', g') has the den, height and width of convolve_int(f, g)
     and (-1)^{i+j} times its value.  In linear_combination the term
     ((-1)^{i+j} c, convolve_int(f', g')) then has the same denominator,
     the same |multiplier| * height in the bound and the same multiplier *
     value as (c, convolve_int(f, g)): the residual is the same, bit for bit.
     """
-    den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
-    f = PackedSeries.pack(N, order, den, reduce_int_form(N, data))
-    x, nx = (a1, a2), _negate((a1, a2), N)
-    if nx < x:
-        g = _series(k, N, *nx, order)
+    x = (a1, a2)
+    r, gs = _orbit_map(N)[x]
+    if x == r:
+        den, data = _int_form(k, N, a1, a2, order)
+    else:
+        _series(k, N, r[0], r[1], order)
+        den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
+    reduced = reduce_int_form(N, data)
+    r_den, r_data = _int_form(k, N, r[0], r[1], order)
+    for g in gs:
+        image = _image(g, k, N, r_data)
         # an explicit raise, not an assert: python -O must not drop exactness
-        if (f.den, f.height, f.width) != (g.den, g.height, g.width) or (
-                f.value != (g.value if k % 2 == 0 else -g.value)):
-            raise ArithmeticError(f"E^({k})_{x} at level {N} is not (-1)^{k} times "
-                                  f"E^({k})_{nx}: no product can be shared")
-    return f
+        if den != r_den or (image != data and reduce_int_form(N, image) != reduced):
+            what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
+                    f"fixed by g = (s, j, t) = {g} in its stabilizer")
+            raise ArithmeticError(f"E^({k})_{x} at level {N} is not {what}: "
+                                  "orbit transport would not be exact")
+    return PackedSeries.pack(N, order, den, reduced)
 
 
 @lru_cache(maxsize=None)
@@ -481,29 +587,42 @@ def recurrence_check(k_max: int) -> dict:
 # Scan driver (parallel-capable, deterministic output).
 # ---------------------------------------------------------------------------
 
-SCAN_CHUNK_PAIRS = 8  # least number of (a, b) pairs per scan task
+SCAN_CHUNK_PAIRS = 8  # least number of representative (a, b) pairs per scan task
+
+Orbit = Tuple[Pair, Tuple[Tuple[Pair, Pair], ...]]  # (representative, its orbit)
 
 
-def _triples(N: int) -> Iterator[List[Tuple[Pair, Pair]]]:
-    """The ordered pairs of each zero-sum triple {a, b, -a-b} at level N
-    and of its negative, one list per +- class: every pair of _pairs(N) is
-    in exactly one."""
+def _orbits(N: int) -> Iterator[List[Orbit]]:
+    """The B-orbits of the ordered pairs at level N, one list per orbit of
+    zero-sum triples: the orbits of the ordered pairs of the first triple
+    {a, b, -a-b} of that orbit in _pairs order, each orbit with the first
+    of those pairs in it as its representative.  Every pair of _pairs(N)
+    is in exactly one orbit.
+
+    g sends the pair (x, y) of a triple to the pair (gx, gy) of the triple
+    g {a, b, c}, so the pairs of every triple in the orbit of {a, b, c}
+    are images of its own: a triple met later has all of its pairs in
+    earlier orbits or none."""
+    B, seen = _symmetries(N), set()
     for a, b in _pairs(N):
         c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
-        if a <= b <= c:  # the triple's sorted form: one visit per triple
-            neg = tuple(sorted(_negate(x, N) for x in (a, b, c)))
-            if (a, b, c) <= neg:  # and one per class (a 2-torsion triple is its own)
-                yield sorted({(x, y) for t in ((a, b, c), neg)
-                              for x, y, _ in permutations(t)})
+        if (a, b) not in seen:
+            group = []
+            for x, y, _ in permutations((a, b, c)):
+                if (x, y) not in seen:
+                    orbit = sorted({(_act(g, x, N), _act(g, y, N)) for g in B})
+                    seen.update(orbit)
+                    group.append(((x, y), tuple(orbit)))
+            yield group
 
 
 def _scan_tasks(level_max: int, weight_max: int, order: int) -> Iterator[tuple]:
-    """(N, pairs, weight_max, order) tasks, built lazily per level; a task
-    holds whole +- classes of triples, at least SCAN_CHUNK_PAIRS pairs
-    unless it is a level's last."""
+    """(N, orbits, weight_max, order) tasks, built lazily per level; a task
+    holds the pair orbits of whole triple orbits (see _orbits), at least
+    SCAN_CHUNK_PAIRS pair orbits unless it is a level's last."""
     for N in range(2, level_max + 1):
-        chunk: List[Tuple[Pair, Pair]] = []
-        for group in _triples(N):
+        chunk: List[Orbit] = []
+        for group in _orbits(N):
             chunk += group
             if len(chunk) >= SCAN_CHUNK_PAIRS:
                 yield N, chunk, weight_max, order
@@ -516,26 +635,46 @@ _cached_at: Optional[Tuple[int, int]] = None  # (level, order) of the cached ser
 
 
 def _scan_chunk(args) -> Tuple[int, List[dict]]:
-    """(instances verified, failure reports) for a task's pairs at one level."""
+    """(instances covered, failure reports) for a task's orbits at one
+    level: each representative instance is verified, and its report
+    stands for the instance at every pair of its orbit."""
     global _cached_at
-    N, pairs, k_max, order = args
-    # A product key fixes its triple's +- class, and a task owns whole
-    # classes: no other task uses this task's products, so the cache holds
+    N, orbits, k_max, order = args
+    # A product key fixes its triple's orbit, and a task owns whole triple
+    # orbits: no other task uses this task's products, so the cache holds
     # one task's.  Caches are per process: a pool worker clears its own.
     _product.cache_clear()
     if _cached_at != (N, order):  # no series is used at another level or order
         _series.cache_clear()
+        _int_form.cache_clear()
         _cached_at = (N, order)
-    reports = [verify_instance(inst, order) for inst in _instances(N, k_max, pairs)]
-    return len(reports), [r for r in reports if not r["residual_zero"]]
+    # transport is exact once every series the covered instances read has
+    # passed the equivariance check, which _series makes when it builds one
+    points = sorted({x for _, orbit in orbits for a, b in orbit
+                     for x in (a, b, ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N))})
+    for k in range(1, k_max + 1):
+        for x in points:
+            _series(k, N, x[0], x[1], order)
+    covered, failures = 0, []
+    for rep, orbit in orbits:
+        for inst in _instances(N, k_max, [rep]):
+            report = verify_instance(inst, order)
+            covered += len(orbit)
+            if not report["residual_zero"]:
+                failures += [dict(report, instance=RelationInstance(
+                    N, inst.k, inst.k1, inst.k2, a, b).as_dict()) for a, b in orbit]
+    return covered, failures
 
 
 def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> dict:
     """Verify every enumerated instance with N <= level_max, k <= weight_max.
 
-    A task holds whole +- classes of zero-sum triples, so that each product
-    is built once, by one task, and reused across the weights and splits
-    of the triple and its negative.
+    One ordered pair per B-orbit is verified directly, through
+    verify_instance, and every other instance of the orbit is covered by
+    orbit transport (see the module docstring); ``instances`` and
+    ``passed`` count covered instances.  A task holds the orbits of whole
+    triple orbits, so that each product is built once, by one task, and
+    reused across the weights and splits of its representatives.
     The summary is independent of the worker count (failure reports are
     sorted before emission).
     """

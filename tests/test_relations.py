@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -322,10 +323,16 @@ class TestPackedResidualOracle:
             assert report["first_nonzero_exponent"] == oracle.first_nonzero_exponent()
 
 
+def task_reps(task):
+    """The representative pairs of a scan task (N, orbits, k_max, order)."""
+    return [rep for rep, _ in task[1]]
+
+
 class TestProductCache:
     def test_cold_scan_convolves_each_unordered_product_once(self, monkeypatch):
         # (i, a, j, b), (j, b, i, a) and their negatives (i, -a, j, -b),
-        # (j, -b, i, -a) are one product up to sign: one convolution
+        # (j, -b, i, -a) are one product up to sign: one convolution; and
+        # only the representative instances' products are built
         relations._product.cache_clear()
         relations._series.cache_clear()
         calls, built = [], []
@@ -342,16 +349,20 @@ class TestProductCache:
         monkeypatch.setattr(relations, "convolve_int", counting)
         monkeypatch.setattr(relations, "_product", lru_cache(maxsize=None)(recording))
         assert run_scan(4, 4, 40)["failed"] == 0
-        assert len(calls) == 436
+        assert len(calls) == 200
         assert len(set(calls)) == len(calls)
         # no product of a +- class is built twice
-        assert len(built) == len(set(built)) == 436
+        assert len(built) == len(set(built)) == 200
+        # and the products are exactly those of the representatives
+        reps = set().union(*(product_keys(task[0], task_reps(task), 4, 40)
+                             for task in relations._scan_tasks(4, 4, 40)))
+        assert len(reps) == 200
 
-    def test_declared_height_bounds_every_product(self, monkeypatch):
+    def test_declared_height_bounds_every_product(self, monkeypatch, cold_caches):
         # a product's height is a derived bound, used as is for the limb
-        # width: every limb of every product a cold scan caches must obey it
-        relations._product.cache_clear()
-        relations._series.cache_clear()
+        # width: every limb of every product of every instance with N <= 5,
+        # k <= 6 at order 40 must obey it.  The scan builds only its
+        # representatives' products, so the instances are walked directly.
         convolve = relations.convolve_int
         checked, over = [0], []
 
@@ -365,7 +376,10 @@ class TestProductCache:
             return p
 
         monkeypatch.setattr(relations, "convolve_int", measuring)
-        assert run_scan(5, 6, 40)["failed"] == 0
+        for N in range(2, 6):
+            relations._product.cache_clear()
+            assert all(verify_instance(inst, 40)["residual_zero"]
+                       for inst in enumerate_instances(N, 6))
         assert checked[0] > 1000 and over == []
 
     def test_scan_keeps_one_level_cached(self):
@@ -394,11 +408,23 @@ class TestProductCache:
         series = {(k, 4, *p, 40) for k in range(1, 5)
                   for p in itertools.product(range(4), repeat=2) if p != (0, 0)}
         assert sizes[0] == len(series)
-        assert sizes[1] == len(product_keys(4, task[1], 4, 40))
+        assert sizes[1] == len(product_keys(4, task_reps(task), 4, 40))
 
 
 def negate(x, N):
     return (-x[0] % N, -x[1] % N)
+
+
+def symmetries(N):
+    """The group B, from its definition: (s, j, t) with s = +-1, j mod N,
+    t a unit mod N, acting as x -> s*(x1, j*x1 + t*x2)."""
+    return [(s, j, t) for s in (1, -1) for j in range(N) for t in range(N)
+            if math.gcd(t, N) == 1]
+
+
+def act(g, x, N):
+    s, j, t = g
+    return (s * x[0] % N, s * (j * x[0] + t * x[1]) % N)
 
 
 def pm_class(N, i, x, j, y):
@@ -442,23 +468,42 @@ def holds_exactly(cache, keys):
 
 class TestScanSharding:
     def test_tasks_own_whole_triples(self):
-        owner, scanned = {}, []
+        owner, covered = {}, []
         tasks = list(relations._scan_tasks(5, 4, 24))
-        for t, (N, pairs, k_max, order) in enumerate(tasks):
+        for t, (N, orbits, k_max, order) in enumerate(tasks):
             assert (k_max, order) == (4, 24)
             if t + 1 < len(tasks) and tasks[t + 1][0] == N:  # not the level's last
-                assert len(pairs) >= relations.SCAN_CHUNK_PAIRS
-            scanned += [(N, a, b) for a, b in pairs]
-            for a, b in pairs:
+                assert len(orbits) >= relations.SCAN_CHUNK_PAIRS
+            for (a, b), orbit in orbits:
+                # each orbit is the B-orbit of its representative
+                assert sorted(orbit) == sorted({(act(g, a, N), act(g, b, N))
+                                                for g in symmetries(N)})
+                covered += [(N, x, y) for x, y in orbit]
                 c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
                 for x, y in ((a, b), (b, c), (c, a)):
-                    # every unordered pair {x, y} at a level and its
-                    # negative {-x, -y} are in one task
+                    # the products of a representative instance are over the
+                    # pairs {x, y} inside its triple and their negatives
+                    # {-x, -y}: each is in one task only
                     for pair in ((x, y), (negate(x, N), negate(y, N))):
                         assert owner.setdefault((N, frozenset(pair)), t) == t
-        # every ordered pair is scanned, once
+        # every ordered pair is covered by exactly one orbit
         expected = [(N, a, b) for N in range(2, 6) for a, b in relations._pairs(N)]
-        assert sorted(scanned) == sorted(expected)
+        assert sorted(covered) == sorted(expected)
+
+    def test_representatives_are_picked_one_triple_at_a_time(self):
+        # the representatives of one orbit of zero-sum triples lie in one
+        # triple, so that they share their products
+        for N in range(2, 7):
+            triples = {}
+            for task in relations._scan_tasks(N, 4, 24):
+                if task[0] != N:
+                    continue
+                for a, b in task_reps(task):
+                    t = frozenset([a, b, negate((a[0] + b[0], a[1] + b[1]), N)])
+                    orbit = frozenset(frozenset(act(g, x, N) for x in t)
+                                      for g in symmetries(N))
+                    triples.setdefault(orbit, set()).add(t)
+            assert triples and all(len(ts) == 1 for ts in triples.values())
 
     def test_cold_scan_builds_each_product_once(self, monkeypatch):
         # the misses of every task add up to the scan's distinct product keys,
@@ -469,8 +514,8 @@ class TestScanSharding:
 
         def checking(task):
             out = scan_chunk(task)
-            N, pairs, k_max, order = task
-            keys = product_keys(N, pairs, k_max, order)
+            N, orbits, k_max, order = task
+            keys = product_keys(N, task_reps(task), k_max, order)
             misses.append(relations._product.cache_info().misses)
             assert holds_exactly(relations._product, keys)
             seen.append(keys)
@@ -480,16 +525,16 @@ class TestScanSharding:
         assert run_scan(4, 4, 40)["failed"] == 0
         distinct = set().union(*seen)
         assert len(distinct) == sum(len(keys) for keys in seen)  # tasks share none
-        assert sum(misses) == len(distinct) == 436
+        assert sum(misses) == len(distinct) == 200
         # and no two keys are one product up to sign
-        assert len({pm_class(N, i, x, j, y) for i, x, j, y, N, _ in distinct}) == 436
+        assert len({pm_class(N, i, x, j, y) for i, x, j, y, N, _ in distinct}) == 200
 
 
 @pytest.fixture
 def cold_caches():
     """Empty scan caches before and after the test, so that no series it
     built outlives it."""
-    caches = (relations._series, relations._product)
+    caches = (relations._series, relations._int_form, relations._product)
 
     def clear():
         for cache in caches:
@@ -585,6 +630,187 @@ else:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.splitlines() == ["ArithmeticError"]
+
+
+def perturb(k, N, point, change):
+    """eisenstein_int_form with E^{(k)}_point at level N replaced by
+    change(data), a dict of its integer vectors over the same den."""
+    exact = relations.eisenstein_int_form
+
+    def perturbed(idx, order):
+        den, data = exact(idx, order)
+        if (idx.k, idx.N, (idx.a1, idx.a2)) == (k, N, point):
+            data = change(dict(data))
+        return den, data
+
+    return perturbed
+
+
+def plus_zeta(data):
+    # +zeta in the first coefficient: sigma_2 moves it, at N = 3, to zeta^2
+    n = min(data)
+    return {**data, n: (data[n][0], data[n][1] + 1, *data[n][2:])}
+
+
+def orbit_plus_zeta(k, N, rep, exact):
+    """E^{(k)}_x + g_x (zeta q^{n/N}) at every point x of the orbit of rep,
+    g_x the map the scan checks x against: every check at a point other
+    than rep passes, and only the stabilizer check can see the change."""
+    def perturbed(idx, order):
+        den, data = exact(idx, order)
+        x = (idx.a1, idx.a2)
+        r, gs = relations._orbit_map(N)[x]
+        if (idx.k, idx.N, r) == (k, N, rep):
+            s, j, t = gs[0] if x != r else (1, 0, 1)
+            n = min(data)
+            vec = list(data[n])
+            vec[(t + n * j) % N] += s ** k
+            data = {**data, n: tuple(vec)}
+        return den, data
+
+    return perturbed
+
+
+# (k, N, point, change, scan args, bracket args or None, message)
+PERTURBATIONS = {
+    # E^{(2)}_{(3,1)} = g E^{(2)}_{(1,0)} at N = 4, g = (-1, 3, 1): not the
+    # least point of its orbit
+    "non_representative": (2, 4, (3, 1), lambda data: {
+        **data, 0: (data[0][0] + 1, *data[0][1:])}, (4, 3, 16), None, "is not g = "),
+    # the representative E^{(2)}_{(1,0)} at N = 3, moved by sigma_2, which
+    # fixes (1, 0)
+    "stabilizer": (2, 3, (1, 0), plus_zeta, (3, 3, 16), None, "stabilizer"),
+    # E^{(1)}_{(2,0)} at N = 4, given a rational constant term, which no
+    # twist or Galois map moves: parity (-1, 0, 1) fixes the 2-torsion
+    # point (2, 0), so the odd-weight series must vanish
+    "two_torsion": (1, 4, (2, 0), lambda data: {**data, 0: (1, 0, 0, 0)},
+                    (4, 3, 16), ((2, 0), (1, 1), 4, 16),
+                    r"\(-1, 0, 1\) in its stabilizer"),
+}
+
+
+class TestEquivarianceCheck:
+    @pytest.mark.parametrize("case", sorted(PERTURBATIONS))
+    def test_perturbation_stops_the_scan(self, case, monkeypatch, cold_caches):
+        k, N, point, change, scan, brackets, message = PERTURBATIONS[case]
+        monkeypatch.setattr(relations, "eisenstein_int_form",
+                            perturb(k, N, point, change))
+        with pytest.raises(ArithmeticError, match=message):
+            run_scan(*scan)
+        if brackets is not None:
+            # a product with the perturbed factor is not built unchecked
+            for cache in (relations._series, relations._int_form, relations._product):
+                cache.cache_clear()
+            with pytest.raises(ArithmeticError, match=message):
+                bracket(HomPoly.monomial(0, 0), *brackets)
+
+    @pytest.mark.parametrize("case", sorted(PERTURBATIONS))
+    def test_perturbation_stops_the_scan_under_O(self, case):
+        code = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(__file__)!r})
+from eiskron import relations
+from eiskron.relations import HomPoly
+from test_relations import PERTURBATIONS, perturb
+if not sys.flags.optimize:
+    sys.exit(3)
+k, N, point, change, scan, brackets, _ = PERTURBATIONS[{case!r}]
+relations.eisenstein_int_form = perturb(k, N, point, change)
+calls = [lambda: relations.run_scan(*scan)]
+if brackets is not None:
+    calls.append(lambda: relations.bracket(HomPoly.monomial(0, 0), *brackets))
+for call in calls:
+    for cache in (relations._series, relations._int_form, relations._product):
+        cache.cache_clear()
+    try:
+        out = call()
+    except ArithmeticError as exc:
+        print(type(exc).__name__)
+    else:
+        print(out)
+        sys.exit(4)
+"""
+        brackets = PERTURBATIONS[case][5]
+        assert run_under_O(code) == ["ArithmeticError"] * (1 + (brackets is not None))
+
+    def test_stabilizer_half_is_needed(self, monkeypatch, cold_caches):
+        # +zeta at E^{(2)}_{(1,0)} and its image under g_x at every other
+        # point x of the orbit: each x passes its check against (1, 0), and
+        # only the stabilizer check, sigma_2 at (1, 0), stops the scan
+        exact = relations.eisenstein_int_form
+        perturbed = orbit_plus_zeta(2, 3, (1, 0), exact)
+        for x in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
+            r, (g,) = relations._orbit_map(3)[x]
+            image = relations._image(g, 2, 3, perturbed(EisensteinIndex(2, 3, 1, 0), 16)[1])
+            assert (r, image) == ((1, 0), perturbed(EisensteinIndex(2, 3, *x), 16)[1])
+        monkeypatch.setattr(relations, "eisenstein_int_form", perturbed)
+        with pytest.raises(ArithmeticError, match="stabilizer"):
+            run_scan(3, 3, 16)
+
+    def test_two_torsion_odd_series_vanish(self, cold_caches):
+        # what the stabilizer check asks at the 2-torsion points: odd
+        # weights vanish, as the negated-key sharing of products needs
+        for N in (2, 4, 6):
+            for x in [(a1, a2) for a1 in range(N) for a2 in range(N)
+                      if (a1, a2) != (0, 0) and negate((a1, a2), N) == (a1, a2)]:
+                for k in (1, 3, 5):
+                    assert relations._series(k, N, *x, 24).is_zero()
+
+
+def run_under_O(code):
+    """stdout lines of code run by python -O with this eiskron importable;
+    the process must exit 0."""
+    src = os.path.dirname(os.path.dirname(eiskron.__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.splitlines()
+
+
+def direct_walk(level_max, weight_max, order):
+    """run_scan's summary, built from verify_instance on every instance
+    with no orbit transport."""
+    failures, count = [], 0
+    for N in range(2, level_max + 1):
+        relations._product.cache_clear()  # one level's products at a time
+        for inst in enumerate_instances(N, weight_max):
+            report = verify_instance(inst, order)
+            count += 1
+            if not report["residual_zero"]:
+                failures.append(report)
+    failures.sort(key=lambda r: json.dumps(r, sort_keys=True))
+    return {"level_max": level_max, "weight_max": weight_max, "order": order,
+            "instances": count, "passed": count - len(failures),
+            "failed": len(failures), "failures": failures}
+
+
+class TestOrbitTransport:
+    def test_failure_reports_match_direct_walk(self, monkeypatch, cold_caches):
+        # alpha + 1 in every plan: an instance fails unless E^{(k)}_a
+        # vanishes, so orbits hold both outcomes, at many first exponents
+        plan = relations._plan
+
+        def mutated(k1, k2):
+            p = plan(k1, k2)
+            return p._replace(negated=(p.negated[0] + 1, *p.negated[1:]))
+
+        monkeypatch.setattr(relations, "_plan", mutated)
+        direct = direct_walk(5, 5, 24)
+        assert 0 < direct["failed"] < direct["instances"]
+        assert len({r["first_nonzero_exponent"] for r in direct["failures"]}) > 1
+        for workers in (1, 2):
+            for cache in (relations._series, relations._int_form, relations._product):
+                cache.cache_clear()
+            assert run_scan(5, 5, 24, workers=workers) == direct, workers
+
+    def test_direct_walk_agrees_at_criterion_1_scale(self, cold_caches):
+        # every one of the 56,392 instances of acceptance criterion 1,
+        # verified directly, against the transported scan
+        direct = direct_walk(6, 8, 40)
+        assert direct["instances"] == 56392
+        assert run_scan(6, 8, 40) == direct
 
 
 class TestPlan:
