@@ -63,8 +63,10 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
             q: list = []
             for i, c in enumerate(p):
                 q.append((q[i - m] if i >= m else 0) - c)
-            # the last m terms of the recurrence are the remainder
-            assert not any(q[-m:]), "cyclotomic polynomial division must be exact"
+            # the last m terms of the recurrence are the remainder; an
+            # explicit raise, not an assert: python -O must not drop it
+            if any(q[-m:]):
+                raise ArithmeticError("cyclotomic polynomial division must be exact")
             p = q[:-m]
     return tuple(p)
 

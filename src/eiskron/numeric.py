@@ -28,6 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .eisenstein import bernoulli_number
+from .qseries import check_tau
 from .relations import (HomPoly, coeff_alpha, coeff_beta, coeff_gamma, poly_P,
                         poly_Q, poly_R)
 
@@ -41,12 +42,6 @@ def _e(x) -> complex:
 
 def _is_int(t: float) -> bool:
     return abs(t - round(t)) < _INT_TOL
-
-
-def _check_tau(tau: complex) -> None:
-    # a NaN imaginary part passes `<= 0`, and an infinite tau gives NaN sums
-    if not cmath.isfinite(tau) or tau.imag <= 0:
-        raise ValueError("tau must be a finite point of the upper half-plane")
 
 
 def _frac(t: float) -> float:
@@ -93,7 +88,7 @@ class NumericConfig:
     fd_tol: float = 1e-5
 
     def __post_init__(self):
-        _check_tau(complex(self.tau))
+        check_tau(complex(self.tau))
         if self.fourier_terms < 1 or self.lattice_cutoff < 1:
             raise ValueError("cutoffs must be >= 1")
 
@@ -154,7 +149,7 @@ def eval_E_lattice(k: int, z: complex, tau: complex, cfg: NumericConfig) -> comp
     if k < 3:
         raise ValueError("lattice sum requires weight >= 3")
     tau = complex(tau)
-    _check_tau(tau)
+    check_tau(tau)
     if tau != complex(cfg.tau):
         raise ValueError(f"tau {tau} differs from the configuration's {cfg.tau}")
     L = cfg.lattice_cutoff

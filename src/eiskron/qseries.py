@@ -42,6 +42,12 @@ from .cyclotomic import (CycNum, LevelMismatchError, Scalar, _reduction_rows,
 IntCoeffs = Dict[int, Tuple[int, ...]]
 
 
+def check_tau(tau: complex) -> None:
+    # a NaN imaginary part passes `<= 0`, and an infinite tau gives NaN sums
+    if not cmath.isfinite(tau) or tau.imag <= 0:
+        raise ValueError("tau must be a finite point of the upper half-plane")
+
+
 class QExpansion:
     """Sparse truncated series sum_n c_n q^{n/N}, c_n in Q(zeta_N), held as
     c_n = data[n] / den with length-N integer vectors data[n]."""
@@ -176,8 +182,7 @@ class QExpansion:
     # -- evaluation and serialization ----------------------------------------
 
     def eval_numeric(self, tau: complex) -> complex:
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
+        check_tau(tau)
         N, den = self.level, self.den
         z = cmath.exp(2j * cmath.pi / N)
         acc = 0j

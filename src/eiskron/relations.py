@@ -50,16 +50,12 @@ that E^{(k)}_x = 0 for odd k.
 
 The instance at (a, b, c), a + b + c = 0, uses only the products over
 the pairs inside its triple {a, b, c}, and the pair {x, y} fixes the
-triple {x, y, -x-y}.  The parity E^{(k)}_{-x} = (-1)^k E^{(k)}_x gives
-E^{(i)}_{-x} E^{(j)}_{-y} = (-1)^{i+j} E^{(i)}_x E^{(j)}_y, so the triple
-and its negative {-a, -b, -c} (the same triple when every point is
-2-torsion) need the same products, and products of different +- classes
-never meet.  A product key is therefore canonical under the swap of its
-factors and under negation; a term whose negated key is the canonical one
-carries the sign (-1)^{i+j} in its coefficient.  Parity is in B, so the
-equivariance check covers that sharing, at 2-torsion points too, and a
-product is built only with the series at the negatives of its factors'
-points.
+triple {x, y, -x-y}.  A product key is canonical under the swap of its
+factors only, and no task of the scan needs both a product and its
+negative: a task's representatives of one triple orbit lie in one triple
+T, and -T is in the orbit of T (parity is in B), so it is no other triple
+of the task.  Where -T = T, every point is 2-torsion and each key is its
+own negative.
 
 A scan task owns the orbits of whole triples: for each B-orbit of
 zero-sum triples, the representatives of the orbits of the ordered pairs
@@ -289,10 +285,6 @@ def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
 # Phi_N-reduced packed caches for the hot path.
 # ---------------------------------------------------------------------------
 
-def _negate(x: Pair, N: int) -> Pair:
-    return (-x[0] % N, -x[1] % N)
-
-
 Symmetry = Tuple[int, int, int]
 
 
@@ -360,20 +352,6 @@ def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
     first; where they differ (the weight-1 constant term at a1 = 0 is built
     reduced), the reduced ones decide.  At x != r the series at r is built,
     and so checked against its stabilizer, first.
-
-    Why parity makes a shared product exact: let f = E^{(i)}_x, g = E^{(j)}_y
-    and f', g' the packed series at -x, -y.  Parity is in B, so the check
-    gives f' the den and reduced vectors of f times (-1)^i, hence its
-    height, its width and the value (-1)^i f.value, and likewise for g'.
-    At one width a packed value fixes its limbs, so the limbs of f' are
-    (-1)^i times those of f, and likewise for g'.  convolve_int reads its
-    operands only through den, height and limbs, and each limb of its
-    result is a Z-linear form in the products (limb of f) * (limb of g): so
-    convolve_int(f', g') has the den, height and width of convolve_int(f, g)
-    and (-1)^{i+j} times its value.  In linear_combination the term
-    ((-1)^{i+j} c, convolve_int(f', g')) then has the same denominator,
-    the same |multiplier| * height in the bound and the same multiplier *
-    value as (c, convolve_int(f, g)): the residual is the same, bit for bit.
     """
     x = (a1, a2)
     r, gs = _orbit_map(N)[x]
@@ -399,11 +377,7 @@ def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
 def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
     """E^{(i)}_a E^{(j)}_b reduced and packed, with its derived height bound
     (see qseries.convolve_int).  Callers pass the key in canonical order
-    (see _product_terms), so a product, its swap and its negative share
-    one entry.  It is returned only once the series at -a and -b are built
-    too, which checks that it may serve the negated key (see _series)."""
-    _series(i, N, *_negate(a, N), order)
-    _series(j, N, *_negate(b, N), order)
+    (see _product_terms), so a product and its swap share one entry."""
     return convolve_int(N, order, _series(i, N, a[0], a[1], order),
                         _series(j, N, b[0], b[1], order))
 
@@ -416,15 +390,14 @@ def _canonical(k1: int, k2: int) -> Mapping[str, object]:
         P=poly_P(k1, k2), Q=poly_Q(k1, k2), R=poly_R(k1, k2)))
 
 
-Monomials = Tuple[Tuple[int, int, Scalar, Scalar], ...]
+Monomials = Tuple[Tuple[int, int, Scalar], ...]
 
 
 class Plan(NamedTuple):
     """A split's weights as the residual reads them: per bracket P[a, b],
-    Q[b, c], R[c, a] the (i, j, coef, (-1)^{i+j} coef) of each product
-    E^{(i)} E^{(j)} with a nonzero coefficient (an int where it is one),
-    and the negated weights of E_a, E_b, E_c.  A tuple, so a cached plan
-    cannot be changed."""
+    Q[b, c], R[c, a] the (i, j, coef) of each product E^{(i)} E^{(j)} with
+    a nonzero coefficient (an int where it is one), and the negated weights
+    of E_a, E_b, E_c.  A tuple, so a cached plan cannot be changed."""
 
     P: Monomials
     Q: Monomials
@@ -438,11 +411,9 @@ def _integral(c: Rat) -> Scalar:
 
 
 def _monomials(P: HomPoly) -> Monomials:
-    """(i + 1, degree - i + 1, coef, (-1)^degree coef) of each nonzero
-    monomial coef X^i Y^(degree-i): (-1)^degree is the sign (-1)^{i+j} of
-    a product's negated key."""
-    ell = P.degree
-    return tuple((i + 1, ell - i + 1, _integral(c), _integral(-c if ell % 2 else c))
+    """(i + 1, degree - i + 1, coef) of each nonzero monomial coef
+    X^i Y^(degree-i)."""
+    return tuple((i + 1, P.degree - i + 1, _integral(c))
                  for i, c in enumerate(P.coeffs) if c)
 
 
@@ -469,18 +440,12 @@ def _instance_plan(inst: RelationInstance, overrides: Mapping[str, object]) -> P
 def _product_terms(monomials: Monomials, a: Pair, b: Pair, N: int,
                    order: int) -> List[tuple]:
     """Terms (coef, packed product) of a bracket at [a, b], one cached
-    product per monomial and +- class."""
-    na, nb = _negate(a, N), _negate(b, N)
+    product per monomial."""
     terms = []
-    for i, j, coef, flipped in monomials:
+    for i, j, coef in monomials:
         # the key is canonical under the swap of the (commutative) factors
-        # and under negation, which costs the sign (-1)^{i+j}
         key = (i, a, j, b) if (i, a) <= (j, b) else (j, b, i, a)
-        neg = (i, na, j, nb) if (i, na) <= (j, nb) else (j, nb, i, na)
-        if neg < key:
-            terms.append((flipped, _product(*neg, N, order)))
-        else:
-            terms.append((coef, _product(*key, N, order)))
+        terms.append((coef, _product(*key, N, order)))
     return terms
 
 

@@ -1,6 +1,9 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, cyclotomic_poly, symbols
 
+import eiskron
+from eiskron import cyclotomic
 from eiskron.cyclotomic import (CycNum, LevelMismatchError,
                                 cyclotomic_polynomial, totient, zeta_pow)
 
@@ -94,6 +99,46 @@ class TestCyclotomicPolynomial:
                     for i in range(len(poly) - 1)] + [poly[-1]]
         approx = [round(c.real) for c in poly]
         assert approx == list(cyclotomic_polynomial(N))
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # with mu(6) negated, Phi_6 is divided by x - 1, which does not
+        # divide it; the cache is cleared so that no wrong Phi_N outlives
+        # the test
+        mobius = cyclotomic._mobius
+        monkeypatch.setattr(cyclotomic, "_mobius",
+                            lambda n: -mobius(n) if n == 6 else mobius(n))
+        cyclotomic_polynomial.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="must be exact"):
+                cyclotomic_polynomial(6)
+        finally:
+            cyclotomic_polynomial.cache_clear()
+
+    def test_inexact_division_raises_under_O(self):
+        # an assert would vanish under python -O and return a wrong Phi_6
+        code = """
+import sys
+from eiskron import cyclotomic
+if not sys.flags.optimize:
+    sys.exit(3)
+mobius = cyclotomic._mobius
+cyclotomic._mobius = lambda n: -mobius(n) if n == 6 else mobius(n)
+cyclotomic.cyclotomic_polynomial.cache_clear()
+try:
+    out = cyclotomic.cyclotomic_polynomial(6)
+except ArithmeticError as exc:
+    print(type(exc).__name__)
+else:
+    print(out)
+    sys.exit(4)
+"""
+        src = os.path.dirname(os.path.dirname(eiskron.__file__))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == ["ArithmeticError"]
 
 
 class TestIsZero:

@@ -231,8 +231,13 @@ class TestEvalNumeric:
         assert QExpansion.zero(2, 5).eval_numeric(0.3 + 1.1j) == 0
 
     def test_lower_half_plane_rejected(self):
-        with pytest.raises(ValueError):
-            QExpansion.constant(2, 5, 1).eval_numeric(1 - 1j)
+        # a non-finite tau too: a NaN imaginary part passes `imag <= 0`, and
+        # an infinite one gave nan+nanj
+        f = QExpansion.constant(2, 5, 1)
+        for tau in (1 - 1j, complex(math.nan, 1), complex(0.3, math.nan),
+                    complex(math.inf, 1), complex(0.3, math.inf)):
+            with pytest.raises(ValueError, match="finite point of the upper half-plane"):
+                f.eval_numeric(tau)
 
     def test_ring_homomorphism_up_to_truncation(self):
         # |eval(f*g) - eval(f)eval(g)| is bounded by the truncated tail

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import eiskron
 from eiskron import relations
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import QExpansion, convolve_int
+from eiskron.qseries import QExpansion
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -330,9 +330,10 @@ def task_reps(task):
 
 class TestProductCache:
     def test_cold_scan_convolves_each_unordered_product_once(self, monkeypatch):
-        # (i, a, j, b), (j, b, i, a) and their negatives (i, -a, j, -b),
-        # (j, -b, i, -a) are one product up to sign: one convolution; and
-        # only the representative instances' products are built
+        # (i, a, j, b) and (j, b, i, a) are one product: one convolution; no
+        # task builds both a product and its negative (i, -a, j, -b), whose
+        # triple is in the same orbit; and only the representative
+        # instances' products are built
         relations._product.cache_clear()
         relations._series.cache_clear()
         calls, built = [], []
@@ -436,9 +437,8 @@ def pm_class(N, i, x, j, y):
 
 def product_keys(N, pairs, k_max, order):
     """The distinct _product keys of the instances on these (a, b) pairs,
-    read off the closed-form polynomials: (i, x, j, y, N, order) for each
-    nonzero monomial of P[a,b], Q[b,c], R[c,a], the least of the key with
-    (i, x) <= (j, y) and its negative (i, -x, j, -y) ordered alike."""
+    read off the closed-form polynomials: (i, x, j, y, N, order) with
+    (i, x) <= (j, y) for each nonzero monomial of P[a,b], Q[b,c], R[c,a]."""
     keys = set()
     for a, b in pairs:
         for k in range(2, k_max + 1):
@@ -450,9 +450,7 @@ def product_keys(N, pairs, k_max, order):
                     for i, coef in enumerate(P.coeffs):
                         if coef:
                             x, y = sorted([(i + 1, u), (P.degree - i + 1, v)])
-                            nx, ny = sorted([(i + 1, negate(u, N)),
-                                             (P.degree - i + 1, negate(v, N))])
-                            keys.add((*min((*x, *y), (*nx, *ny)), N, order))
+                            keys.add((*x, *y, N, order))
     return keys
 
 
@@ -482,8 +480,9 @@ class TestScanSharding:
                 c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
                 for x, y in ((a, b), (b, c), (c, a)):
                     # the products of a representative instance are over the
-                    # pairs {x, y} inside its triple and their negatives
-                    # {-x, -y}: each is in one task only
+                    # pairs {x, y} inside its triple; neither {x, y} nor its
+                    # negative {-x, -y}, in the same triple orbit, is in
+                    # another task
                     for pair in ((x, y), (negate(x, N), negate(y, N))):
                         assert owner.setdefault((N, frozenset(pair)), t) == t
         # every ordered pair is covered by exactly one orbit
@@ -526,7 +525,8 @@ class TestScanSharding:
         distinct = set().union(*seen)
         assert len(distinct) == sum(len(keys) for keys in seen)  # tasks share none
         assert sum(misses) == len(distinct) == 200
-        # and no two keys are one product up to sign
+        # and no two keys are one product up to sign: no task needs a
+        # product and its negative
         assert len({pm_class(N, i, x, j, y) for i, x, j, y, N, _ in distinct}) == 200
 
 
@@ -545,93 +545,6 @@ def cold_caches():
     clear()
 
 
-class TestParitySharing:
-    def test_shared_products_are_exact(self, cold_caches):
-        # every term of every instance with N <= 5, k <= 5: the cached product
-        # times the sign the term carries is the product of the term's own
-        # series, field by field
-        order, own, flipped, torsion = 24, {}, 0, set()
-        for N in range(2, 6):
-            for inst in enumerate_instances(N, 5):
-                plan = relations._plan(inst.k1, inst.k2)
-                for monomials, u, v in ((plan.P, inst.a, inst.b), (plan.Q, inst.b, inst.c),
-                                        (plan.R, inst.c, inst.a)):
-                    terms = relations._product_terms(monomials, u, v, N, order)
-                    for (i, j, coef, _), (c, product) in zip(monomials, terms):
-                        assert c in (coef, -coef)
-                        sign = 1 if c == coef else -1
-                        flipped += sign < 0
-                        key = (i, u, j, v, N)
-                        if key not in own:
-                            own[key] = convolve_int(
-                                N, order, relations._series(i, N, *u, order),
-                                relations._series(j, N, *v, order))
-                        p = own[key]
-                        assert ((product.den, product.height, product.width, sign * product.value)
-                                == (p.den, p.height, p.width, p.value))
-                        torsion.update((N, x) for x in (u, v) if negate(x, N) == x)
-        assert flipped > 1000
-        # the 2-torsion points at N = 2 and 4 are among the factors
-        assert {(2, (0, 1)), (2, (1, 0)), (2, (1, 1)), (4, (2, 0)), (4, (0, 2)),
-                (4, (2, 2))} <= torsion
-
-    def test_parity_mismatch_stops_the_scan(self, monkeypatch, cold_caches):
-        # E^{(1)}_{(2,2)} at N = 3, off by 1 in one coefficient: a product
-        # served for a negated key with it as a factor is built from
-        # E^{(1)}_{(1,1)} and would hide the change; the parity check stops
-        # the scan instead of letting it report a result
-        exact = relations.eisenstein_int_form
-
-        def perturbed(idx, order):
-            den, data = exact(idx, order)
-            if (idx.k, idx.N, idx.a1, idx.a2) == (1, 3, 2, 2):
-                data = dict(data)
-                n = min(data)
-                data[n] = (data[n][0] + 1, *data[n][1:])
-            return den, data
-
-        monkeypatch.setattr(relations, "eisenstein_int_form", perturbed)
-        with pytest.raises(ArithmeticError, match="not"):
-            run_scan(3, 3, 20)
-        # E^{(1)}_{(2,2)}^2 is served from the key of E^{(1)}_{(1,1)}^2 alone:
-        # the product is not built before the series at (2, 2) is checked
-        relations._series.cache_clear()
-        relations._product.cache_clear()
-        with pytest.raises(ArithmeticError, match="not"):
-            bracket(HomPoly.monomial(0, 0), (2, 2), (2, 2), 3, 20)
-
-    def test_parity_mismatch_stops_the_scan_under_O(self):
-        code = """
-import sys
-from eiskron import relations
-if not sys.flags.optimize:
-    sys.exit(3)
-exact = relations.eisenstein_int_form
-def perturbed(idx, order):
-    den, data = exact(idx, order)
-    if (idx.k, idx.N, idx.a1, idx.a2) == (1, 3, 2, 2):
-        data = dict(data)
-        n = min(data)
-        data[n] = (data[n][0] + 1, *data[n][1:])
-    return den, data
-relations.eisenstein_int_form = perturbed
-try:
-    summary = relations.run_scan(3, 3, 20)
-except ArithmeticError as exc:
-    print(type(exc).__name__)
-else:
-    print(summary["failed"])
-    sys.exit(4)
-"""
-        src = os.path.dirname(os.path.dirname(eiskron.__file__))
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.splitlines() == ["ArithmeticError"]
-
-
 def perturb(k, N, point, change):
     """eisenstein_int_form with E^{(k)}_point at level N replaced by
     change(data), a dict of its integer vectors over the same den."""
@@ -644,6 +557,12 @@ def perturb(k, N, point, change):
         return den, data
 
     return perturbed
+
+
+def plus_one(data):
+    # +1 in the first coefficient
+    n = min(data)
+    return {**data, n: (data[n][0] + 1, *data[n][1:])}
 
 
 def plus_zeta(data):
@@ -686,6 +605,11 @@ PERTURBATIONS = {
     "two_torsion": (1, 4, (2, 0), lambda data: {**data, 0: (1, 0, 0, 0)},
                     (4, 3, 16), ((2, 0), (1, 1), 4, 16),
                     r"\(-1, 0, 1\) in its stabilizer"),
+    # E^{(1)}_{(2,2)} = -E^{(1)}_{(1,1)} at N = 3, off by 1: not the least
+    # point of its orbit, so its own check stops the scan and a bracket with
+    # it as a factor
+    "parity": (1, 3, (2, 2), plus_one, (3, 3, 20), ((2, 2), (2, 2), 3, 20),
+               "is not g = "),
 }
 
 
@@ -749,7 +673,7 @@ for call in calls:
 
     def test_two_torsion_odd_series_vanish(self, cold_caches):
         # what the stabilizer check asks at the 2-torsion points: odd
-        # weights vanish, as the negated-key sharing of products needs
+        # weights vanish, as parity E^{(k)}_{-x} = (-1)^k E^{(k)}_x needs
         for N in (2, 4, 6):
             for x in [(a1, a2) for a1 in range(N) for a2 in range(N)
                       if (a1, a2) != (0, 0) and negate((a1, a2), N) == (a1, a2)]:
