@@ -2,9 +2,11 @@
 
 Two independent evaluators:
 
-* ``eval_E_fourier`` sums the Fourier expansion with real (not
+* ``eval_E_fourier_upto`` sums the Fourier expansion with real (not
   necessarily rational) torus coordinates, truncated at a cutoff on the
-  exponent mu*nu.  Valid for every weight k >= 1.
+  exponent mu*nu, for every weight 1..k at once: each nu's mu-series is
+  one geometric series, summed in closed form.  ``eval_E_fourier`` is its
+  weight-k entry.  Valid for every weight k >= 1.
 * ``eval_E_lattice`` sums the defining lattice double series (k >= 3,
   where it converges absolutely).  The raw rectangular truncation
   converges too slowly for tight cross-checks, so terms near the
@@ -23,7 +25,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,45 +99,86 @@ class NumericConfig:
 # Evaluators.
 # ---------------------------------------------------------------------------
 
-def eval_E_fourier(k: int, p: TorusPoint, cfg: NumericConfig) -> complex:
-    """Fourier-expansion value at z = x1*tau + x2, cutoff on mu*nu."""
-    if k < 1:
+def eval_E_fourier_upto(k_max: int, p: TorusPoint,
+                        cfg: NumericConfig) -> Tuple[Optional[complex], ...]:
+    """(E^(1)_p, ..., E^(k_max)_p) from one Fourier grid at z = x1*tau + x2.
+
+    The nonconstant terms sit at nu in x1 + Z and in -x1 + Z, nu > 0, and
+    mu = 1 .. m with m = floor(M/nu), M = ``cfg.fourier_terms``: the cutoff
+    is on mu*nu.  At one nu they form a geometric series in
+    r = e(+-x2 + tau*nu), summed in closed form,
+
+        g_nu = sum_{mu=1}^{m} r^mu = r (r^m - 1) / (r - 1),
+
+    through exp and expm1, so that r near 1 (x1 and x2 both near integers)
+    costs no digits.  Only the factor nu^(k-1) depends on the weight, and
+    (-1)^(k+1) nu^(k-1) = (-nu)^(k-1), so with t = (nu+, -nu-) and
+    G = (-g+, g-) over both grids,
+
+        E^(k) = a0(k) + sum_t t^(k-1) G_t.
+
+    A point costs O(M) array work for every weight at once, and nothing
+    grows as x1 nears an integer.  The weight-2 entry is None at a lattice
+    point, where that series is undefined.  A weight whose M^(k-1) leaves
+    the float range is bad input (ValueError), found before any array
+    arithmetic could turn it into inf or nan.
+    """
+    if k_max < 1:
         raise ValueError("weight must be >= 1")
+    M = cfg.fourier_terms
+    try:  # Python floats raise OverflowError where numpy returns inf
+        float(M) ** (k_max - 1)
+        bern = [float(bernoulli_number(j)) for j in range(k_max + 1)]
+    except OverflowError:
+        raise _float_range_error(k_max, M) from None
     tau = complex(cfg.tau)
     x1, x2 = p.x1, p.x2
-    if k == 2 and p.is_lattice():
-        raise ValueError("weight-2 series undefined at lattice points")
+    frac1 = _frac(x1)
+    x2r = x2 - round(x2)  # exact, and small when x2 is near an integer
+    ts, gs = [], []
+    for nu0, s in ((frac1, 1), (_frac(-x1), -1)):
+        nu = (nu0 if nu0 > 0 else 1.0) + np.arange(M)  # the M values <= M
+        m = (M / nu).astype(np.int64)
+        a = TWO_PI_I * (s * x2r + tau * nu)  # r = exp(a)
+        ts.append(s * nu)
+        gs.append(-s * np.exp(a) * np.expm1(m * a) / np.expm1(a))
+    t = np.concatenate(ts).astype(complex)
+    G = np.concatenate(gs)
 
-    if k == 1:
-        if _is_int(x1) and _is_int(x2):
-            a0 = 0j
-        elif _is_int(x1):
-            a0 = -0.5 * (1 + _e(x2)) / (1 - _e(x2))
-        else:
-            a0 = complex(_frac(x1) - 0.5)
+    # constant term of E^(1)
+    if not _is_int(x1):
+        a0 = complex(frac1 - 0.5)
+    elif _is_int(x2):
+        a0 = 0j
     else:
-        a0 = complex(_bern_poly_float(k, _frac(x1)) / k)
-
-    M = cfg.fourier_terms
-    acc = a0
-    for nu0, char_sign, sign in ((_frac(x1), 1, -1.0),
-                                 (_frac(-x1), -1, float((-1) ** (k + 1)))):
-        nu = nu0 if nu0 > 0 else 1.0
-        while nu <= M:
-            ratio = cmath.exp(TWO_PI_I * (char_sign * x2 + tau * nu))
-            coeff = sign * nu ** (k - 1)
-            term = 1.0 + 0j
-            mu_max = int(M / nu)
-            for _ in range(mu_max):
-                term *= ratio
-                acc += coeff * term
-            nu += 1.0
-    return acc
+        a0 = -0.5 * (1 + _e(x2)) / (1 - _e(x2))
+    values: List[Optional[complex]] = [a0 + complex(G.sum())]
+    pw = t
+    for k in range(2, k_max + 1):
+        if k == 2 and p.is_lattice():
+            values.append(None)
+        else:
+            values.append(complex(_bern_poly_float(k, frac1, bern) / k)
+                          + complex(pw.dot(G)))
+        pw = pw * t
+    return tuple(values)
 
 
-def _bern_poly_float(k: int, t: float) -> float:
-    return sum(math.comb(k, j) * float(bernoulli_number(j)) * t ** (k - j)
-               for j in range(k + 1))
+def eval_E_fourier(k: int, p: TorusPoint, cfg: NumericConfig) -> complex:
+    """Fourier-expansion value E^(k)_p: entry k of ``eval_E_fourier_upto``."""
+    return _entry(eval_E_fourier_upto(k, p, cfg), k)
+
+
+def _entry(values: Sequence[Optional[complex]], k: int) -> complex:
+    """The weight-k value of an ``eval_E_fourier_upto`` result."""
+    if values[k - 1] is None:
+        raise ValueError("weight-2 series undefined at lattice points")
+    return values[k - 1]
+
+
+def _bern_poly_float(k: int, t: float, bern: Sequence[float]) -> float:
+    """B_k(t), from the floats bern[j] = B_j."""
+    return sum(math.comb(k, j) * bern[j] * t ** (k - j) for j in range(k + 1))
 
 
 def eval_E_lattice(k: int, z: complex, tau: complex, cfg: NumericConfig) -> complex:
@@ -197,7 +240,15 @@ def fourier_tail_estimate(k: int, cfg: NumericConfig) -> float:
     """Crude bound on the omitted Fourier tail: C * |q|^cutoff."""
     q = abs(cmath.exp(TWO_PI_I * complex(cfg.tau)))
     M = cfg.fourier_terms
-    return 2.0 * (M + 1.0) ** k * q ** M / (1.0 - q)
+    try:
+        growth = (M + 1.0) ** k
+    except OverflowError:
+        raise _float_range_error(k, M) from None
+    return 2.0 * growth * q ** M / (1.0 - q)
+
+
+def _float_range_error(k: int, M: int) -> ValueError:
+    return ValueError(f"weight {k} leaves the float range at fourier_terms = {M}")
 
 
 def lattice_tail_estimate(k: int, tau: complex, cfg: NumericConfig) -> float:
@@ -213,18 +264,27 @@ def lattice_tail_estimate(k: int, tau: complex, cfg: NumericConfig) -> float:
 def eval_bracket_numeric(P: HomPoly, u: TorusPoint, v: TorusPoint,
                          cfg: NumericConfig) -> complex:
     """P[u, v] with continuous parameters, via the Fourier evaluator."""
+    return _bracket(P, eval_E_fourier_upto(P.degree + 1, u, cfg),
+                    eval_E_fourier_upto(P.degree + 1, v, cfg))
+
+
+def _bracket(P: HomPoly, Eu: Sequence[Optional[complex]],
+             Ev: Sequence[Optional[complex]]) -> complex:
+    """P[u, v] from the ``eval_E_fourier_upto`` values at u and at v."""
     ell = P.degree
     acc = 0j
     for i, c in enumerate(P.coeffs):
         if c:
-            acc += float(c) * (eval_E_fourier(i + 1, u, cfg)
-                               * eval_E_fourier(ell - i + 1, v, cfg))
+            acc += float(c) * (_entry(Eu, i + 1) * _entry(Ev, ell - i + 1))
     return acc
 
 
 def check_relation_numeric(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
                            cfg: NumericConfig) -> float:
-    """|LHS - RHS| of the weight k1+k2+2 relation at generic points."""
+    """|LHS - RHS| of the weight k1+k2+2 relation at generic points.
+
+    Each of u, v and -(u+v) is evaluated once, for every weight.
+    """
     if k1 < 0 or k2 < 0:
         raise ValueError("indices must be >= 0")
     w = -(u + v)
@@ -232,12 +292,13 @@ def check_relation_numeric(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
         if pt.is_lattice():
             raise ValueError(f"parameter {name} must avoid the lattice")
     k = k1 + k2 + 2
-    lhs = (eval_bracket_numeric(poly_P(k1, k2), u, v, cfg)
-           + eval_bracket_numeric(poly_Q(k1, k2), v, w, cfg)
-           + eval_bracket_numeric(poly_R(k1, k2), w, u, cfg))
-    rhs = (float(coeff_alpha(k1, k2)) * eval_E_fourier(k, u, cfg)
-           + float(coeff_beta(k1, k2)) * eval_E_fourier(k, v, cfg)
-           + float(coeff_gamma(k1, k2)) * eval_E_fourier(k, w, cfg))
+    Eu, Ev, Ew = (eval_E_fourier_upto(k, pt, cfg) for pt in (u, v, w))
+    lhs = (_bracket(poly_P(k1, k2), Eu, Ev)
+           + _bracket(poly_Q(k1, k2), Ev, Ew)
+           + _bracket(poly_R(k1, k2), Ew, Eu))
+    rhs = (float(coeff_alpha(k1, k2)) * Eu[k - 1]
+           + float(coeff_beta(k1, k2)) * Ev[k - 1]
+           + float(coeff_gamma(k1, k2)) * Ew[k - 1])
     return abs(lhs - rhs)
 
 

@@ -238,6 +238,19 @@ class TestNumeric:
         code, given, _ = run(capsys, "numeric", "--check", check, *explicit, "--json")
         assert code == 0 and default == given
 
+    @pytest.mark.parametrize("check", ["relation", "modularity"])
+    def test_weight_beyond_float_range_exits_2(self, capsys, check):
+        # 80**199 and 81**200 overflow a float: bad input, not a failed check
+        code, out, err = run(capsys, "numeric", "--check", check, "--weight", "200")
+        assert code == 2 and out == ""
+        assert "float range" in err
+
+    def test_weight_150_runs_and_fails(self, capsys):
+        # in range: the check runs, and its residual (about 1e137) fails
+        code, out, _ = run(capsys, "numeric", "--check", "modularity",
+                           "--weight", "150")
+        assert code == 1 and out.count("FAIL") == 2
+
     def test_bad_tau_exits_2(self, capsys):
         # a NaN or infinite tau is bad input, not a failed check
         for argv in (["relation", "--tau", "0,-1"],

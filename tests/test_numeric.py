@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eiskron import numeric as nm
-from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
+from eiskron.eisenstein import EisensteinIndex, bernoulli_number, eisenstein_qexp
 from eiskron.relations import HomPoly, poly_P
 
 TAU = 0.3 + 1.1j
@@ -105,6 +105,111 @@ class TestFourierEvaluator:
             lhs = nm.eval_E_fourier(k, -p, CFG)
             rhs = (-1) ** k * nm.eval_E_fourier(k, p, CFG)
             assert abs(lhs - rhs) < 1e-10
+
+
+def _bern_poly_reference(k, t):
+    return sum(math.comb(k, j) * float(bernoulli_number(j)) * t ** (k - j)
+               for j in range(k + 1))
+
+
+def fourier_reference(k, p, cfg):
+    """The Fourier sum one term (mu, nu) at a time, mu*nu <= cutoff: the
+    reference for the closed-form geometric sums of eval_E_fourier_upto."""
+    if k < 1:
+        raise ValueError("weight must be >= 1")
+    tau = complex(cfg.tau)
+    x1, x2 = p.x1, p.x2
+    if k == 2 and p.is_lattice():
+        raise ValueError("weight-2 series undefined at lattice points")
+
+    if k == 1:
+        if nm._is_int(x1) and nm._is_int(x2):
+            a0 = 0j
+        elif nm._is_int(x1):
+            a0 = -0.5 * (1 + nm._e(x2)) / (1 - nm._e(x2))
+        else:
+            a0 = complex(nm._frac(x1) - 0.5)
+    else:
+        a0 = complex(_bern_poly_reference(k, nm._frac(x1)) / k)
+
+    M = cfg.fourier_terms
+    acc = a0
+    for nu0, char_sign, sign in ((nm._frac(x1), 1, -1.0),
+                                 (nm._frac(-x1), -1, float((-1) ** (k + 1)))):
+        nu = nu0 if nu0 > 0 else 1.0
+        while nu <= M:
+            ratio = cmath.exp(nm.TWO_PI_I * (char_sign * x2 + tau * nu))
+            coeff = sign * nu ** (k - 1)
+            term = 1.0 + 0j
+            mu_max = int(M / nu)
+            for _ in range(mu_max):
+                term *= ratio
+                acc += coeff * term
+            nu += 1.0
+    return acc
+
+
+# integer x1, integer x2, negative coordinates, x1 near an integer, and
+# seeded generic points; none is 2-torsion, where odd weights vanish
+_rng = random.Random(13)
+REFERENCE_POINTS = ((0.0, 0.3), (2.0, -0.71), (0.37, 1.0), (0.37, 0.0),
+                    (-0.42, -1.73), (1e-3, 0.61), (-1e-3, 2.0)) + tuple(
+    (_rng.uniform(-2, 2), _rng.uniform(-2, 2)) for _ in range(4))
+
+
+class TestFourierClosedForm:
+    @pytest.mark.parametrize("x", REFERENCE_POINTS)
+    def test_closed_form_matches_term_by_term_reference(self, x):
+        p = nm.TorusPoint(*x)
+        values = nm.eval_E_fourier_upto(8, p, CFG)
+        for k in range(1, 9):
+            ref = fourier_reference(k, p, CFG)
+            assert abs(values[k - 1] - ref) <= 1e-12 * abs(ref), (k, ref)
+
+    def test_each_weight_is_an_entry_of_all_weights(self):
+        for x in REFERENCE_POINTS + ((0.0, 0.0), (1.0, -2.0)):
+            p = nm.TorusPoint(*x)
+            values = nm.eval_E_fourier_upto(8, p, CFG)
+            assert len(values) == 8
+            for k in range(1, 9):
+                if not (k == 2 and p.is_lattice()):
+                    assert values[k - 1] == nm.eval_E_fourier(k, p, CFG)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_x1_near_an_integer(self, k):
+        # the term-by-term loop ran floor(80 / 1e-8) terms at the first nu
+        p = nm.TorusPoint(1e-8, 0.3)
+        lat = nm.eval_E_lattice(k, p.to_z(TAU), TAU, CFG)
+        assert abs(nm.eval_E_fourier(k, p, CFG) - lat) < 1e-8
+
+    def test_weight_beyond_float_range_rejected(self):
+        # 80**199 and 81**200 overflow a float; 80**149 and 81**150 do not
+        p = nm.TorusPoint(0.1, 0.2)
+        for call in (lambda: nm.eval_E_fourier(200, p, CFG),
+                     lambda: nm.eval_E_fourier_upto(200, p, CFG),
+                     lambda: nm.fourier_tail_estimate(200, CFG),
+                     lambda: nm.check_relation_numeric(0, 198, p, p, CFG)):
+            with pytest.raises(ValueError, match="float range"):
+                call()
+        assert math.isfinite(nm.fourier_tail_estimate(150, CFG))
+
+    @pytest.mark.parametrize("x", [(0.0, 0.0), (1.0, -2.0), (-3.0, 0.0)])
+    def test_lattice_points(self, x):
+        p = nm.TorusPoint(*x)
+        values = nm.eval_E_fourier_upto(6, p, CFG)
+        assert values[1] is None
+        assert all(isinstance(values[k - 1], complex) for k in (1, 3, 4, 5, 6))
+        for k in (1, 3, 4):
+            assert cmath.isfinite(nm.eval_E_fourier(k, p, CFG))
+        with pytest.raises(ValueError):
+            nm.eval_E_fourier(2, p, CFG)
+
+    def test_bracket_needing_weight_two_at_lattice_point(self):
+        # P = X puts E^(2) at u; P = Y puts E^(1) at u and E^(2) at v
+        origin, v = nm.TorusPoint(0.0, 0.0), nm.TorusPoint(0.31, 0.47)
+        with pytest.raises(ValueError):
+            nm.eval_bracket_numeric(poly_P(1, 0), origin, v, CFG)
+        assert cmath.isfinite(nm.eval_bracket_numeric(poly_P(0, 1), origin, v, CFG))
 
 
 def lattice_reference(k, z, tau, L):
