@@ -151,6 +151,13 @@ def cmd_recurrences(args) -> int:
     return 0 if ok else 1
 
 
+# a numeric report passes when its residual is below its check's tolerance:
+# TOL for the relation and T-modularity residuals, FD_TOL for the
+# finite-difference checks, 1e-6 for S-modularity and the asymptotics
+TOL = 1e-8
+FD_TOL = 1e-5
+
+
 def _numeric_relation(nm, args, cfg, draw_point) -> list:
     k = args.weight
     if k < 2:
@@ -166,7 +173,7 @@ def _numeric_relation(nm, args, cfg, draw_point) -> list:
             res = nm.check_relation_numeric(k1, k2, u, v, cfg)
             reports.append(nm.make_report(
                 "relation", {"split": [k1, k2], "u": [u.x1, u.x2],
-                             "v": [v.x1, v.x2]}, res, tail, cfg.tol))
+                             "v": [v.x1, v.x2]}, res, tail, TOL))
     return reports
 
 
@@ -175,7 +182,7 @@ def _numeric_diff(nm, args, cfg, draw_point) -> list:
     p = draw_point()
     res = nm.check_diff_relation(k, p, cfg)
     return [nm.make_report("diff", {"weight": k, "p": [p.x1, p.x2], "h": 1e-4}, res,
-                           nm.fourier_tail_estimate(k, cfg), cfg.fd_tol)]
+                           nm.fourier_tail_estimate(k, cfg), FD_TOL)]
 
 
 def _numeric_bracket(nm, args, cfg, draw_point) -> list:
@@ -185,7 +192,7 @@ def _numeric_bracket(nm, args, cfg, draw_point) -> list:
     tail = nm.fourier_tail_estimate(k1 + k2 + 2, cfg)
     return [nm.make_report("bracket", {"split": [k1, k2], "u": [u.x1, u.x2],
                                        "v": [v.x1, v.x2], "side": side},
-                           err, tail, cfg.fd_tol)
+                           err, tail, FD_TOL)
             for side, err in (("u", e1), ("v", e2))]
 
 
@@ -193,7 +200,7 @@ def _numeric_modularity(nm, args, cfg, draw_point) -> list:
     k = args.weight
     x = nm.TorusPoint(float(Fraction(1, 3)), 0.0)
     reports = []
-    for name, gam, tol in (("T", ((1, 1), (0, 1)), cfg.tol),
+    for name, gam, tol in (("T", ((1, 1), (0, 1)), TOL),
                            ("S", ((0, -1), (1, 0)), 1e-6)):
         res = nm.check_modularity(k, x, gam, cfg)
         reports.append(nm.make_report(

@@ -57,14 +57,18 @@ class EisensteinIndex:
         return f"EisensteinIndex(k={self.k}, N={self.N}, a=({self.a1},{self.a2}))"
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(m: int) -> tuple:
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0, B_0 = 1 (first convention, B_1 = -1/2)
-    vals: List[Fraction] = [Fraction(1)]
-    for n in range(1, m + 1):
-        s = sum(Fraction(comb(n + 1, j)) * vals[j] for j in range(n))
-        vals.append(-s / (n + 1))
-    return tuple(vals)
+# B_0, B_1, ..., extended in place as far as any caller has asked; private,
+# so that no caller can change an entry
+_BERNOULLI: List[Fraction] = [Fraction(1)]
+
+
+def _bernoulli_upto(m: int) -> List[Fraction]:
+    # sum_{j=0}^{n} C(n+1, j) B_j = 0, B_0 = 1 (first convention, B_1 = -1/2):
+    # each new B_n costs n terms, so B_0..B_m cost O(m^2) in all
+    B = _BERNOULLI
+    for n in range(len(B), m + 1):
+        B.append(-sum(comb(n + 1, j) * B[j] for j in range(n)) / (n + 1))
+    return B
 
 
 def bernoulli_number(m: int) -> Rat:

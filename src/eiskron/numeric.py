@@ -86,8 +86,6 @@ class NumericConfig:
     tau: complex
     fourier_terms: int = 80
     lattice_cutoff: int = 200
-    tol: float = 1e-8
-    fd_tol: float = 1e-5
 
     def __post_init__(self):
         check_tau(complex(self.tau))

@@ -36,17 +36,21 @@ it is zero: g inst passes exactly when inst does, with the same first
 nonzero exponent.  So the scan verifies one ordered pair (a, b) per
 B-orbit and derives the reports of the rest of the orbit from it.
 
-The equivariance is checked, not assumed, once per series, when _series
-builds it.  Each point x has the least point r of its orbit and one
-g_x in B with g_x r = x.  At x != r the series must equal g_x E_r; at r
-it must equal h E_r for every h in the stabilizer of r; a mismatch raises
-ArithmeticError.  Together these give E_{g y} = g E_y for every y and g
-in B: g g_y r = g y = g_{gy} r, so h = g_{gy}^{-1} g g_y fixes r, and
+The equivariance is checked, not assumed, once per orbit and weight: a
+series is built only together with its whole B-orbit, by _orbit_series,
+and handed out only once every series of that orbit passed.  Each point
+x has the least point r of its orbit and one g_x in B with g_x r = x.
+At x != r the series must equal g_x E_r; at r it must equal h E_r for
+every h in the stabilizer of r; a mismatch raises ArithmeticError.
+Together these give E_{g y} = g E_y for every y and g in B:
+g g_y r = g y = g_{gy} r, so h = g_{gy}^{-1} g g_y fixes r, and
 E_{gy} = g_{gy} E_r = g_{gy} h E_r = g g_y E_r = g E_y.  The stabilizer
 half is needed: the checks at x != r alone hold for E_r + d and
 E_x + g_x d with any d, which need not be equivariant.  At a 2-torsion
 point x = -x, for one, parity is in the stabilizer, and the check asks
-that E^{(k)}_x = 0 for odd k.
+that E^{(k)}_x = 0 for odd k.  A covered instance g inst reads the
+g-images of the series inst reads, at the same weights, so every one of
+them lies in an orbit that was built, and checked, when inst read it.
 
 The instance at (a, b, c), a + b + c = 0, uses only the products over
 the pairs inside its triple {a, b, c}, and the pair {x, y} fixes the
@@ -306,7 +310,7 @@ def _orbit_map(N: int) -> Mapping[Pair, Tuple[Pair, Tuple[Symmetry, ...]]]:
     """x -> (r, gs) for every point x mod N: r is the least point of the
     B-orbit of x; gs is (g_x,), the first g in _symmetries(N) with
     g r = x, if x != r, and the stabilizer of r but the identity if x == r.
-    _series checks E_x = g E_r for each g in gs."""
+    _orbit_series checks E_x = g E_r for each g in gs."""
     out: dict = {}
     for r in sorted((a1, a2) for a1 in range(N) for a2 in range(N)):
         if r not in out:
@@ -335,42 +339,40 @@ def _image(g: Symmetry, k: int, N: int, data: IntCoeffs) -> IntCoeffs:
 
 
 @lru_cache(maxsize=None)
-def _int_form(k: int, N: int, a1: int, a2: int, order: int) -> Tuple[int, IntCoeffs]:
-    """The builder's (den, unreduced vectors) of E^{(k)}_{(a1,a2)}, read-only;
-    _series caches it for orbit representatives only, which every point of
-    their orbit is checked against."""
-    den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
-    return den, MappingProxyType(data)
+def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSeries]:
+    """{x: E^{(k)}_x reduced mod Phi_N and packed} over the B-orbit of its
+    least point r, read-only, built only whole and only once every series
+    in it passed the equivariance check (see the module docstring): with
+    (r, gs) = _orbit_map(N)[x], E_x must have the den of E_r and equal
+    g E_r for each g in gs, else ArithmeticError.  The unreduced vectors
+    are compared first; where they differ (the weight-1 constant term at
+    a1 = 0 is built reduced), the reduced ones decide.  r and its
+    stabilizer are checked first.
+    """
+    points = _orbit_map(N)
+    r_den, r_data = eisenstein_int_form(EisensteinIndex(k, N, *r), order)
+    out = {}
+    for x in [r] + [x for x, (y, _) in points.items() if y == r and x != r]:
+        den, data = ((r_den, r_data) if x == r else
+                     eisenstein_int_form(EisensteinIndex(k, N, *x), order))
+        reduced = reduce_int_form(N, data)
+        for g in points[x][1]:
+            image = _image(g, k, N, r_data)
+            # an explicit raise, not an assert: python -O must not drop exactness
+            if den != r_den or (image != data and reduce_int_form(N, image) != reduced):
+                what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
+                        f"fixed by g = (s, j, t) = {g} in its stabilizer")
+                raise ArithmeticError(f"E^({k})_{x} at level {N} is not {what}: "
+                                      "orbit transport would not be exact")
+        out[x] = PackedSeries.pack(N, order, den, reduced)
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
 def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
-    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed, returned only once it
-    passed the equivariance check (see the module docstring): with (r, gs)
-    = _orbit_map(N)[x], E_x must have the den of E_r and equal g E_r for
-    each g in gs, else ArithmeticError.  The unreduced vectors are compared
-    first; where they differ (the weight-1 constant term at a1 = 0 is built
-    reduced), the reduced ones decide.  At x != r the series at r is built,
-    and so checked against its stabilizer, first.
-    """
-    x = (a1, a2)
-    r, gs = _orbit_map(N)[x]
-    if x == r:
-        den, data = _int_form(k, N, a1, a2, order)
-    else:
-        _series(k, N, r[0], r[1], order)
-        den, data = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
-    reduced = reduce_int_form(N, data)
-    r_den, r_data = _int_form(k, N, r[0], r[1], order)
-    for g in gs:
-        image = _image(g, k, N, r_data)
-        # an explicit raise, not an assert: python -O must not drop exactness
-        if den != r_den or (image != data and reduce_int_form(N, image) != reduced):
-            what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
-                    f"fixed by g = (s, j, t) = {g} in its stabilizer")
-            raise ArithmeticError(f"E^({k})_{x} at level {N} is not {what}: "
-                                  "orbit transport would not be exact")
-    return PackedSeries.pack(N, order, den, reduced)
+    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed, from its checked
+    orbit (see _orbit_series)."""
+    return _orbit_series(k, N, _orbit_map(N)[(a1, a2)][0], order)[(a1, a2)]
 
 
 @lru_cache(maxsize=None)
@@ -382,12 +384,11 @@ def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeri
                         _series(j, N, b[0], b[1], order))
 
 
-@lru_cache(maxsize=None)
-def _canonical(k1: int, k2: int) -> Mapping[str, object]:
+def _canonical(k1: int, k2: int) -> dict:
     """The closed-form weights of split (k1, k2), keyed as _build_plan's."""
-    return MappingProxyType(dict(
-        alpha=coeff_alpha(k1, k2), beta=coeff_beta(k1, k2), gamma=coeff_gamma(k1, k2),
-        P=poly_P(k1, k2), Q=poly_Q(k1, k2), R=poly_R(k1, k2)))
+    return dict(alpha=coeff_alpha(k1, k2), beta=coeff_beta(k1, k2),
+                gamma=coeff_gamma(k1, k2), P=poly_P(k1, k2), Q=poly_Q(k1, k2),
+                R=poly_R(k1, k2))
 
 
 Monomials = Tuple[Tuple[int, int, Scalar], ...]
@@ -602,7 +603,8 @@ _cached_at: Optional[Tuple[int, int]] = None  # (level, order) of the cached ser
 def _scan_chunk(args) -> Tuple[int, List[dict]]:
     """(instances covered, failure reports) for a task's orbits at one
     level: each representative instance is verified, and its report
-    stands for the instance at every pair of its orbit."""
+    stands for the instance at every pair of its orbit, whose series the
+    representative's reads built and checked (see _orbit_series)."""
     global _cached_at
     N, orbits, k_max, order = args
     # A product key fixes its triple's orbit, and a task owns whole triple
@@ -611,15 +613,8 @@ def _scan_chunk(args) -> Tuple[int, List[dict]]:
     _product.cache_clear()
     if _cached_at != (N, order):  # no series is used at another level or order
         _series.cache_clear()
-        _int_form.cache_clear()
+        _orbit_series.cache_clear()
         _cached_at = (N, order)
-    # transport is exact once every series the covered instances read has
-    # passed the equivariance check, which _series makes when it builds one
-    points = sorted({x for _, orbit in orbits for a, b in orbit
-                     for x in (a, b, ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N))})
-    for k in range(1, k_max + 1):
-        for x in points:
-            _series(k, N, x[0], x[1], order)
     covered, failures = 0, []
     for rep, orbit in orbits:
         for inst in _instances(N, k_max, [rep]):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +45,37 @@ class TestBernoulli:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_number(-1)
+
+    @pytest.mark.parametrize("order", [(150, 60), (60, 150)])
+    def test_table_extends_in_either_order(self, order, monkeypatch):
+        from eiskron import eisenstein
+        monkeypatch.setattr(eisenstein, "_BERNOULLI", [Fraction(1)])
+        for m in order:
+            assert bernoulli_number(m) == bernoulli_akiyama_tanigawa(m)
+            assert bernoulli_poly_eval(m, 0) == bernoulli_number(m)
+
+    def test_one_index_at_a_time_is_quadratic(self):
+        # B_0..B_K asked one at a time, in a fresh process: each B_n is
+        # computed once, from n recurrence terms, so C(n+1, j) is called
+        # K(K+1)/2 times, not the O(K^3) of recomputing every prefix
+        from eiskron import eisenstein
+        code = """
+from eiskron import eisenstein
+calls, comb = [0], eisenstein.comb
+def counting(n, k):
+    calls[0] += 1
+    return comb(n, k)
+eisenstein.comb = counting
+for m in range(61):
+    eisenstein.bernoulli_number(m)
+print(calls[0])
+"""
+        src = os.path.dirname(os.path.dirname(eisenstein.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert int(out) == 60 * 61 // 2
 
 
 class TestBernoulliPoly:
@@ -230,8 +264,8 @@ class TestIntegerBuilder:
         for module in (eisenstein, qseries, relations):
             if hasattr(module, "to_int_form"):
                 monkeypatch.setattr(module, "to_int_form", refuse)
-        relations._series.cache_clear()
-        relations._product.cache_clear()
+        for cache in (relations._series, relations._orbit_series, relations._product):
+            cache.cache_clear()
         report = relations.run_scan(3, 3, 20)
         assert report["instances"] > 0 and report["failed"] == 0
 

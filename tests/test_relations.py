@@ -384,15 +384,16 @@ class TestProductCache:
         assert checked[0] > 1000 and over == []
 
     def test_scan_keeps_one_level_cached(self):
-        relations._product.cache_clear()
-        relations._series.cache_clear()
+        caches = (relations._orbit_series, relations._series, relations._product)
+        for c in caches:
+            c.cache_clear()
         assert run_scan(4, 4, 40)["failed"] == 0
-        caches = (relations._series, relations._product)
         sizes = [c.cache_info().currsize for c in caches]
-        assert sizes[0] > 0 and sizes[1] > 0
+        assert all(sizes)
         # no level-2 or level-3 entry is left: a lookup there misses
         for N in (2, 3):
-            for c, key in ((relations._series, (2, N, 1, 0, 40)),
+            for c, key in ((relations._orbit_series, (2, N, (1, 0), 40)),
+                           (relations._series, (2, N, 1, 0, 40)),
                            (relations._product, (1, (0, 1), 1, (1, 0), N, 40))):
                 misses = c.cache_info().misses
                 c(*key)
@@ -400,16 +401,24 @@ class TestProductCache:
         # and the level-4 tasks alone fill the caches as much as the whole scan
         for c in caches:
             c.cache_clear()
+        reps = []
         for task in relations._scan_tasks(4, 4, 40):
             if task[0] == 4:
                 relations._scan_chunk(task)
+                reps += task_reps(task)
         assert [c.cache_info().currsize for c in caches] == sizes
-        # the series cache holds the whole level, the product cache the last
-        # task's products only
-        series = {(k, 4, *p, 40) for k in range(1, 5)
+        # the orbit cache holds every series of the level, weights 1-4 at
+        # every nonzero point, ...
+        orbit_map = relations._orbit_map(4)
+        orbits = {(k, 4, orbit_map[p][0], 40) for k in range(1, 5)
                   for p in itertools.product(range(4), repeat=2) if p != (0, 0)}
-        assert sizes[0] == len(series)
-        assert sizes[1] == len(product_keys(4, task_reps(task), 4, 40))
+        assert holds_exactly(relations._orbit_series, orbits)
+        assert sum(len(relations._orbit_series(*key)) for key in orbits) == 60
+        # ... the series cache only the points that were read, and the
+        # product cache the last task's products only
+        read = series_keys(4, reps, 4, 40)
+        assert len(read) < 60 and holds_exactly(relations._series, read)
+        assert holds_exactly(relations._product, product_keys(4, task_reps(task), 4, 40))
 
 
 def negate(x, N):
@@ -451,6 +460,16 @@ def product_keys(N, pairs, k_max, order):
                         if coef:
                             x, y = sorted([(i + 1, u), (P.degree - i + 1, v)])
                             keys.add((*x, *y, N, order))
+    return keys
+
+
+def series_keys(N, pairs, k_max, order):
+    """The _series keys the instances on these (a, b) pairs read:
+    E^{(k)} at a, b and c, and both factors of each of their products."""
+    keys = {(k, N, *x, order) for a, b in pairs for k in range(2, k_max + 1)
+            for x in (a, b, negate((a[0] + b[0], a[1] + b[1]), N))}
+    for i, x, j, y, _, _ in product_keys(N, pairs, k_max, order):
+        keys |= {(i, N, *x, order), (j, N, *y, order)}
     return keys
 
 
@@ -534,7 +553,7 @@ class TestScanSharding:
 def cold_caches():
     """Empty scan caches before and after the test, so that no series it
     built outlives it."""
-    caches = (relations._series, relations._int_form, relations._product)
+    caches = (relations._series, relations._orbit_series, relations._product)
 
     def clear():
         for cache in caches:
@@ -610,6 +629,11 @@ PERTURBATIONS = {
     # it as a factor
     "parity": (1, 3, (2, 2), plus_one, (3, 3, 20), ((2, 2), (2, 2), 3, 20),
                "is not g = "),
+    # E^{(1)}_{(3,1)} = (-1, 3, 1) E^{(1)}_{(1,0)} at N = 4, off by 1: a
+    # bracket at (1, 0) never reads (3, 1), yet builds and checks it with
+    # the orbit of (1, 0)
+    "orbit_mate": (1, 4, (3, 1), plus_one, (4, 3, 16), ((1, 0), (0, 1), 4, 16),
+                   "is not g = "),
 }
 
 
@@ -623,7 +647,7 @@ class TestEquivarianceCheck:
             run_scan(*scan)
         if brackets is not None:
             # a product with the perturbed factor is not built unchecked
-            for cache in (relations._series, relations._int_form, relations._product):
+            for cache in (relations._series, relations._orbit_series, relations._product):
                 cache.cache_clear()
             with pytest.raises(ArithmeticError, match=message):
                 bracket(HomPoly.monomial(0, 0), *brackets)
@@ -644,7 +668,7 @@ calls = [lambda: relations.run_scan(*scan)]
 if brackets is not None:
     calls.append(lambda: relations.bracket(HomPoly.monomial(0, 0), *brackets))
 for call in calls:
-    for cache in (relations._series, relations._int_form, relations._product):
+    for cache in (relations._series, relations._orbit_series, relations._product):
         cache.cache_clear()
     try:
         out = call()
@@ -656,6 +680,15 @@ for call in calls:
 """
         brackets = PERTURBATIONS[case][5]
         assert run_under_O(code) == ["ArithmeticError"] * (1 + (brackets is not None))
+
+    def test_direct_call_checks_whole_orbit(self, monkeypatch, cold_caches):
+        # verify_instance reads E^{(1)} at (1, 0) and (0, 1) only, and still
+        # checks their orbit mate (3, 1)
+        k, N, point, change, *_ = PERTURBATIONS["orbit_mate"]
+        monkeypatch.setattr(relations, "eisenstein_int_form",
+                            perturb(k, N, point, change))
+        with pytest.raises(ArithmeticError, match=r"E\^\(1\)_\(3, 1\) at level 4"):
+            verify_instance(RelationInstance(4, 2, 0, 0, (1, 0), (0, 1)), 16)
 
     def test_stabilizer_half_is_needed(self, monkeypatch, cold_caches):
         # +zeta at E^{(2)}_{(1,0)} and its image under g_x at every other
@@ -725,7 +758,7 @@ class TestOrbitTransport:
         assert 0 < direct["failed"] < direct["instances"]
         assert len({r["first_nonzero_exponent"] for r in direct["failures"]}) > 1
         for workers in (1, 2):
-            for cache in (relations._series, relations._int_form, relations._product):
+            for cache in (relations._series, relations._orbit_series, relations._product):
                 cache.cache_clear()
             assert run_scan(5, 5, 24, workers=workers) == direct, workers
 
