@@ -25,49 +25,31 @@ class LevelMismatchError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _mobius(n: int) -> int:
-    m = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            m = -m
-        p += 1
-    if n > 1:
-        m = -m
-    return m
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """The monic N-th cyclotomic polynomial Phi_N, integer coefficients.
 
-    Built as prod_{d|N} (x^{N/d} - 1)^{mu(d)} in integers: first every
-    mu = +1 factor is multiplied in by shift-and-subtract, then the product
-    is divided exactly by each mu = -1 factor x^m - 1 through the recurrence
-    q[i] = q[i-m] - p[i].  Degree is the Euler totient of N.
+    From its definition x^N - 1 = prod_{d|N} Phi_d: x^N - 1 divided by
+    Phi_d for each proper divisor d of N, each a monic long division in
+    integers.  Degree is the Euler totient of N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    divisors = [d for d in range(1, N + 1) if N % d == 0]
-    p = [1]
-    for d in divisors:
-        if _mobius(d) == 1:
-            m = N // d
-            p = [a - b for a, b in zip([0] * m + p, p + [0] * m)]
-    for d in divisors:
-        if _mobius(d) == -1:
-            m = N // d
-            q: list = []
-            for i, c in enumerate(p):
-                q.append((q[i - m] if i >= m else 0) - c)
-            # the last m terms of the recurrence are the remainder; an
-            # explicit raise, not an assert: python -O must not drop it
-            if any(q[-m:]):
+    p = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            phi = cyclotomic_polynomial(d)
+            m = len(phi) - 1
+            q = [0] * (len(p) - m)
+            for i in reversed(range(len(q))):
+                c = q[i] = p[i + m]
+                if c:
+                    for e, a in enumerate(phi):
+                        p[i + e] -= c * a
+            # p is now the remainder; an explicit raise, not an assert:
+            # python -O must not drop it
+            if any(p):
                 raise ArithmeticError("cyclotomic polynomial division must be exact")
-            p = q[:-m]
+            p = q
     return tuple(p)
 
 

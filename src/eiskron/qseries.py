@@ -32,11 +32,12 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .cyclotomic import (CycNum, LevelMismatchError, Scalar, _reduction_rows,
-                         reduce_mod_cyclotomic, reduction_norm, totient)
+from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_mod_cyclotomic,
+                         reduction_norm, totient)
 
 # integer form of a series: common denominator + integer coefficient vectors
 IntCoeffs = Dict[int, Tuple[int, ...]]
@@ -159,12 +160,9 @@ class QExpansion:
 
     def twist(self, j: int) -> "QExpansion":
         """Substitute tau -> tau + j: coefficient at q^{n/N} picks up zeta_N^{nj},
-        which rotates its vector by nj places."""
-        out = {}
-        for n, v in self.data.items():
-            r = n * j % self.level
-            out[n] = v[-r:] + v[:-r] if r else v
-        return from_int_form(self.level, self.order, self.den, out)
+        the action of (1, j, 1) (see act_int_form)."""
+        return from_int_form(self.level, self.order, self.den,
+                             act_int_form(self.level, (1, j, 1), 0, self.data))
 
     # -- predicates ----------------------------------------------------------
 
@@ -274,6 +272,33 @@ def from_int_form(level: int, order: int, den: int, data: IntCoeffs) -> QExpansi
     f = QExpansion.__new__(QExpansion)
     f._set(level, order, den, data)
     return f
+
+
+def act_int_form(level: int, g: Tuple[int, int, int], k: int,
+                 data: IntCoeffs) -> IntCoeffs:
+    """g = (s, j, t) of the group B (see relations) applied to the weight-k
+    series with length-level vectors data[n], modulo x^N - 1: s^k tau_j
+    sigma_t, which sends zeta^i q^{n/N} to s^k zeta^{t i + n j} q^{n/N}, so
+    entry m of the image at q^{n/N} is s^k data[n][t^-1 (m - n j)].  A
+    signed permutation of each vector, so no vector becomes zero."""
+    s, j, t = g
+    N = level
+    sigma = None
+    if (t - 1) % N:
+        # sigma_t: entry m is entry t^-1 m, one permutation for every
+        # vector; a unit t != 1 needs N >= 3, so the getter gives a tuple
+        t_inv = pow(t, -1, N)
+        sigma = itemgetter(*[t_inv * m % N for m in range(N)])
+    negate = s < 0 and k % 2
+    out = {}
+    for n, v in data.items():
+        if sigma:
+            v = sigma(v)
+        r = n * j % N
+        if r:  # tau_j: the vector at q^{n/N} rotates by n j places
+            v = v[-r:] + v[:-r]
+        out[n] = tuple([-x for x in v]) if negate else v
+    return out
 
 
 def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoeffs:
@@ -462,8 +487,9 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     a limb.  Adding the bias and masking to order*s limbs keeps exponents
     n < order exactly.  Column c is then shifted down, masked to the first
     limb of every block and unbiased; columns c >= N fold onto c - N
-    (zeta^N = 1), and the rows x^c mod Phi_N for phi <= c < N add the
-    rest into the first phi columns.  Every step acts on whole big ints.
+    (zeta^N = 1), and reduce_mod_cyclotomic adds the rest into the first
+    phi columns with the rows x^c mod Phi_N, phi <= c < N, as it reduces
+    any vector.  Every step acts on whole big ints.
     """
     if not all(isinstance(z, PackedSeries) and (z.level, z.order) == (N, T)
                for z in (f, g)):
@@ -488,12 +514,7 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     cols = [((t >> bits * c) & column) - column_bias for c in range(s)]
     for c in range(N, s):
         cols[c - N] += cols[c]
-    out = cols[:phi]
-    for row, col in zip(_reduction_rows(N), cols[phi:N]):
-        if col:
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += r * col
+    out = reduce_mod_cyclotomic(N, cols[:N])
     value = out[0]
     for j in range(1, phi):
         value += out[j] << bits * j

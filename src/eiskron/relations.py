@@ -21,8 +21,10 @@ every coefficient, and tau_j the twist tau -> tau + j, which multiplies
 the coefficient of q^{n/N} by zeta^{nj}.  That is an action, since
 sigma_t tau_j' = tau_{tj'} sigma_t, and tau_j sigma_t is a ring
 automorphism of the truncated series that fixes Q and every exponent.
-The series have E^{(k)}_{g x} = g E^{(k)}_x: the builder's coefficients
-are zeta^{+-mu a2} and Bernoulli constants, so sigma_t moves (a1, a2) to
+qseries.act_int_form applies g to integer vectors, and
+QExpansion.twist(j) is its case (1, j, 1).  The series have
+E^{(k)}_{g x} = g E^{(k)}_x: the builder's coefficients are
+zeta^{+-mu a2} and Bernoulli constants, so sigma_t moves (a1, a2) to
 (a1, t a2); the twist moves it to (a1, a2 + j a1) (acceptance criterion
 3); and E^{(k)}_{-x} = (-1)^k E^{(k)}_x.
 
@@ -82,7 +84,7 @@ from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Seq
 
 from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
-from .qseries import (IntCoeffs, PackedSeries, QExpansion, convolve_int,
+from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
                       from_int_form, linear_combination, reduce_int_form)
 
 Pair = Tuple[int, int]
@@ -325,19 +327,6 @@ def _orbit_map(N: int) -> Mapping[Pair, Tuple[Pair, Tuple[Symmetry, ...]]]:
     return MappingProxyType(out)
 
 
-def _image(g: Symmetry, k: int, N: int, data: IntCoeffs) -> IntCoeffs:
-    """g applied to the weight-k series with length-N vectors data[n]
-    (modulo x^N - 1): zeta^i q^{n/N} goes to s^k zeta^{t i + n j} q^{n/N}.
-    A signed permutation of each vector, so no vector becomes zero."""
-    s, j, t = g
-    t_inv = pow(t, -1, N)
-    # entry m of the image at q^{n/N} is entry t^-1 (m - n j) of the vector
-    sources = [[t_inv * (m - r) % N for m in range(N)] for r in range(N)]
-    if s < 0 and k % 2:
-        return {n: tuple([-vec[i] for i in sources[n * j % N]]) for n, vec in data.items()}
-    return {n: tuple([vec[i] for i in sources[n * j % N]]) for n, vec in data.items()}
-
-
 @lru_cache(maxsize=None)
 def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSeries]:
     """{x: E^{(k)}_x reduced mod Phi_N and packed} over the B-orbit of its
@@ -357,7 +346,7 @@ def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSe
                      eisenstein_int_form(EisensteinIndex(k, N, *x), order))
         reduced = reduce_int_form(N, data)
         for g in points[x][1]:
-            image = _image(g, k, N, r_data)
+            image = act_int_form(N, g, k, r_data)
             # an explicit raise, not an assert: python -O must not drop exactness
             if den != r_den or (image != data and reduce_int_form(N, image) != reduced):
                 what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
@@ -471,6 +460,8 @@ def bracket(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> QExpansion:
 
     Coefficients are in the Phi_N-reduced basis (see qseries.PackedSeries).
     """
+    if N < 1:
+        raise ValueError("level must be >= 1")
     terms = _product_terms(_monomials(P), (a[0] % N, a[1] % N), (b[0] % N, b[1] % N),
                            N, order)
     return from_int_form(N, order, *linear_combination(N, order, terms).unpack())

@@ -101,12 +101,11 @@ class TestCyclotomicPolynomial:
         assert approx == list(cyclotomic_polynomial(N))
 
     def test_inexact_division_raises(self, monkeypatch):
-        # with mu(6) negated, Phi_6 is divided by x - 1, which does not
-        # divide it; the cache is cleared so that no wrong Phi_N outlives
-        # the test
-        mobius = cyclotomic._mobius
-        monkeypatch.setattr(cyclotomic, "_mobius",
-                            lambda n: -mobius(n) if n == 6 else mobius(n))
+        # with a wrong monic Phi_3 = x^2 + 1, x^6 - 1 over Phi_1 Phi_2 is
+        # x^4 + x^2 + 1, which x^2 + 1 does not divide; the cache is
+        # cleared so that no wrong Phi_N outlives the test
+        monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial",
+                            lambda n: (1, 0, 1) if n == 3 else cyclotomic_polynomial(n))
         cyclotomic_polynomial.cache_clear()
         try:
             with pytest.raises(ArithmeticError, match="must be exact"):
@@ -121,11 +120,11 @@ import sys
 from eiskron import cyclotomic
 if not sys.flags.optimize:
     sys.exit(3)
-mobius = cyclotomic._mobius
-cyclotomic._mobius = lambda n: -mobius(n) if n == 6 else mobius(n)
-cyclotomic.cyclotomic_polynomial.cache_clear()
+phi = cyclotomic.cyclotomic_polynomial
+cyclotomic.cyclotomic_polynomial = lambda n: (1, 0, 1) if n == 3 else phi(n)
+phi.cache_clear()
 try:
-    out = cyclotomic.cyclotomic_polynomial(6)
+    out = phi(6)
 except ArithmeticError as exc:
     print(type(exc).__name__)
 else:

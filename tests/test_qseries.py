@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 import eiskron
 from eiskron.cyclotomic import (CycNum, LevelMismatchError, cyclotomic_polynomial,
                                 reduction_norm, totient, zeta_pow)
-from eiskron.qseries import (PackedSeries, QExpansion, _pack, convolve_int,
-                             convolve_naive, from_int_form, int_form_is_zero,
-                             linear_combination, reduce_int_form, to_int_form)
+from eiskron.qseries import (PackedSeries, QExpansion, _pack, act_int_form,
+                             convolve_int, convolve_naive, from_int_form,
+                             int_form_is_zero, linear_combination, reduce_int_form,
+                             to_int_form)
+from eiskron.relations import _symmetries
 
 
 def one(N):
@@ -132,6 +134,37 @@ class TestScaleAndSubstitutions:
                                    for n in range(1, 15, 3)})
             for j in range(N):
                 assert (f * g).twist(j).field_equals(f.twist(j) * g.twist(j))
+
+
+class TestAction:
+    """act_int_form is an action of the group B of relations' orbit
+    transport on integer vectors modulo x^N - 1."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 12])
+    def test_action_of_B(self, N):
+        rng = random.Random(N)
+        data = {n: tuple(rng.randint(-9, 9) for _ in range(N)) for n in range(0, 9, 2)}
+        B = _symmetries(N)
+        for k in (1, 2):
+            images = {g: act_int_form(N, g, k, data) for g in B}
+            for g, image in images.items():
+                s, j, t = g
+                t_inv = pow(t, -1, N)
+                assert image == {n: tuple(s ** k * v[t_inv * (m - n * j) % N]
+                                          for m in range(N))
+                                 for n, v in data.items()}
+                for h, h_image in images.items():
+                    gh = (s * h[0], (j + t * h[1]) % N, t * h[2] % N or N)
+                    assert gh in images
+                    assert act_int_form(N, g, k, h_image) == images[gh], (g, h)
+
+    @pytest.mark.parametrize("N", [1, 3, 4, 12])
+    def test_twist_is_the_action_of_1_j_1(self, N):
+        rng = random.Random(N)
+        f = from_int_form(N, 9, 5, {n: tuple(rng.randint(-9, 9) for _ in range(N))
+                                    for n in range(9)})
+        for j in range(-N, 2 * N):
+            assert dict(f.twist(j).data) == act_int_form(N, (1, j, 1), 1, f.data)
 
 
 def hidden_zero(N):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import eiskron
 from eiskron import relations
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import QExpansion
+from eiskron.qseries import QExpansion, act_int_form
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -112,6 +112,11 @@ class TestBracket:
         a, b, N, T = (1, 0), (1, 1), 2, 16
         s = bracket(x, a, b, N, T) + bracket(y, a, b, N, T)
         assert bracket(xy, a, b, N, T).field_equals(s)
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_level_below_one_rejected(self, N):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            bracket(HomPoly.monomial(0, 0), (1, 0), (0, 1), N, 8)
 
 
 class TestInstanceValidation:
@@ -566,28 +571,28 @@ def cold_caches():
 
 def perturb(k, N, point, change):
     """eisenstein_int_form with E^{(k)}_point at level N replaced by
-    change(data), a dict of its integer vectors over the same den."""
+    change(den, data), a den and a dict of integer vectors."""
     exact = relations.eisenstein_int_form
 
     def perturbed(idx, order):
         den, data = exact(idx, order)
         if (idx.k, idx.N, (idx.a1, idx.a2)) == (k, N, point):
-            data = change(dict(data))
+            den, data = change(den, dict(data))
         return den, data
 
     return perturbed
 
 
-def plus_one(data):
-    # +1 in the first coefficient
+def plus_one(den, data):
+    # +1/den in the first coefficient
     n = min(data)
-    return {**data, n: (data[n][0] + 1, *data[n][1:])}
+    return den, {**data, n: (data[n][0] + 1, *data[n][1:])}
 
 
-def plus_zeta(data):
-    # +zeta in the first coefficient: sigma_2 moves it, at N = 3, to zeta^2
+def plus_zeta(den, data):
+    # +zeta/den in the first coefficient: sigma_2 moves it, at N = 3, to zeta^2
     n = min(data)
-    return {**data, n: (data[n][0], data[n][1] + 1, *data[n][2:])}
+    return den, {**data, n: (data[n][0], data[n][1] + 1, *data[n][2:])}
 
 
 def orbit_plus_zeta(k, N, rep, exact):
@@ -613,15 +618,19 @@ def orbit_plus_zeta(k, N, rep, exact):
 PERTURBATIONS = {
     # E^{(2)}_{(3,1)} = g E^{(2)}_{(1,0)} at N = 4, g = (-1, 3, 1): not the
     # least point of its orbit
-    "non_representative": (2, 4, (3, 1), lambda data: {
-        **data, 0: (data[0][0] + 1, *data[0][1:])}, (4, 3, 16), None, "is not g = "),
+    "non_representative": (2, 4, (3, 1), lambda den, data: (den, {
+        **data, 0: (data[0][0] + 1, *data[0][1:])}), (4, 3, 16), None, "is not g = "),
+    # the same point over 2 den with the same vectors: only the den differs
+    # from g E^{(2)}_{(1,0)}
+    "double_den": (2, 4, (3, 1), lambda den, data: (2 * den, data), (4, 3, 16), None,
+                   "is not g = "),
     # the representative E^{(2)}_{(1,0)} at N = 3, moved by sigma_2, which
     # fixes (1, 0)
     "stabilizer": (2, 3, (1, 0), plus_zeta, (3, 3, 16), None, "stabilizer"),
     # E^{(1)}_{(2,0)} at N = 4, given a rational constant term, which no
     # twist or Galois map moves: parity (-1, 0, 1) fixes the 2-torsion
     # point (2, 0), so the odd-weight series must vanish
-    "two_torsion": (1, 4, (2, 0), lambda data: {**data, 0: (1, 0, 0, 0)},
+    "two_torsion": (1, 4, (2, 0), lambda den, data: (den, {**data, 0: (1, 0, 0, 0)}),
                     (4, 3, 16), ((2, 0), (1, 1), 4, 16),
                     r"\(-1, 0, 1\) in its stabilizer"),
     # E^{(1)}_{(2,2)} = -E^{(1)}_{(1,1)} at N = 3, off by 1: not the least
@@ -698,7 +707,7 @@ for call in calls:
         perturbed = orbit_plus_zeta(2, 3, (1, 0), exact)
         for x in [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]:
             r, (g,) = relations._orbit_map(3)[x]
-            image = relations._image(g, 2, 3, perturbed(EisensteinIndex(2, 3, 1, 0), 16)[1])
+            image = act_int_form(3, g, 2, perturbed(EisensteinIndex(2, 3, 1, 0), 16)[1])
             assert (r, image) == ((1, 0), perturbed(EisensteinIndex(2, 3, *x), 16)[1])
         monkeypatch.setattr(relations, "eisenstein_int_form", perturbed)
         with pytest.raises(ArithmeticError, match="stabilizer"):
