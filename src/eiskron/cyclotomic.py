@@ -14,6 +14,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -102,6 +104,26 @@ def reduce_mod_cyclotomic(level: int, coeffs: Sequence) -> list:
             for i, r in enumerate(row):
                 if r:
                     res[i] = res[i] + c * r
+    return res
+
+
+def reduce_columns(level: int, cols: Sequence[Sequence[int]]) -> list:
+    """reduce_mod_cyclotomic on many vectors at once, held as columns: cols[c]
+    lists entry c of every vector (between 1 and level columns, all of one
+    length).  Returns the phi(level) columns of the remainders: the row
+    x^c mod Phi_level, phi <= c < level, adds r times column c to column i
+    for each entry r of the row, one map over the whole column."""
+    deg = totient(level)
+    res = list(cols[:deg])
+    res += [(0,) * len(cols[0])] * (deg - len(res))
+    for col, row in zip(cols[deg:level], _reduction_rows(level)):
+        for i, r in enumerate(row):
+            if r == 1:
+                res[i] = list(map(add, res[i], col))
+            elif r == -1:
+                res[i] = list(map(sub, res[i], col))
+            elif r:
+                res[i] = list(map(add, res[i], map(mul, col, repeat(r))))
     return res
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .cyclotomic import CycNum, Rat, reduce_mod_cyclotomic, totient
 from .qseries import IntCoeffs, QExpansion, from_int_form
@@ -92,14 +92,22 @@ def bernoulli_poly_eval(m: int, t: Rat) -> Rat:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_constant(k: int, N: int, a1: int) -> Tuple[int, Tuple[int, ...]]:
+    """(den, vector) of the weight k >= 2 constant term B_k(a1/N)/k.  A
+    B-orbit maps a1 only to +-a1, so an orbit's series evaluate the
+    Fraction polynomial at most twice; tuples, so no caller can change it."""
+    c = bernoulli_poly_eval(k, Fraction(a1, N)) / k
+    return c.denominator, (c.numerator,) + (0,) * (N - 1)
+
+
 def _constant_int(idx: EisensteinIndex) -> Tuple[int, Tuple[int, ...]]:
     """(den, vector): the coefficient of q^0 as a length-N integer vector
     over den, per the weight-1 case split / Bernoulli values."""
     N, k, a1, a2 = idx.N, idx.k, idx.a1, idx.a2
-    pad = (0,) * (N - 1)
     if k >= 2:
-        c = bernoulli_poly_eval(k, Fraction(a1, N)) / k
-        return c.denominator, (c.numerator,) + pad
+        return _bernoulli_constant(k, N, a1)
+    pad = (0,) * (N - 1)
     if a1 == 0 and a2 == 0:
         return 1, (0,) + pad
     if a1 == 0:
@@ -124,30 +132,39 @@ def constant_term(idx: EisensteinIndex) -> CycNum:
 
 def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, IntCoeffs]:
     """(den, {n: integer vector}): the series at idx, all exponents n/N with
-    n < order, as vector/den over the least common denominator den.  Not
-    cached: callers cache what they derive from it."""
+    n < order in increasing n, as vector/den over the least common
+    denominator den.  Not cached: callers cache what they derive from it."""
     if order < 1:
         raise ValueError("order must be >= 1")
     k, N, a1, a2 = idx.k, idx.N, idx.a1, idx.a2
     c_den, c0 = _constant_int(idx)
     # (m/N)^{k-1} and the constant term are integers over D; den = D / gcd
     D = lcm(N ** (k - 1), c_den)
-    acc: Dict[int, list] = {0: [x * (D // c_den) for x in c0]}
+    unit = D // N ** (k - 1)
+    # entry i of the vector at q^{n/N} is flat[n*N + i]
+    flat = [x * (D // c_den) for x in c0] + [0] * ((order - 1) * N)
+    end = order * N
 
-    # branch over nu in a1/N + Z (sign -1) and nu in -a1/N + Z (sign (-1)^{k+1})
-    for start, chsign, sign in (
-        (a1 if a1 else N, +1, -1),
-        ((N - a1) if a1 else N, -1, (-1) ** (k + 1)),
+    # branch over nu in a1/N + Z (sign -1) and nu in -a1/N + Z (sign (-1)^{k+1});
+    # the term at mu sits at q^{mu m/N}, zeta index mu*step mod N
+    for start, step, sign in (
+        (a1 if a1 else N, a2, -1),
+        ((N - a1) if a1 else N, -a2 % N, (-1) ** (k + 1)),
     ):
         for m in range(start, order, N):
-            val = sign * m ** (k - 1) * D // N ** (k - 1)
-            for mu in range(1, (order - 1) // m + 1):
-                vec = acc.setdefault(mu * m, [0] * N)
-                vec[chsign * mu * a2 % N] += val
+            val = sign * m ** (k - 1) * unit
+            i = 0
+            for pos in range(m * N, end, m * N):
+                i += step
+                if i >= N:
+                    i -= N
+                flat[pos + i] += val
 
-    data = {n: vec for n, vec in acc.items() if any(vec)}
-    g = gcd(D, *(x for vec in data.values() for x in vec))
-    return D // g, {n: tuple(x // g for x in vec) for n, vec in data.items()}
+    g = gcd(D, *flat)
+    if g > 1:
+        flat = [x // g for x in flat]
+    # the N-tuples of flat, one per exponent; all-zero ones are dropped
+    return D // g, {n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)}
 
 
 @lru_cache(maxsize=None)

@@ -16,13 +16,17 @@ The exact scan runs on PackedSeries: each series is reduced mod Phi_N,
 which makes it canonical, and packed into one signed big integer,
 two-dimensionally: the zeta exponent selects a limb within a block of
 2*phi - 1 limbs, the q exponent selects the block, so that a product of
-two packed series fits the same layout.  A product (convolve_int) is one
-big-integer multiply (Kronecker substitution), a truncation mask, column
-masks and the rows x^c mod Phi_N applied to whole columns; a linear
-combination is a few big-int multiply-adds, and it is zero in Q(zeta_N)
-iff its value is 0.  Limbs are signed (two's complement bytes offset by a
-per-limb bias), every limb width comes from a derived height bound that
-is checked at run time, and no scan step loops over limbs in Python.
+two packed series fits the same layout.  Reducing (reduce_int_form) and
+packing transpose a series' vectors once and work on whole columns.  A
+product (convolve_int) is one big-integer multiply (Kronecker
+substitution), a truncation mask, column masks and the rows x^c mod Phi_N
+applied to whole columns; a linear combination is a few big-int
+multiply-adds, and it is zero in Q(zeta_N) iff its value is 0.  Limbs are
+signed (two's complement bytes offset by a per-limb bias), and every limb
+width comes from a derived height bound that is checked at run time.  Two
+steps still touch limbs one at a time in Python: pack writes each limb
+with one to_bytes call (one comprehension per column), and unpack reads
+each limb back, which the scan does only for a failed instance.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat, zip_longest
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple, Union
 
-from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_mod_cyclotomic,
-                         reduction_norm, totient)
+from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_columns,
+                         reduce_mod_cyclotomic, reduction_norm, totient)
 
 # integer form of a series: common denominator + integer coefficient vectors
 IntCoeffs = Dict[int, Tuple[int, ...]]
@@ -330,14 +335,15 @@ def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoe
 # ---------------------------------------------------------------------------
 
 def reduce_int_form(level: int, data: IntCoeffs) -> IntCoeffs:
-    """Each vector reduced mod Phi_level: phi(level) coefficients in the
-    canonical basis 1, zeta, ..., zeta^(phi-1); zero vectors are dropped."""
-    out: IntCoeffs = {}
-    for n, vec in data.items():
-        red = tuple(reduce_mod_cyclotomic(level, vec))
-        if any(red):
-            out[n] = red
-    return out
+    """Each vector (length <= level) reduced mod Phi_level: phi(level)
+    coefficients in the canonical basis 1, zeta, ..., zeta^(phi-1); zero
+    vectors are dropped.  The vectors are transposed once, so that the
+    reduction runs on whole columns (see reduce_columns)."""
+    if not data:
+        return {}
+    cols = list(zip_longest(*data.values(), fillvalue=0)) or [(0,) * len(data)]
+    return {n: vec for n, vec in zip(data, zip(*reduce_columns(level, cols)))
+            if any(vec)}
 
 
 def _limb_width(bound: int) -> int:
@@ -367,16 +373,20 @@ def _bias(positions: int, width: int, spacing: int = 0) -> int:
 
 
 def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> int:
-    """sum of data[n][j] * 2^(8*width*(n*stride + j)), as one signed int."""
-    buf = bytearray(positions * width)
-    for n, vec in data.items():
-        off = n * stride * width
-        for v in vec:
-            buf[off:off + width] = v.to_bytes(width, "little", signed=True)
-            off += width
+    """sum of data[n][j] * 2^(8*width*(n*stride + j)), as one signed int:
+    the vectors transposed once into columns over n < positions / stride,
+    each column's limbs written by one to_bytes pass into every stride-th
+    place of the layout, and the layout joined once."""
+    order = positions // stride
+    zero = bytes(width)
+    limbs = [zero] * positions
+    rows = map(data.get, range(order), repeat(()))
+    for j, col in enumerate(zip_longest(*rows, fillvalue=0)):
+        limbs[j::stride] = [v.to_bytes(width, "little", signed=True)
+                            for v in col]
     H = _bias(positions, width)
     # flipping each limb's sign bit reads two's complement v as v + 2^(8w-1)
-    return (int.from_bytes(buf, "little") ^ H) - H
+    return (int.from_bytes(b"".join(limbs), "little") ^ H) - H
 
 
 @lru_cache(maxsize=256)
@@ -417,10 +427,11 @@ class PackedSeries(NamedTuple):
         """Pack reduced vectors (length <= phi, as from reduce_int_form) with
         keys < order."""
         phi = totient(level)
-        if any(len(vec) > phi or not 0 <= n < order for n, vec in data.items()):
+        if data and (max(map(len, data.values())) > phi or min(data) < 0
+                     or max(data) >= order):
             raise ValueError(f"pack takes vectors of at most {phi} entries "
                              f"at keys 0 <= n < {order}")
-        height = max((abs(x) for vec in data.values() for x in vec), default=0)
+        height = max(map(abs, chain.from_iterable(data.values())), default=0)
         width = _limb_width(height)
         s = _stride(level)
         return cls(level, order, den, height, width, _pack(data, order * s, width, s))

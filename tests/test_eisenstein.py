@@ -8,7 +8,7 @@ import pytest
 
 from eiskron.cyclotomic import CycNum, zeta_pow
 from eiskron.eisenstein import (EisensteinIndex, InvalidIndexError,
-                                bernoulli_number, bernoulli_poly_eval,
+                                _bernoulli_constant, bernoulli_number, bernoulli_poly_eval,
                                 bg_tilde_s, constant_term, eisenstein_int_form,
                                 eisenstein_qexp)
 from eiskron.qseries import QExpansion
@@ -176,10 +176,12 @@ class TestQExpansion:
         # independent double-sum oracle for the integer builder: for mu >= 1,
         # -zeta^{mu a2} nu^{k-1} q^{mu nu} over nu > 0 in a1/N + Z, and the
         # mirrored (-1)^{k+1} zeta^{-mu a2} nu^{k-1} q^{mu nu} over nu > 0 in
-        # -a1/N + Z; both branches count when they meet (a1 = 0 or N/2)
-        T = 30
-        for N in range(1, 7):
-            for k in range(1, 9):
+        # -a1/N + Z; both branches count when they meet (a1 = 0 or N/2).  At
+        # order N^2 + N + 1 the zeta index mu*a2 mod N wraps many times.
+        sweeps = [(N, range(1, 9), 30) for N in range(1, 7)]
+        sweeps += [(N, range(1, 5), N * N + N + 1) for N in (7, 8, 9, 12)]
+        for N, weights, T in sweeps:
+            for k in weights:
                 for a1 in range(N):
                     for a2 in range(N):
                         if (k, a1, a2) == (2, 0, 0):
@@ -252,6 +254,38 @@ class TestQExpansion:
 
 
 class TestIntegerBuilder:
+    def test_constant_cache(self):
+        # the weight >= 2 constant term B_k(a1/N)/k, cached as tuples
+        for k in range(2, 9):
+            for N in range(1, 13):
+                for a1 in range(N):
+                    got = _bernoulli_constant(k, N, a1)
+                    den, vec = got
+                    assert type(got) is tuple and type(vec) is tuple
+                    assert len(vec) == N and not any(vec[1:])
+                    assert Fraction(vec[0], den) == bernoulli_poly_eval(k, Fraction(a1, N)) / k
+                    assert _bernoulli_constant(k, N, a1) is got
+
+    def test_orbit_evaluates_bernoulli_at_most_twice(self, monkeypatch):
+        # a B-orbit maps a1 only to +-a1: one orbit, one or two evaluations
+        from eiskron import eisenstein, relations
+        calls = []
+
+        def counted(m, t):
+            calls.append((m, t))
+            return bernoulli_poly_eval(m, t)
+
+        monkeypatch.setattr(eisenstein, "bernoulli_poly_eval", counted)
+        _bernoulli_constant.cache_clear()
+        relations._orbit_series.cache_clear()
+        try:
+            orbit = relations._orbit_series(4, 12, (1, 0), 20)
+            assert len(orbit) == 24
+            assert sorted(calls) == [(4, Fraction(1, 12)), (4, Fraction(11, 12))]
+        finally:
+            _bernoulli_constant.cache_clear()
+            relations._orbit_series.cache_clear()
+
     def test_scan_builds_no_fraction_series(self, monkeypatch):
         # the scan builds its series in integers: neither the cached
         # QExpansion builder nor the Fraction-to-integer conversion runs

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eiskron
-from eiskron.cyclotomic import (CycNum, LevelMismatchError, cyclotomic_polynomial,
+from eiskron.cyclotomic import (CycNum, LevelMismatchError, _reduction_rows,
+                                cyclotomic_polynomial, reduce_mod_cyclotomic,
                                 reduction_norm, totient, zeta_pow)
 from eiskron.qseries import (PackedSeries, QExpansion, _pack, act_int_form,
                              convolve_int, convolve_naive, from_int_form,
@@ -441,6 +442,80 @@ class TestIntForm:
 
 # limbs at the edges of signed 8-byte limbs, and beyond
 EDGE_LIMBS = (2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63, 2 ** 64, 0)
+
+
+@st.composite
+def mixed_vectors(draw):
+    """(N, data): vectors of mixed lengths <= N at sparse keys, some all
+    zero, sometimes no vectors at all; N = 105 is the first level whose
+    reduction rows hold an entry other than +-1."""
+    N = draw(st.sampled_from(tuple(range(1, 13)) + (105,)))
+    limb = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30),
+                     st.sampled_from(EDGE_LIMBS))
+    vector = st.one_of(st.lists(limb, max_size=N),
+                       st.integers(0, N).map(lambda n: [0] * n))
+    keys = draw(st.lists(st.integers(0, 200), unique=True, max_size=6))
+    return N, {n: tuple(draw(vector)) for n in keys}
+
+
+@st.composite
+def packable(draw):
+    """(N, T, data): reduced vectors, some short, at sparse keys below T,
+    with limbs at and beyond the edges of signed 8-byte limbs."""
+    N = draw(st.sampled_from((1, 2, 3, 4, 5, 12)))
+    T = draw(st.integers(1, 30))
+    limb = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.sampled_from((2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 63, -2 ** 127, 0)))
+    keys = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+    return N, T, {n: tuple(draw(st.lists(limb, max_size=totient(N)))) for n in keys}
+
+
+class TestColumnarPath:
+    """reduce_int_form and PackedSeries.pack work on whole columns; each
+    must agree with the per-vector definition it replaces."""
+
+    def test_level_105_has_a_general_multiplier(self):
+        assert any(abs(r) > 1 for row in _reduction_rows(105) for r in row)
+
+    @example((105, {0: (0,) * 48 + (1,), 5: (1,) * 105, 9: (), 2: (0,) * 30,
+                    4: tuple(range(-52, 53))}))
+    @example((12, {1: (1, 2), 2: (0,) * 12, 3: (2 ** 63, -2 ** 127) * 6}))
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_vectors())
+    def test_reduce_matches_per_vector(self, case):
+        N, data = case
+        expect = {n: tuple(reduce_mod_cyclotomic(N, vec)) for n, vec in data.items()}
+        got = reduce_int_form(N, data)
+        assert got == {n: vec for n, vec in expect.items() if any(vec)}
+        assert all(len(vec) == totient(N) for vec in got.values())
+
+    @pytest.mark.parametrize("N", (1, 2, 3, 5, 12, 105))
+    def test_reduce_edge_inputs(self, N):
+        phi = totient(N)
+        assert reduce_int_form(N, {}) == {}
+        assert reduce_int_form(N, {3: (), 7: (0,) * N}) == {}
+        # the last entry alone is x^(N-1) mod Phi_N, the last reduction row
+        last = (0,) * (N - 1) + (1,)
+        row = _reduction_rows(N)[-1] if N - 1 >= phi else last
+        assert reduce_int_form(N, {0: last, 1: (2,)}) == \
+            {0: tuple(row), 1: (2,) + (0,) * (phi - 1)}
+
+    @example((1, 3, {0: (2 ** 63,), 2: (-2 ** 127,)}))
+    @example((2, 5, {1: (2 ** 63 - 1,), 4: (-(2 ** 63 - 1),), 3: ()}))
+    @example((5, 9, {8: (2 ** 63, 0), 0: (), 3: (-2 ** 127, 2 ** 63 - 1, 1),
+                     6: (0, 0, 0, -(2 ** 63 - 1))}))
+    @settings(max_examples=200, deadline=None)
+    @given(packable())
+    def test_pack_unpack_round_trip(self, case):
+        N, T, data = case
+        phi = totient(N)
+        x = PackedSeries.pack(N, T, 5, data)
+        height = max((abs(v) for vec in data.values() for v in vec), default=0)
+        assert (x.height, x.width) == (height, 8 * (height.bit_length() // 64 + 1))
+        pad = (0,) * (N - phi)
+        assert x.unpack() == (5, {n: vec + (0,) * (phi - len(vec)) + pad
+                                  for n, vec in data.items() if any(vec)})
+        assert x.is_zero() == (height == 0)
 
 
 @st.composite
