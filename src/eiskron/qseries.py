@@ -16,8 +16,9 @@ The exact scan runs on PackedSeries: each series is reduced mod Phi_N,
 which makes it canonical, and packed into one signed big integer,
 two-dimensionally: the zeta exponent selects a limb within a block of
 2*phi - 1 limbs, the q exponent selects the block, so that a product of
-two packed series fits the same layout.  Reducing (reduce_int_form) and
-packing transpose a series' vectors once and work on whole columns.  A
+two packed series fits the same layout.  PackedSeries.pack is the one way
+in: it transposes the builder's unreduced vectors once into columns,
+reduces the columns mod Phi_N and writes them as limbs.  A
 product (convolve_int) is one big-integer multiply (Kronecker
 substitution), a truncation mask, column masks and the rows x^c mod Phi_N
 applied to whole columns; a linear combination is a few big-int
@@ -334,18 +335,6 @@ def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoe
 # Phi_N-reduced series packed as one signed int: the residual path.
 # ---------------------------------------------------------------------------
 
-def reduce_int_form(level: int, data: IntCoeffs) -> IntCoeffs:
-    """Each vector (length <= level) reduced mod Phi_level: phi(level)
-    coefficients in the canonical basis 1, zeta, ..., zeta^(phi-1); zero
-    vectors are dropped.  The vectors are transposed once, so that the
-    reduction runs on whole columns (see reduce_columns)."""
-    if not data:
-        return {}
-    cols = list(zip_longest(*data.values(), fillvalue=0)) or [(0,) * len(data)]
-    return {n: vec for n, vec in zip(data, zip(*reduce_columns(level, cols)))
-            if any(vec)}
-
-
 def _limb_width(bound: int) -> int:
     """Bytes per signed limb holding |v| <= bound: the smallest multiple of
     8 with bound < 2^(8w-1), so that series of similar height share widths."""
@@ -372,16 +361,14 @@ def _bias(positions: int, width: int, spacing: int = 0) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80" + pad) * positions, "little")
 
 
-def _pack(data: IntCoeffs, positions: int, width: int, stride: int) -> int:
-    """sum of data[n][j] * 2^(8*width*(n*stride + j)), as one signed int:
-    the vectors transposed once into columns over n < positions / stride,
-    each column's limbs written by one to_bytes pass into every stride-th
-    place of the layout, and the layout joined once."""
-    order = positions // stride
+def _pack(cols: Sequence[Sequence[int]], positions: int, width: int,
+          stride: int) -> int:
+    """sum of cols[j][n] * 2^(8*width*(n*stride + j)) as one signed int: each
+    column of positions / stride limbs written by one to_bytes pass into
+    every stride-th place of the layout, and the layout joined once."""
     zero = bytes(width)
     limbs = [zero] * positions
-    rows = map(data.get, range(order), repeat(()))
-    for j, col in enumerate(zip_longest(*rows, fillvalue=0)):
+    for j, col in enumerate(cols):
         limbs[j::stride] = [v.to_bytes(width, "little", signed=True)
                             for v in col]
     H = _bias(positions, width)
@@ -424,17 +411,22 @@ class PackedSeries(NamedTuple):
 
     @classmethod
     def pack(cls, level: int, order: int, den: int, data: IntCoeffs) -> "PackedSeries":
-        """Pack reduced vectors (length <= phi, as from reduce_int_form) with
-        keys < order."""
-        phi = totient(level)
-        if data and (max(map(len, data.values())) > phi or min(data) < 0
+        """The series data[n] / den reduced mod Phi_N and packed, for vectors
+        modulo x^N - 1 (length <= level, as the builder gives them) at keys
+        0 <= n < order: the one way into a PackedSeries.  One transpose into
+        dense columns over n < order, reduce_columns, then the height is
+        measured on the reduced limbs and the limbs are written."""
+        if data and (max(map(len, data.values())) > level or min(data) < 0
                      or max(data) >= order):
-            raise ValueError(f"pack takes vectors of at most {phi} entries "
+            raise ValueError(f"pack takes vectors of at most {level} entries "
                              f"at keys 0 <= n < {order}")
-        height = max(map(abs, chain.from_iterable(data.values())), default=0)
+        rows = map(data.get, range(order), repeat(()))
+        cols = reduce_columns(level, list(zip_longest(*rows, fillvalue=0))
+                              or [(0,) * order])
+        height = max(map(abs, chain.from_iterable(cols)), default=0)
         width = _limb_width(height)
         s = _stride(level)
-        return cls(level, order, den, height, width, _pack(data, order * s, width, s))
+        return cls(level, order, den, height, width, _pack(cols, order * s, width, s))
 
     def at(self, width: int) -> int:
         """The packed int at limb width >= self.width.

@@ -85,7 +85,7 @@ from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Seq
 from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
-                      from_int_form, linear_combination, reduce_int_form)
+                      from_int_form, linear_combination)
 
 Pair = Tuple[int, int]
 
@@ -335,8 +335,9 @@ def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSe
     (r, gs) = _orbit_map(N)[x], E_x must have the den of E_r and equal
     g E_r for each g in gs, else ArithmeticError.  The unreduced vectors
     are compared first; where they differ (the weight-1 constant term at
-    a1 = 0 is built reduced), the reduced ones decide.  r and its
-    stabilizer are checked first.
+    a1 = 0 is built reduced), the packed series decide: reduced forms are
+    canonical, so equal packed series are equal in Q(zeta_N).  r and its
+    stabilizer are checked first.  This is the one cache of the series.
     """
     points = _orbit_map(N)
     r_den, r_data = eisenstein_int_form(EisensteinIndex(k, N, *r), order)
@@ -344,23 +345,23 @@ def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSe
     for x in [r] + [x for x, (y, _) in points.items() if y == r and x != r]:
         den, data = ((r_den, r_data) if x == r else
                      eisenstein_int_form(EisensteinIndex(k, N, *x), order))
-        reduced = reduce_int_form(N, data)
+        packed = PackedSeries.pack(N, order, den, data)
         for g in points[x][1]:
             image = act_int_form(N, g, k, r_data)
             # an explicit raise, not an assert: python -O must not drop exactness
-            if den != r_den or (image != data and reduce_int_form(N, image) != reduced):
+            if den != r_den or (image != data and
+                                PackedSeries.pack(N, order, den, image) != packed):
                 what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
                         f"fixed by g = (s, j, t) = {g} in its stabilizer")
                 raise ArithmeticError(f"E^({k})_{x} at level {N} is not {what}: "
                                       "orbit transport would not be exact")
-        out[x] = PackedSeries.pack(N, order, den, reduced)
+        out[x] = packed
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=None)
 def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
-    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed, from its checked
-    orbit (see _orbit_series)."""
+    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed: a lookup into its
+    checked orbit, which _orbit_series caches."""
     return _orbit_series(k, N, _orbit_map(N)[(a1, a2)][0], order)[(a1, a2)]
 
 
@@ -603,7 +604,6 @@ def _scan_chunk(args) -> Tuple[int, List[dict]]:
     # one task's.  Caches are per process: a pool worker clears its own.
     _product.cache_clear()
     if _cached_at != (N, order):  # no series is used at another level or order
-        _series.cache_clear()
         _orbit_series.cache_clear()
         _cached_at = (N, order)
     covered, failures = 0, []

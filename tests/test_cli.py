@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from eiskron import relations
 from eiskron.cli import build_parser, main
 
 
@@ -87,6 +88,25 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--level", "3", "--weight", "2",
                          "--split", "1,0", "--a", "1,0", "--b", "0,1")
         assert code == 2
+
+    def test_level_zero_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--level", "0", "--weight", "2",
+                             "--split", "0,0", "--a", "1,0", "--b", "0,1")
+        assert code == 2 and out == "" and "level must be >= 1" in err
+
+    def test_failing_instance_exits_1(self, capsys, monkeypatch):
+        # alpha + 1 in every plan: the residual is E^(2)_a, whose constant
+        # term B_2(1/3)/2 is nonzero
+        plan = relations._plan
+
+        def mutated(k1, k2):
+            p = plan(k1, k2)
+            return p._replace(negated=(p.negated[0] + 1, *p.negated[1:]))
+
+        monkeypatch.setattr(relations, "_plan", mutated)
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 1
+        assert out == "FAILED: first nonzero exponent 0/3\n"
 
     def test_weight_eight(self, capsys):
         code, _, _ = run(capsys, "verify", "--level", "2", "--weight", "8",
@@ -250,6 +270,12 @@ class TestNumeric:
         code, out, _ = run(capsys, "numeric", "--check", "modularity",
                            "--weight", "150")
         assert code == 1 and out.count("FAIL") == 2
+
+    def test_tau_without_imaginary_part_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "numeric", "--check", "relation", "--tau", "0.3")
+        assert exc.value.code == 2
+        assert "expected 're,im'" in capsys.readouterr().err
 
     def test_bad_tau_exits_2(self, capsys):
         # a NaN or infinite tau is bad input, not a failed check

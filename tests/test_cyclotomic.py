@@ -70,6 +70,16 @@ class TestRingOps:
         assert a.coeffs[2] == Fraction(3, 7)
         assert (a - a).is_zero()
 
+    def test_int_operands(self):
+        z = zeta_pow(5, 2)
+        assert (z - 1).coeffs == (-1, 0, 1, 0, 0)
+        assert CycNum.zero(5) == 0 and not z == 0
+        # 1 + zeta_3 + zeta_3^2 is zero in the field, not as a vector
+        assert zeta_pow(3, 0) + zeta_pow(3, 1) + zeta_pow(3, 2) == 0
+
+    def test_levels_differ_is_unequal(self):
+        assert (zeta_pow(3, 0) == zeta_pow(6, 0)) is False
+
 
 class TestCyclotomicPolynomial:
     def test_small_cases(self):

@@ -104,6 +104,11 @@ class TestIndex:
         idx = EisensteinIndex(3, 4, -1, 7)
         assert (idx.a1, idx.a2) == (3, 3)
 
+    def test_equal_points_mod_N_are_one_index(self):
+        a, b = EisensteinIndex(3, 4, 5, -1), EisensteinIndex(3, 4, 1, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != EisensteinIndex(3, 4, 1, 2) and a != (3, 4, 1, 3)
+
     def test_weight_two_zero_excluded(self):
         with pytest.raises(InvalidIndexError):
             EisensteinIndex(2, 4, 0, 0)
@@ -298,7 +303,7 @@ class TestIntegerBuilder:
         for module in (eisenstein, qseries, relations):
             if hasattr(module, "to_int_form"):
                 monkeypatch.setattr(module, "to_int_form", refuse)
-        for cache in (relations._series, relations._orbit_series, relations._product):
+        for cache in (relations._orbit_series, relations._product):
             cache.cache_clear()
         report = relations.run_scan(3, 3, 20)
         assert report["instances"] > 0 and report["failed"] == 0

@@ -320,6 +320,10 @@ class TestRelationNumeric:
         for k1, k2 in [(0, 0), (2, 1), (3, 3)]:
             assert nm.check_relation_numeric(k1, k2, u, v, CFG) < 1e-8
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="indices must be >= 0"):
+            nm.check_relation_numeric(-1, 0, self.U, self.V, CFG)
+
     def test_lattice_point_rejected(self):
         with pytest.raises(ValueError):
             nm.check_relation_numeric(0, 0, nm.TorusPoint(0.0, 0.0), self.V, CFG)

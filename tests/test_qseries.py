@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +18,7 @@ from eiskron.cyclotomic import (CycNum, LevelMismatchError, _reduction_rows,
                                 reduction_norm, totient, zeta_pow)
 from eiskron.qseries import (PackedSeries, QExpansion, _pack, act_int_form,
                              convolve_int, convolve_naive, from_int_form,
-                             int_form_is_zero, linear_combination, reduce_int_form,
-                             to_int_form)
+                             int_form_is_zero, linear_combination, to_int_form)
 from eiskron.relations import _symmetries
 
 
@@ -28,6 +28,20 @@ def one(N):
 
 def q_power(N, T, n, c=1):
     return QExpansion(N, T, {n: CycNum.from_rat(N, c)})
+
+
+def reduce_each(N, data):
+    """Each vector reduced mod Phi_N on its own by reduce_mod_cyclotomic,
+    field zeros dropped: the per-vector definition that pack's columnar
+    reduction must match."""
+    out = {n: tuple(reduce_mod_cyclotomic(N, vec)) for n, vec in data.items()}
+    return {n: vec for n, vec in out.items() if any(vec)}
+
+
+def reduced_entries(x):
+    """A packed series' unpacked vectors cut to their phi reduced entries."""
+    phi = totient(x.level)
+    return {n: v[:phi] for n, v in x.unpack()[1].items()}
 
 
 class TestAdd:
@@ -112,6 +126,10 @@ class TestScaleAndSubstitutions:
 
     def test_rescale_order_scaling(self):
         assert QExpansion.zero(5, 10).rescale_exponents(3).order == 30
+
+    def test_rescale_by_zero_rejected(self):
+        with pytest.raises(ValueError):
+            QExpansion.zero(5, 10).rescale_exponents(0)
 
     def test_twist_zero(self):
         f = QExpansion(4, 6, {1: one(4), 3: zeta_pow(4, 2)})
@@ -335,7 +353,7 @@ class TestIntForm:
             negA = {n: tuple(-abs(x) for x in v) for n, v in A.items()}
             negB = {n: tuple(-abs(x) for x in v) for n, v in B.items()}
             for X, Y in ((A, B), (negA, negB), (negA, B)):
-                assert_product_matches(N, T, reduce_int_form(N, X), reduce_int_form(N, Y))
+                assert_product_matches(N, T, reduce_each(N, X), reduce_each(N, Y))
         # N = 1, T = 1, and one empty operand
         for case in small_products():
             assert_product_matches(*case)
@@ -362,8 +380,8 @@ class TestIntForm:
     def test_linear_combination(self):
         # N = 3: Phi_3 = x^2 + x + 1, so zeta^2 reduces to -1 - zeta
         N, T = 3, 5
-        x = PackedSeries.pack(N, T, 3, reduce_int_form(N, {0: (6, 0, 0), 2: (0, 0, 3)}))
-        y = PackedSeries.pack(N, T, 2, reduce_int_form(N, {0: (2, 0, 0)}))
+        x = PackedSeries.pack(N, T, 3, reduce_each(N, {0: (6, 0, 0), 2: (0, 0, 3)}))
+        y = PackedSeries.pack(N, T, 2, reduce_each(N, {0: (2, 0, 0)}))
         res = linear_combination(N, T, [(Fraction(1, 2), x), (-1, y)])
         assert not res.is_zero()
         f = from_int_form(N, T, *res.unpack())
@@ -373,6 +391,12 @@ class TestIntForm:
         assert f.coeffs[2].coeffs == (Fraction(-1, 2), Fraction(-1, 2), 0)
         assert linear_combination(N, T, [(1, y), (Fraction(-1), y)]).is_zero()
         assert linear_combination(N, T, []).is_zero()
+
+    def test_linear_combination_rejects_another_order(self):
+        x = PackedSeries.pack(3, 5, 1, {0: (1, 0, 0)})
+        y = PackedSeries.pack(3, 4, 1, {0: (1, 0, 0)})
+        with pytest.raises(ValueError, match="terms differ in level or order"):
+            linear_combination(3, 5, [(1, x), (1, y)])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_linear_combination_matches_fraction_sum(self, seed):
@@ -388,7 +412,7 @@ class TestIntForm:
                     for n in rng.sample(range(T), rng.randint(0, T))}
             c = rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                             Fraction(10 ** 40 + 1), Fraction(1, 10 ** 40 - 1)])
-            terms.append((c, PackedSeries.pack(N, T, den, reduce_int_form(N, data))))
+            terms.append((c, PackedSeries.pack(N, T, den, reduce_each(N, data))))
             expect = expect + from_int_form(N, T, den, data).scale(c)
         res = linear_combination(N, T, terms)
         got = from_int_form(N, T, *res.unpack())
@@ -411,7 +435,7 @@ class TestIntForm:
         x = PackedSeries.pack(N, T, 7, data)
         assert (x.width, x.height) == (8, top)
         for width in (16, 24, 72):
-            assert x.at(width) == _pack(data, T * s, width, s)
+            assert x.at(width) == _pack(columns(data, T), T * s, width, s)
         den, out = x.unpack()
         assert den == 7 and out == {n: v + (0,) for n, v in data.items()}
         assert PackedSeries.pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
@@ -422,16 +446,19 @@ class TestIntForm:
             y = PackedSeries.pack(N, T, 1, data)
             for width in range(y.width + 8, 33, 8):
                 y = y._replace(width=width, value=y.at(width))
-                assert y.value == _pack(data, T * s, width, s)
+                assert y.value == _pack(columns(data, T), T * s, width, s)
                 assert y.unpack()[1] == {n: v + (0,) for n, v in data.items()}
         with pytest.raises(ArithmeticError):
             y.at(8)
 
-    def test_reduce_int_form(self):
+    def test_pack_reduces_mod_phi(self):
         # Phi_4 = x^2 + 1: zeta^2 = -1, zeta^3 = -zeta; field zeros drop out
-        assert reduce_int_form(4, {0: (1, 2, 3, 4), 3: (1, 0, 1, 0), 5: (0, 0, 0, 0)}) \
-            == {0: (-2, -2)}
-        assert reduce_int_form(1, {2: (5,)}) == {2: (5,)}
+        data = {0: (1, 2, 3, 4), 3: (1, 0, 1, 0), 5: (0, 0, 0, 0)}
+        assert reduce_each(4, data) == {0: (-2, -2)}
+        x = PackedSeries.pack(4, 6, 1, data)
+        assert (x.height, reduced_entries(x)) == (2, {0: (-2, -2)})
+        assert reduce_each(1, {2: (5,)}) == {2: (5,)}
+        assert reduced_entries(PackedSeries.pack(1, 3, 1, {2: (5,)})) == {2: (5,)}
 
     def test_int_form_is_zero(self):
         N = 3
@@ -470,9 +497,14 @@ def packable(draw):
     return N, T, {n: tuple(draw(st.lists(limb, max_size=totient(N)))) for n in keys}
 
 
+def columns(data, T):
+    """The vectors of data as _pack's columns over n < T, zero-filled."""
+    return list(zip_longest(*[data.get(n, ()) for n in range(T)], fillvalue=0))
+
+
 class TestColumnarPath:
-    """reduce_int_form and PackedSeries.pack work on whole columns; each
-    must agree with the per-vector definition it replaces."""
+    """PackedSeries.pack reduces and writes whole columns; it must agree
+    with the per-vector definition it replaces."""
 
     def test_level_105_has_a_general_multiplier(self):
         assert any(abs(r) > 1 for row in _reduction_rows(105) for r in row)
@@ -484,20 +516,18 @@ class TestColumnarPath:
     @given(mixed_vectors())
     def test_reduce_matches_per_vector(self, case):
         N, data = case
-        expect = {n: tuple(reduce_mod_cyclotomic(N, vec)) for n, vec in data.items()}
-        got = reduce_int_form(N, data)
-        assert got == {n: vec for n, vec in expect.items() if any(vec)}
-        assert all(len(vec) == totient(N) for vec in got.values())
+        x = PackedSeries.pack(N, max(data, default=0) + 1, 1, data)
+        assert reduced_entries(x) == reduce_each(N, data)
 
     @pytest.mark.parametrize("N", (1, 2, 3, 5, 12, 105))
     def test_reduce_edge_inputs(self, N):
         phi = totient(N)
-        assert reduce_int_form(N, {}) == {}
-        assert reduce_int_form(N, {3: (), 7: (0,) * N}) == {}
+        assert PackedSeries.pack(N, 8, 1, {}).unpack() == (1, {})
+        assert PackedSeries.pack(N, 8, 1, {3: (), 7: (0,) * N}).unpack() == (1, {})
         # the last entry alone is x^(N-1) mod Phi_N, the last reduction row
         last = (0,) * (N - 1) + (1,)
         row = _reduction_rows(N)[-1] if N - 1 >= phi else last
-        assert reduce_int_form(N, {0: last, 1: (2,)}) == \
+        assert reduced_entries(PackedSeries.pack(N, 8, 1, {0: last, 1: (2,)})) == \
             {0: tuple(row), 1: (2,) + (0,) * (phi - 1)}
 
     @example((1, 3, {0: (2 ** 63,), 2: (-2 ** 127,)}))
@@ -548,7 +578,7 @@ def assert_product_matches(N, T, A, B):
     den, got = convolve_int(N, T, x, y).unpack()
     assert den == 12
     assert {n: v[:phi] for n, v in got.items()} == \
-        reduce_int_form(N, convolve_naive(N, T, A, B))
+        reduce_each(N, convolve_naive(N, T, A, B))
 
 
 def huge_products():
@@ -609,14 +639,14 @@ class TestProductKernel:
         x, y = PackedSeries.pack(N, T, 3, A), PackedSeries.pack(N, T, 4, B)
         p = convolve_int(N, T, x, y)
         den, got = p.unpack()
-        expect = reduce_int_form(N, convolve_naive(N, T, A, B))
+        expect = reduce_each(N, convolve_naive(N, T, A, B))
         assert den == 12
         assert {n: v[:phi] for n, v in got.items()} == expect
         assert p.height == T * phi * x.height * y.height * reduction_norm(N)
         assert p.is_zero() == (not expect)
         # the product is a valid operand again, in the same layout
         assert {n: v[:phi] for n, v in convolve_int(N, T, p, x).items()} == \
-            reduce_int_form(N, convolve_naive(N, T, expect, A))
+            reduce_each(N, convolve_naive(N, T, expect, A))
 
     def test_operands_must_fit_the_layout(self):
         x = PackedSeries.pack(3, 4, 1, {0: (1, 2)})
@@ -627,8 +657,8 @@ class TestProductKernel:
                     convolve_int(3, 4, A, B)
         with pytest.raises(ValueError):  # dicts are not packed series
             convolve_int(3, 4, {0: (1, 2, 0)}, {1: (0, 1, 0)})
-        with pytest.raises(ValueError):  # unreduced vectors do not fit the layout
-            PackedSeries.pack(3, 4, 1, {0: (1, 2, 3)})
+        with pytest.raises(ValueError):  # vectors longer than the level do not fit
+            PackedSeries.pack(3, 4, 1, {0: (1, 2, 3, 4)})
         with pytest.raises(ValueError):  # nor do exponents beyond the order
             PackedSeries.pack(3, 4, 1, {4: (1, 2)})
 
@@ -700,6 +730,22 @@ class TestImmutability:
             {n: c.coeffs for n, c in f.coeffs.items()}
         with pytest.raises(TypeError):
             g.coeffs[0] = one(4)
+
+
+def test_coefficient_of_another_level_rejected():
+    with pytest.raises(LevelMismatchError):
+        QExpansion(3, 5, {0: one(4)})
+
+
+def test_from_int_form_rejects_bad_input():
+    with pytest.raises(ValueError):
+        from_int_form(3, 0, 1, {})
+    with pytest.raises(ValueError):
+        from_int_form(3, 5, 1, {0: (1, 2)})
+
+
+def test_str_of_zero_series():
+    assert str(QExpansion.zero(3, 5)) == "O(q^{5/3})"
 
 
 def test_exponent_out_of_range_rejected():

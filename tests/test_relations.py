@@ -124,6 +124,11 @@ class TestInstanceValidation:
         inst = RelationInstance(3, 2, 0, 0, (1, 0), (0, 1))
         assert inst.c == (2, 2)
 
+    def test_given_c_equals_derived_c(self):
+        given = RelationInstance(3, 2, 0, 0, (1, 0), (0, 1), (-1, 5))
+        derived = RelationInstance(3, 2, 0, 0, (1, 0), (0, 1))
+        assert given == derived and hash(given) == hash(derived)
+
     def test_explicit_c_checked(self):
         RelationInstance(3, 2, 0, 0, (1, 0), (0, 1), (2, 2))
         with pytest.raises(InvalidInstanceError):
@@ -340,7 +345,7 @@ class TestProductCache:
         # triple is in the same orbit; and only the representative
         # instances' products are built
         relations._product.cache_clear()
-        relations._series.cache_clear()
+        relations._orbit_series.cache_clear()
         calls, built = [], []
         convolve, product = relations.convolve_int, relations._product.__wrapped__
 
@@ -389,7 +394,7 @@ class TestProductCache:
         assert checked[0] > 1000 and over == []
 
     def test_scan_keeps_one_level_cached(self):
-        caches = (relations._orbit_series, relations._series, relations._product)
+        caches = (relations._orbit_series, relations._product)
         for c in caches:
             c.cache_clear()
         assert run_scan(4, 4, 40)["failed"] == 0
@@ -398,7 +403,6 @@ class TestProductCache:
         # no level-2 or level-3 entry is left: a lookup there misses
         for N in (2, 3):
             for c, key in ((relations._orbit_series, (2, N, (1, 0), 40)),
-                           (relations._series, (2, N, 1, 0, 40)),
                            (relations._product, (1, (0, 1), 1, (1, 0), N, 40))):
                 misses = c.cache_info().misses
                 c(*key)
@@ -406,11 +410,9 @@ class TestProductCache:
         # and the level-4 tasks alone fill the caches as much as the whole scan
         for c in caches:
             c.cache_clear()
-        reps = []
         for task in relations._scan_tasks(4, 4, 40):
             if task[0] == 4:
                 relations._scan_chunk(task)
-                reps += task_reps(task)
         assert [c.cache_info().currsize for c in caches] == sizes
         # the orbit cache holds every series of the level, weights 1-4 at
         # every nonzero point, ...
@@ -419,10 +421,7 @@ class TestProductCache:
                   for p in itertools.product(range(4), repeat=2) if p != (0, 0)}
         assert holds_exactly(relations._orbit_series, orbits)
         assert sum(len(relations._orbit_series(*key)) for key in orbits) == 60
-        # ... the series cache only the points that were read, and the
-        # product cache the last task's products only
-        read = series_keys(4, reps, 4, 40)
-        assert len(read) < 60 and holds_exactly(relations._series, read)
+        # ... and the product cache the last task's products only
         assert holds_exactly(relations._product, product_keys(4, task_reps(task), 4, 40))
 
 
@@ -465,16 +464,6 @@ def product_keys(N, pairs, k_max, order):
                         if coef:
                             x, y = sorted([(i + 1, u), (P.degree - i + 1, v)])
                             keys.add((*x, *y, N, order))
-    return keys
-
-
-def series_keys(N, pairs, k_max, order):
-    """The _series keys the instances on these (a, b) pairs read:
-    E^{(k)} at a, b and c, and both factors of each of their products."""
-    keys = {(k, N, *x, order) for a, b in pairs for k in range(2, k_max + 1)
-            for x in (a, b, negate((a[0] + b[0], a[1] + b[1]), N))}
-    for i, x, j, y, _, _ in product_keys(N, pairs, k_max, order):
-        keys |= {(i, N, *x, order), (j, N, *y, order)}
     return keys
 
 
@@ -532,7 +521,7 @@ class TestScanSharding:
         # the misses of every task add up to the scan's distinct product keys,
         # and after each task the cache holds that task's products only
         relations._product.cache_clear()
-        relations._series.cache_clear()
+        relations._orbit_series.cache_clear()
         scan_chunk, misses, seen = relations._scan_chunk, [], []
 
         def checking(task):
@@ -558,7 +547,7 @@ class TestScanSharding:
 def cold_caches():
     """Empty scan caches before and after the test, so that no series it
     built outlives it."""
-    caches = (relations._series, relations._orbit_series, relations._product)
+    caches = (relations._orbit_series, relations._product)
 
     def clear():
         for cache in caches:
@@ -656,7 +645,7 @@ class TestEquivarianceCheck:
             run_scan(*scan)
         if brackets is not None:
             # a product with the perturbed factor is not built unchecked
-            for cache in (relations._series, relations._orbit_series, relations._product):
+            for cache in (relations._orbit_series, relations._product):
                 cache.cache_clear()
             with pytest.raises(ArithmeticError, match=message):
                 bracket(HomPoly.monomial(0, 0), *brackets)
@@ -677,7 +666,7 @@ calls = [lambda: relations.run_scan(*scan)]
 if brackets is not None:
     calls.append(lambda: relations.bracket(HomPoly.monomial(0, 0), *brackets))
 for call in calls:
-    for cache in (relations._series, relations._orbit_series, relations._product):
+    for cache in (relations._orbit_series, relations._product):
         cache.cache_clear()
     try:
         out = call()
@@ -767,7 +756,7 @@ class TestOrbitTransport:
         assert 0 < direct["failed"] < direct["instances"]
         assert len({r["first_nonzero_exponent"] for r in direct["failures"]}) > 1
         for workers in (1, 2):
-            for cache in (relations._series, relations._orbit_series, relations._product):
+            for cache in (relations._orbit_series, relations._product):
                 cache.cache_clear()
             assert run_scan(5, 5, 24, workers=workers) == direct, workers
 
