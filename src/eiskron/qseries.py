@@ -24,7 +24,9 @@ substitution), a truncation mask, column masks and the rows x^c mod Phi_N
 applied to whole columns; a linear combination is a few big-int
 multiply-adds, and it is zero in Q(zeta_N) iff its value is 0.  Limbs are
 signed (two's complement bytes offset by a per-limb bias), and every limb
-width comes from a derived height bound that is checked at run time.  Two
+width comes from a derived height bound that is checked at run time:
+series, products and residuals are stored at a multiple of 8 bytes, and
+a product's one multiply runs at the byte width its bound needs.  Two
 steps still touch limbs one at a time in Python: pack writes each limb
 with one to_bytes call (one comprehension per column), and unpack reads
 each limb back, which the scan does only for a failed instance.
@@ -335,15 +337,23 @@ def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoe
 # Phi_N-reduced series packed as one signed int: the residual path.
 # ---------------------------------------------------------------------------
 
+def _byte_width(bound: int) -> int:
+    """Bytes per signed limb holding |v| <= bound: the smallest w with
+    bound < 2^(8w-1).  The product kernel multiplies at this width."""
+    return bound.bit_length() // 8 + 1
+
+
 def _limb_width(bound: int) -> int:
-    """Bytes per signed limb holding |v| <= bound: the smallest multiple of
-    8 with bound < 2^(8w-1), so that series of similar height share widths."""
+    """The storage width for |v| <= bound: the smallest multiple of 8 bytes
+    with bound < 2^(8w-1), so that series, products and residuals of
+    similar height share widths and a linear combination seldom widens."""
     return 8 * (bound.bit_length() // 64 + 1)
 
 
 def _check_width(bound: int, width: int, what: str) -> None:
-    # an explicit raise, not an assert: python -O must not drop exactness
-    if bound >= 1 << (8 * width - 1):
+    # an explicit raise, not an assert: python -O must not drop exactness;
+    # a width below one byte holds no signed limb
+    if width < 1 or bound >= 1 << (8 * width - 1):
         raise ArithmeticError(f"limb width {width} too small for the {what}")
 
 
@@ -399,7 +409,8 @@ class PackedSeries(NamedTuple):
     series, a derived bound for a product or a linear combination.  Reduced
     forms are canonical, so the series is zero in Q(zeta_N) iff every limb
     is zero.  A tuple, so a cached series cannot be changed; ``at(width)``
-    gives the value at a wider limb.
+    gives the value at any limb width that holds the height, wider or
+    narrower.
     """
 
     level: int
@@ -429,24 +440,29 @@ class PackedSeries(NamedTuple):
         return cls(level, order, den, height, width, _pack(cols, order * s, width, s))
 
     def at(self, width: int) -> int:
-        """The packed int at limb width >= self.width.
+        """The packed int at limb width `width`, which must hold the height.
 
         The value plus the bias is every limb v + 2^(8w-1) as w unsigned
-        bytes; byte b of limb l moves to byte b of the wider limb l, and a
-        bias spaced at the new width is subtracted again.  Byte-lane slices
-        do the copy at C speed, with no per-limb Python loop.
+        bytes; byte b < min(w, width) of limb l moves to byte b of the new
+        limb l.  Widening subtracts a bias spaced at the new width again.
+        Narrowing keeps the low bytes, v mod 2^(8*width) since
+        8w - 1 >= 8*width: the two's complement limb that pack writes and
+        unpack reads.  Byte-lane slices do the copy at C speed, with no
+        per-limb Python loop.
         """
         w = self.width
         if width == w:
             return self.value
-        if width < w:
-            raise ArithmeticError("a packed series only widens")
+        _check_width(self.height, width, "packed series")
         positions = self.order * _stride(self.level)
         raw = (self.value + _bias(positions, w)).to_bytes(positions * w, "little")
         out = bytearray(positions * width)
-        for b in range(w):
+        for b in range(min(w, width)):
             out[b::width] = raw[b::w]
-        return int.from_bytes(out, "little") - _bias(positions, w, width)
+        if width > w:
+            return int.from_bytes(out, "little") - _bias(positions, w, width)
+        H = _bias(positions, width)
+        return (int.from_bytes(out, "little") ^ H) - H
 
     def _no_arithmetic(self, other):
         return NotImplemented
@@ -484,7 +500,7 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     """The product of packed series f and g (level N, order T) reduced mod
     Phi_N, in the PackedSeries layout: the scan's product kernel.
 
-    One multiply of the operands at a common width W does the whole 2-D
+    One multiply of the operands at a common width Wm does the whole 2-D
     convolution: operand limbs (n1, i1) and (n2, i2), i1, i2 < phi, land
     at limb (n1 + n2)*s + i1 + i2 and i1 + i2 < s, so no two (n, c) share
     a limb.  Adding the bias and masking to order*s limbs keeps exponents
@@ -492,7 +508,8 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     limb of every block and unbiased; columns c >= N fold onto c - N
     (zeta^N = 1), and reduce_mod_cyclotomic adds the rest into the first
     phi columns with the rows x^c mod Phi_N, phi <= c < N, as it reduces
-    any vector.  Every step acts on whole big ints.
+    any vector.  Every step acts on whole big ints, and the finished
+    product is widened once to its storage width.
     """
     if not all(isinstance(z, PackedSeries) and (z.level, z.order) == (N, T)
                for z in (f, g)):
@@ -503,17 +520,20 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     # h0 = T*phi*hf*hg; folding c onto c - N keeps that, since for each
     # i1 one i2 < N has i1 + i2 = c mod N.  Reducing a length-N vector with
     # entries <= h0 mod Phi_N gives entries <= h0*reduction_norm(N) = h.
-    # Each limb, raw or reduced, is then a balanced base-2^(8W) digit
-    # when h < 2^(8W-1): no carry crosses a limb.
+    # Each limb, raw or reduced, is then a balanced base-2^(8Wm) digit
+    # when h < 2^(8Wm-1): no carry crosses a limb.  The multiply runs at the
+    # byte width Wm that h needs; h >= each operand height, so Wm holds the
+    # operands too.  The product is stored at W, a multiple of 8 bytes.
     h = T * phi * f.height * g.height * reduction_norm(N)
-    W = _limb_width(h)
+    Wm, W = _byte_width(h), _limb_width(h)
+    _check_width(h, Wm, "product")
     _check_width(h, W, "product")
     den = f.den * g.den
     if not h:  # an operand is zero
         return PackedSeries(N, T, den, 0, W, 0)
-    bias, trunc, column, column_bias = _product_masks(T, s, W)
-    bits = 8 * W
-    t = (f.at(W) * g.at(W) + bias) & trunc
+    bias, trunc, column, column_bias = _product_masks(T, s, Wm)
+    bits = 8 * Wm
+    t = (f.at(Wm) * g.at(Wm) + bias) & trunc
     cols = [((t >> bits * c) & column) - column_bias for c in range(s)]
     for c in range(N, s):
         cols[c - N] += cols[c]
@@ -521,7 +541,8 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     value = out[0]
     for j in range(1, phi):
         value += out[j] << bits * j
-    return PackedSeries(N, T, den, h, W, value)
+    product = PackedSeries(N, T, den, h, Wm, value)
+    return product._replace(width=W, value=product.at(W))
 
 
 def linear_combination(level: int, order: int,

@@ -451,6 +451,26 @@ class TestIntForm:
         with pytest.raises(ArithmeticError):
             y.at(8)
 
+    @pytest.mark.parametrize("edge", (2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 64 - 1, -2 ** 64,
+                                      2 ** 127 - 1, -2 ** 127, 127, -128))
+    def test_packed_narrow(self, edge):
+        # every width that holds the height, down to the height's own byte
+        # width, against the _pack oracle; one byte less raises
+        N, T = 5, 4
+        s = 2 * 4 - 1
+        data = {n: tuple((edge, -1, 0, -edge, 1, edge // 3)[(n * 3 + j) % 6]
+                         for j in range(4)) for n in range(T)}
+        y = PackedSeries.pack(N, T, 1, data)
+        need = next(w for w in range(1, 33) if y.height < 2 ** (8 * w - 1))
+        expect = {n: v + (0,) for n, v in data.items()}
+        for source in (y, y._replace(width=32, value=y.at(32))):
+            for width in range(need, 33):
+                z = source._replace(width=width, value=source.at(width))
+                assert z.value == _pack(columns(data, T), T * s, width, s)
+                assert z.unpack()[1] == expect
+            with pytest.raises(ArithmeticError, match=f"limb width {need - 1} too small"):
+                source.at(need - 1)
+
     def test_pack_reduces_mod_phi(self):
         # Phi_4 = x^2 + 1: zeta^2 = -1, zeta^3 = -zeta; field zeros drop out
         data = {0: (1, 2, 3, 4), 3: (1, 0, 1, 0), 5: (0, 0, 0, 0)}
@@ -612,10 +632,25 @@ def small_products():
     yield 4, 6, {2: (1, -1)}, {}
 
 
+def byte_width_products():
+    """(N, T, A, B) inputs whose derived product bound h lies just below and
+    just above each byte boundary 2^(8m-1), m = 1..9, so the multiply runs
+    at every byte width 1..10.  At N = 1, T = 1 the product limb is +-h
+    itself; at N = 3, T = 2 the columns fold and reduce."""
+    for m in range(1, 10):
+        edge = 2 ** (8 * m - 1)
+        for a in (edge - 1, -(edge - 1), edge, -edge):
+            yield 1, 1, {0: (a,)}, {0: (1,)}
+        scale = 2 * 2 * reduction_norm(3)  # T * phi * reduction_norm at N = 3
+        for a in ((edge - 1) // scale, (edge - 1) // scale + 1):
+            yield 3, 2, {0: (a, -a), 1: (-a, 1)}, {0: (1, 0), 1: (-1, 1)}
+
+
 def edge_products():
     """(N, T, A, B) inputs at the edges of the packing."""
     yield from huge_products()
     yield from small_products()
+    yield from byte_width_products()
 
 
 def with_examples(cases):
@@ -647,6 +682,20 @@ class TestProductKernel:
         # the product is a valid operand again, in the same layout
         assert {n: v[:phi] for n, v in convolve_int(N, T, p, x).items()} == \
             reduce_each(N, convolve_naive(N, T, expect, A))
+
+    def test_edge_products_span_byte_widths(self):
+        # each byte boundary 2^(8m-1), m = 1..9, has a bound just below it
+        # and one at or just above it among the examples
+        below, above = set(), set()
+        for N, T, A, B in byte_width_products():
+            x, y = PackedSeries.pack(N, T, 1, A), PackedSeries.pack(N, T, 1, B)
+            h = T * totient(N) * x.height * y.height * reduction_norm(N)
+            m = next(m for m in range(1, 11) if h < 2 ** (8 * m - 1))
+            if h >= 2 ** (8 * m - 1) - 16:
+                below.add(m)
+            if m > 1 and h <= 2 ** (8 * m - 9) + 16:
+                above.add(m)
+        assert below >= set(range(1, 10)) and above >= set(range(2, 11))
 
     def test_operands_must_fit_the_layout(self):
         x = PackedSeries.pack(3, 4, 1, {0: (1, 2)})
@@ -680,15 +729,22 @@ from eiskron.qseries import PackedSeries, linear_combination
 if not sys.flags.optimize:
     sys.exit(3)
 x = PackedSeries.pack(3, 4, 1, {0: (2 ** 70, -1), 3: (5, 2 ** 70)})
-narrow = qseries._limb_width
-qseries._limb_width = lambda bound: narrow(bound) - 8  # one limb too narrow
-for run in (lambda: qseries.convolve_int(3, 4, x, x), lambda: linear_combination(3, 4, [(1, x), (2, x)])):
+def raises(run):
     try:
         run()
     except ArithmeticError as exc:
         print(exc)
     else:
         sys.exit(4)
+raises(lambda: x.at(8))  # below the height's own byte width
+byte = qseries._byte_width
+qseries._byte_width = lambda bound: byte(bound) - 1  # the multiply one byte too narrow
+raises(lambda: qseries.convolve_int(3, 4, x, x))
+qseries._byte_width = byte
+narrow = qseries._limb_width
+qseries._limb_width = lambda bound: narrow(bound) - 8  # storage one limb too narrow
+raises(lambda: qseries.convolve_int(3, 4, x, x))
+raises(lambda: linear_combination(3, 4, [(1, x), (2, x)]))
 """
         src = os.path.dirname(os.path.dirname(eiskron.__file__))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -696,7 +752,10 @@ for run in (lambda: qseries.convolve_int(3, 4, x, x), lambda: linear_combination
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["limb width 16 too small for the product",
+        # x has height 2^70; x*x has bound h = 4*2*2^140*2 < 2^(8*19-1)
+        assert proc.stdout.splitlines() == ["limb width 8 too small for the packed series",
+                                            "limb width 18 too small for the product",
+                                            "limb width 16 too small for the product",
                                             "limb width 8 too small for the residual"]
 
 
