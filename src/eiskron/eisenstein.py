@@ -1,9 +1,9 @@
 """Exact q-expansions of the level-N Eisenstein series of weight k.
 
 The expansion of the series attached to a torsion parameter (a1, a2)
-mod N has constant term given by Bernoulli polynomial values (with a
-three-way case split at weight 1) and, for each pair (mu, nu) with
-mu >= 1, nu in +-a1/N + Z, nu > 0, a term
+mod N has constant term B_k(a1/N)/k, save at weight 1 with a1 = 0, where
+it is -(1/2)(1 + w)/(1 - w) for w = zeta_N^{a2} (0 at a2 = 0), and, for
+each pair (mu, nu) with mu >= 1, nu in +-a1/N + Z, nu > 0, a term
 
     -+ zeta_N^{+-mu*a2} * nu^{k-1} * q^{mu*nu},
 
@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import List, Tuple
 
-from .cyclotomic import CycNum, Rat, reduce_mod_cyclotomic, totient
+from .cyclotomic import CycNum, Rat
 from .qseries import IntCoeffs, QExpansion, from_int_form
 
 
@@ -94,38 +94,40 @@ def bernoulli_poly_eval(m: int, t: Rat) -> Rat:
 
 @lru_cache(maxsize=None)
 def _bernoulli_constant(k: int, N: int, a1: int) -> Tuple[int, Tuple[int, ...]]:
-    """(den, vector) of the weight k >= 2 constant term B_k(a1/N)/k.  A
-    B-orbit maps a1 only to +-a1, so an orbit's series evaluate the
-    Fraction polynomial at most twice; tuples, so no caller can change it."""
+    """(den, vector) of the constant term B_k(a1/N)/k, which is every
+    weight's but weight 1's at a1 = 0.  A B-orbit maps a1 only to +-a1, so
+    an orbit's series evaluate the Fraction polynomial at most twice;
+    tuples, so no caller can change it."""
     c = bernoulli_poly_eval(k, Fraction(a1, N)) / k
     return c.denominator, (c.numerator,) + (0,) * (N - 1)
 
 
 def _constant_int(idx: EisensteinIndex) -> Tuple[int, Tuple[int, ...]]:
     """(den, vector): the coefficient of q^0 as a length-N integer vector
-    over den, per the weight-1 case split / Bernoulli values."""
+    over den, exact and unreduced, so that B acts on it as on the series.
+
+    Weight 1 at a1 = 0 is -(1/2)(1 + w)/(1 - w) for w = zeta^{a2} of exact
+    order d = N/gcd(N, a2).  For d > 1, sum_{j<d} w^j = 0, so
+    (1 - w) sum_{j<d} j w^j = sum_{0<j<d} w^j - (d - 1) w^d = -d, and
+
+        sum_{0<j<d} B_1(j/d) w^j = -1/(1 - w) + 1/2 = -(1/2)(1 + w)/(1 - w):
+
+    the vector with 2j - d at index j a2 mod N, over 2d; at a2 = 0 (d = 1)
+    the sum is empty and the term 0.  sigma_t permutes it, and parity
+    (j -> d - j) negates it, so it vanishes at the 2-torsion point d = 2."""
     N, k, a1, a2 = idx.N, idx.k, idx.a1, idx.a2
-    if k >= 2:
+    if k >= 2 or a1:
         return _bernoulli_constant(k, N, a1)
-    pad = (0,) * (N - 1)
-    if a1 == 0 and a2 == 0:
-        return 1, (0,) + pad
-    if a1 == 0:
-        # -(1/2) (1 + w) / (1 - w) for w = zeta^{a2} of exact order d, where
-        # 1/(1 - w) = -(1/d) sum_{j<d} j w^j (as sum_{j<d} w^j = 0): with
-        # r = sum_{j<d} j w^j mod Phi_N it is (1 + w) r / (2d), where w r
-        # is r shifted cyclically by a2 places
-        d = N // gcd(N, a2)
-        inv = [0] * N
-        for j in range(d):
-            inv[j * a2 % N] = j
-        r = reduce_mod_cyclotomic(N, inv) + [0] * (N - totient(N))
-        return 2 * d, tuple(r[m] + r[m - a2] for m in range(N))
-    return 2 * N, (2 * a1 - N,) + pad
+    d = N // gcd(N, a2)
+    vec = [0] * N
+    for j in range(1, d):
+        vec[j * a2 % N] = 2 * j - d
+    return 2 * d, tuple(vec)
 
 
 def constant_term(idx: EisensteinIndex) -> CycNum:
-    """Coefficient of q^0, per the weight-1 case split / Bernoulli values."""
+    """Coefficient of q^0: B_k(a1/N)/k, or at weight 1 with a1 = 0 the
+    closed form derived in _constant_int."""
     den, vec = _constant_int(idx)
     return CycNum(idx.N, [Fraction(x, den) for x in vec])
 

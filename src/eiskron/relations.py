@@ -333,11 +333,11 @@ def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSe
     least point r, read-only, built only whole and only once every series
     in it passed the equivariance check (see the module docstring): with
     (r, gs) = _orbit_map(N)[x], E_x must have the den of E_r and equal
-    g E_r for each g in gs, else ArithmeticError.  The unreduced vectors
-    are compared first; where they differ (the weight-1 constant term at
-    a1 = 0 is built reduced), the packed series decide: reduced forms are
-    canonical, so equal packed series are equal in Q(zeta_N).  r and its
-    stabilizer are checked first.  This is the one cache of the series.
+    g E_r for each g in gs, else ArithmeticError.  The builder's vectors
+    are exact and unreduced, and B acts on them by signed permutations, so
+    each check is one comparison of vectors; equal vectors are equal series
+    in Q(zeta_N).  r and its stabilizer are checked first, and each series
+    is packed once its checks pass.  This is the one cache of the series.
     """
     points = _orbit_map(N)
     r_den, r_data = eisenstein_int_form(EisensteinIndex(k, N, *r), order)
@@ -345,17 +345,15 @@ def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSe
     for x in [r] + [x for x, (y, _) in points.items() if y == r and x != r]:
         den, data = ((r_den, r_data) if x == r else
                      eisenstein_int_form(EisensteinIndex(k, N, *x), order))
-        packed = PackedSeries.pack(N, order, den, data)
         for g in points[x][1]:
             image = act_int_form(N, g, k, r_data)
             # an explicit raise, not an assert: python -O must not drop exactness
-            if den != r_den or (image != data and
-                                PackedSeries.pack(N, order, den, image) != packed):
+            if den != r_den or image != data:
                 what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
                         f"fixed by g = (s, j, t) = {g} in its stabilizer")
                 raise ArithmeticError(f"E^({k})_{x} at level {N} is not {what}: "
                                       "orbit transport would not be exact")
-        out[x] = packed
+        out[x] = PackedSeries.pack(N, order, den, data)
     return MappingProxyType(out)
 
 

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from eiskron import relations
+from eiskron.cli import main
 from eiskron.cyclotomic import CycNum, zeta_pow
 from eiskron.eisenstein import (EisensteinIndex, InvalidIndexError,
-                                _bernoulli_constant, bernoulli_number, bernoulli_poly_eval,
-                                bg_tilde_s, constant_term, eisenstein_int_form,
-                                eisenstein_qexp)
-from eiskron.qseries import QExpansion
+                                _bernoulli_constant, _constant_int, bernoulli_number,
+                                bernoulli_poly_eval, bg_tilde_s, constant_term,
+                                eisenstein_int_form, eisenstein_qexp)
+from eiskron.qseries import QExpansion, act_int_form
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -157,6 +159,27 @@ class TestConstantTerm:
         w = zeta_pow(N, a2)
         assert c * (1 - w) == (1 + w) * Fraction(-1, 2)
 
+    def test_pure_character_is_exactly_equivariant(self):
+        # B acts on the weight-1, a1 = 0 constant term as on the series:
+        # g applied to the vector at (0, a2) is the vector built at g (0, a2)
+        for N in range(1, 17):
+            for a2 in range(N):
+                den, vec = _constant_int(EisensteinIndex(1, N, 0, a2))
+                for g in relations._symmetries(N):
+                    x = relations._act(g, (0, a2), N)
+                    assert _constant_int(EisensteinIndex(1, N, *x)) == \
+                        (den, act_int_form(N, g, 1, {0: vec})[0])
+
+    def test_pure_character_vanishes_at_two_torsion(self):
+        for N in range(2, 17, 2):
+            assert _constant_int(EisensteinIndex(1, N, 0, N // 2))[1] == (0,) * N
+
+    def test_pure_character_two_torsion_expands_to_zero(self, capsys):
+        # the zero series prints as zero, not as an unreduced zero of Q(zeta_4)
+        assert main(["expand", "--level", "4", "--weight", "1", "--a", "0,2",
+                     "--order", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "O(q^{1/4})"
+
 
 class TestQExpansion:
     def test_level_one_weight_four_divisor_sums(self):
@@ -260,8 +283,8 @@ class TestQExpansion:
 
 class TestIntegerBuilder:
     def test_constant_cache(self):
-        # the weight >= 2 constant term B_k(a1/N)/k, cached as tuples
-        for k in range(2, 9):
+        # the constant term B_k(a1/N)/k, cached as tuples
+        for k in range(1, 9):
             for N in range(1, 13):
                 for a1 in range(N):
                     got = _bernoulli_constant(k, N, a1)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import eiskron
 from eiskron import relations
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import QExpansion, act_int_form
+from eiskron.qseries import PackedSeries, QExpansion, act_int_form
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -369,6 +369,26 @@ class TestProductCache:
                              for task in relations._scan_tasks(4, 4, 40)))
         assert len(reps) == 200
 
+    def test_cold_scan_packs_each_series_once(self, monkeypatch, cold_caches):
+        # the equivariance check compares the builder's vectors, so every
+        # built series is packed once, after its checks, and nothing else is
+        built, packed = [], []
+        build, pack = relations.eisenstein_int_form, PackedSeries.pack
+
+        def building(idx, order):
+            built.append(idx)
+            return build(idx, order)
+
+        def packing(cls, *args):
+            packed.append(args)
+            return pack(*args)
+
+        monkeypatch.setattr(relations, "eisenstein_int_form", building)
+        monkeypatch.setattr(PackedSeries, "pack", classmethod(packing))
+        assert run_scan(4, 4, 40)["failed"] == 0
+        assert len(packed) == len(built) == 104
+        assert len(set(built)) == len(built)
+
     def test_declared_height_bounds_every_product(self, monkeypatch, cold_caches):
         # a product's height is a derived bound, used as is for the limb
         # width: every limb of every product of every instance with N <= 5,
@@ -632,6 +652,12 @@ PERTURBATIONS = {
     # the orbit of (1, 0)
     "orbit_mate": (1, 4, (3, 1), plus_one, (4, 3, 16), ((1, 0), (0, 1), 4, 16),
                    "is not g = "),
+    # E^{(2)}_{(2,2)} at N = 3 plus (1 + zeta + zeta^2) q^0 = Phi_3(zeta) q^0
+    # = 0: the same series in Q(zeta_3), but not the exact image g E_{(1,0)}
+    # of its check, so the vector comparison stops it
+    "field_zero": (2, 3, (2, 2), lambda den, data: (den, {
+        **data, 0: tuple(x + den for x in data.get(0, (0, 0, 0)))}), (3, 3, 20), None,
+        "is not g = "),
 }
 
 
