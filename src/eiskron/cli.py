@@ -31,10 +31,13 @@ def _pair_int(text: str) -> tuple[int, int]:
 
 
 def _workers(text: str) -> int:
-    """Worker count: at least 1, clamped to the number of CPUs."""
+    """Worker count: at least 1, clamped to the CPUs this process may run
+    on (its affinity, where the OS reports one)."""
     n = int(text)  # argparse reports a ValueError and exits 2
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(n, len(os.sched_getaffinity(0)))
     return min(n, os.cpu_count() or 1)
 
 

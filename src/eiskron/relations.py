@@ -57,17 +57,17 @@ them lies in an orbit that was built, and checked, when inst read it.
 The instance at (a, b, c), a + b + c = 0, uses only the products over
 the pairs inside its triple {a, b, c}, and the pair {x, y} fixes the
 triple {x, y, -x-y}.  A product key is canonical under the swap of its
-factors only, and no task of the scan needs both a product and its
-negative: a task's representatives of one triple orbit lie in one triple
-T, and -T is in the orbit of T (parity is in B), so it is no other triple
-of the task.  Where -T = T, every point is 2-torsion and each key is its
-own negative.
+factors only, and no triple-orbit group of the scan (see _orbits) needs
+both a product and its negative: a group's representatives lie in one
+triple T, and -T is in the orbit of T (parity is in B), so it is no other
+triple of the group.  Where -T = T, every point is 2-torsion and each key
+is its own negative.
 
-A scan task owns the orbits of whole triples: for each B-orbit of
-zero-sum triples, the representatives of the orbits of the ordered pairs
-of one triple in it, so that the representatives in a task share their
-products.  A task builds each of its products once and drops them when it
-ends, while the single series are kept per level, so that checking an
+A scan task is one level.  It builds and checks each series of the
+level once and keeps it for the rest of the task.  It walks the level's
+triple-orbit groups, the representatives of the orbits of the ordered
+pairs of one triple, which share their products: each product is built
+once, within its group, and dropped when the group ends.  So checking an
 instance costs a few big-int multiply-adds and a comparison with 0.
 """
 
@@ -543,8 +543,6 @@ def recurrence_check(k_max: int) -> dict:
 # Scan driver (parallel-capable, deterministic output).
 # ---------------------------------------------------------------------------
 
-SCAN_CHUNK_PAIRS = 8  # least number of representative (a, b) pairs per scan task
-
 Orbit = Tuple[Pair, Tuple[Tuple[Pair, Pair], ...]]  # (representative, its orbit)
 
 
@@ -572,46 +570,27 @@ def _orbits(N: int) -> Iterator[List[Orbit]]:
             yield group
 
 
-def _scan_tasks(level_max: int, weight_max: int, order: int) -> Iterator[tuple]:
-    """(N, orbits, weight_max, order) tasks, built lazily per level; a task
-    holds the pair orbits of whole triple orbits (see _orbits), at least
-    SCAN_CHUNK_PAIRS pair orbits unless it is a level's last."""
-    for N in range(2, level_max + 1):
-        chunk: List[Orbit] = []
-        for group in _orbits(N):
-            chunk += group
-            if len(chunk) >= SCAN_CHUNK_PAIRS:
-                yield N, chunk, weight_max, order
-                chunk = []
-        if chunk:
-            yield N, chunk, weight_max, order
-
-
-_cached_at: Optional[Tuple[int, int]] = None  # (level, order) of the cached series
-
-
-def _scan_chunk(args) -> Tuple[int, List[dict]]:
-    """(instances covered, failure reports) for a task's orbits at one
-    level: each representative instance is verified, and its report
-    stands for the instance at every pair of its orbit, whose series the
-    representative's reads built and checked (see _orbit_series)."""
-    global _cached_at
-    N, orbits, k_max, order = args
-    # A product key fixes its triple's orbit, and a task owns whole triple
-    # orbits: no other task uses this task's products, so the cache holds
-    # one task's.  Caches are per process: a pool worker clears its own.
-    _product.cache_clear()
-    if _cached_at != (N, order):  # no series is used at another level or order
-        _orbit_series.cache_clear()
-        _cached_at = (N, order)
+def _scan_level(args) -> Tuple[int, List[dict]]:
+    """(instances covered, failure reports) at level N: each representative
+    instance is verified, and its report stands for the instance at every
+    pair of its orbit, whose series the representative's reads built and
+    checked (see _orbit_series)."""
+    N, k_max, order = args
+    # Caches are per process.  No series is used at another level, and a
+    # product key fixes its triple's orbit, so no product is used outside
+    # its triple-orbit group (see _orbits): each is built once and dropped
+    # with its group.
+    _orbit_series.cache_clear()
     covered, failures = 0, []
-    for rep, orbit in orbits:
-        for inst in _instances(N, k_max, [rep]):
-            report = verify_instance(inst, order)
-            covered += len(orbit)
-            if not report["residual_zero"]:
-                failures += [dict(report, instance=RelationInstance(
-                    N, inst.k, inst.k1, inst.k2, a, b).as_dict()) for a, b in orbit]
+    for group in _orbits(N):
+        _product.cache_clear()
+        for rep, orbit in group:
+            for inst in _instances(N, k_max, [rep]):
+                report = verify_instance(inst, order)
+                covered += len(orbit)
+                if not report["residual_zero"]:
+                    failures += [dict(report, instance=RelationInstance(
+                        N, inst.k, inst.k1, inst.k2, a, b).as_dict()) for a, b in orbit]
     return covered, failures
 
 
@@ -621,21 +600,24 @@ def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> d
     One ordered pair per B-orbit is verified directly, through
     verify_instance, and every other instance of the orbit is covered by
     orbit transport (see the module docstring); ``instances`` and
-    ``passed`` count covered instances.  A task holds the orbits of whole
-    triple orbits, so that each product is built once, by one task, and
-    reused across the weights and splits of its representatives.
+    ``passed`` count covered instances.  A level is one task, so that
+    each series is built and checked once, by the one process that scans
+    its level.  The tasks run largest level first: with a pool of
+    min(workers, levels) processes, the largest level, the bulk of a
+    scan, overlaps the others, and a scan of one level runs with no pool.
     The summary is independent of the worker count (failure reports are
     sorted before emission).
     """
-    tasks = _scan_tasks(level_max, weight_max, order)
-    if workers > 1:
+    tasks = [(N, weight_max, order) for N in range(level_max, 1, -1)]
+    if workers > 1 and len(tasks) > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, tasks))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(tasks))) as pool:
+            levels = list(pool.map(_scan_level, tasks))
     else:
-        chunks = [_scan_chunk(t) for t in tasks]
-    n_instances = sum(count for count, _ in chunks)
-    failures = sorted((f for _, chunk in chunks for f in chunk),
+        levels = [_scan_level(t) for t in tasks]
+    n_instances = sum(count for count, _ in levels)
+    failures = sorted((f for _, level in levels for f in level),
                       key=lambda r: json.dumps(r, sort_keys=True))
     return {
         "level_max": level_max, "weight_max": weight_max, "order": order,

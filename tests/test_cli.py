@@ -150,6 +150,11 @@ class TestScan:
         # read the parsed value; no worker process is started
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         parse = build_parser().parse_args
+        # the CPUs this process may run on, not the machine's: taskset -c 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parse(["scan", "--level-max", "2", "--parallel", "2"]).parallel == 1
+        # where the OS reports no affinity, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
         assert parse(["scan", "--level-max", "2", "--parallel", "64"]).parallel == 2
         assert parse(["scan", "--level-max", "2", "--parallel", "1"]).parallel == 1
         monkeypatch.setattr(os, "cpu_count", lambda: None)

@@ -333,16 +333,17 @@ class TestPackedResidualOracle:
             assert report["first_nonzero_exponent"] == oracle.first_nonzero_exponent()
 
 
-def task_reps(task):
-    """The representative pairs of a scan task (N, orbits, k_max, order)."""
-    return [rep for rep, _ in task[1]]
+def group_reps(group):
+    """The representative pairs of a triple-orbit group of _orbits."""
+    return [rep for rep, _ in group]
 
 
 class TestProductCache:
     def test_cold_scan_convolves_each_unordered_product_once(self, monkeypatch):
         # (i, a, j, b) and (j, b, i, a) are one product: one convolution; no
-        # task builds both a product and its negative (i, -a, j, -b), whose
-        # triple is in the same orbit; and only the representative
+        # triple-orbit group builds both a product and its negative
+        # (i, -a, j, -b), whose triple is in the same orbit; and only the
+        # representative
         # instances' products are built
         relations._product.cache_clear()
         relations._orbit_series.cache_clear()
@@ -365,8 +366,8 @@ class TestProductCache:
         # no product of a +- class is built twice
         assert len(built) == len(set(built)) == 200
         # and the products are exactly those of the representatives
-        reps = set().union(*(product_keys(task[0], task_reps(task), 4, 40)
-                             for task in relations._scan_tasks(4, 4, 40)))
+        reps = set().union(*(product_keys(N, group_reps(group), 4, 40)
+                             for N in range(2, 5) for group in relations._orbits(N)))
         assert len(reps) == 200
 
     def test_cold_scan_packs_each_series_once(self, monkeypatch, cold_caches):
@@ -420,29 +421,33 @@ class TestProductCache:
         assert run_scan(4, 4, 40)["failed"] == 0
         sizes = [c.cache_info().currsize for c in caches]
         assert all(sizes)
-        # no level-2 or level-3 entry is left: a lookup there misses
-        for N in (2, 3):
+        # the scan runs its largest level first and level 2 last: no level-3
+        # or level-4 entry is left, and a lookup there misses
+        for N in (3, 4):
             for c, key in ((relations._orbit_series, (2, N, (1, 0), 40)),
                            (relations._product, (1, (0, 1), 1, (1, 0), N, 40))):
                 misses = c.cache_info().misses
                 c(*key)
                 assert c.cache_info().misses == misses + 1
-        # and the level-4 tasks alone fill the caches as much as the whole scan
-        for c in caches:
-            c.cache_clear()
-        for task in relations._scan_tasks(4, 4, 40):
-            if task[0] == 4:
-                relations._scan_chunk(task)
-        assert [c.cache_info().currsize for c in caches] == sizes
-        # the orbit cache holds every series of the level, weights 1-4 at
-        # every nonzero point, ...
-        orbit_map = relations._orbit_map(4)
-        orbits = {(k, 4, orbit_map[p][0], 40) for k in range(1, 5)
-                  for p in itertools.product(range(4), repeat=2) if p != (0, 0)}
-        assert holds_exactly(relations._orbit_series, orbits)
-        assert sum(len(relations._orbit_series(*key)) for key in orbits) == 60
-        # ... and the product cache the last task's products only
-        assert holds_exactly(relations._product, product_keys(4, task_reps(task), 4, 40))
+        for N in (2, 4):
+            for c in caches:
+                c.cache_clear()
+            relations._scan_level((N, 4, 40))
+            if N == 2:
+                # the level-2 task alone fills the caches as much as the scan
+                assert [c.cache_info().currsize for c in caches] == sizes
+            # the orbit cache holds every series of the level, weights 1-4 at
+            # every nonzero point, ...
+            orbit_map = relations._orbit_map(N)
+            orbits = {(k, N, orbit_map[p][0], 40) for k in range(1, 5)
+                      for p in itertools.product(range(N), repeat=2) if p != (0, 0)}
+            assert holds_exactly(relations._orbit_series, orbits)
+            assert (sum(len(relations._orbit_series(*key)) for key in orbits)
+                    == 4 * (N * N - 1))
+            # ... and the product cache the last triple-orbit group's only
+            *_, last = relations._orbits(N)
+            assert holds_exactly(relations._product,
+                                 product_keys(N, group_reps(last), 4, 40))
 
 
 def negate(x, N):
@@ -500,37 +505,74 @@ def holds_exactly(cache, keys):
 class TestScanSharding:
     def test_tasks_own_whole_triples(self):
         owner, covered = {}, []
-        tasks = list(relations._scan_tasks(5, 4, 24))
-        for t, (N, orbits, k_max, order) in enumerate(tasks):
-            assert (k_max, order) == (4, 24)
-            if t + 1 < len(tasks) and tasks[t + 1][0] == N:  # not the level's last
-                assert len(orbits) >= relations.SCAN_CHUNK_PAIRS
-            for (a, b), orbit in orbits:
-                # each orbit is the B-orbit of its representative
-                assert sorted(orbit) == sorted({(act(g, a, N), act(g, b, N))
-                                                for g in symmetries(N)})
-                covered += [(N, x, y) for x, y in orbit]
-                c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
-                for x, y in ((a, b), (b, c), (c, a)):
-                    # the products of a representative instance are over the
-                    # pairs {x, y} inside its triple; neither {x, y} nor its
-                    # negative {-x, -y}, in the same triple orbit, is in
-                    # another task
-                    for pair in ((x, y), (negate(x, N), negate(y, N))):
-                        assert owner.setdefault((N, frozenset(pair)), t) == t
+        for N in range(2, 6):
+            for t, group in enumerate(relations._orbits(N)):
+                for (a, b), orbit in group:
+                    # each orbit is the B-orbit of its representative
+                    assert sorted(orbit) == sorted({(act(g, a, N), act(g, b, N))
+                                                    for g in symmetries(N)})
+                    covered += [(N, x, y) for x, y in orbit]
+                    c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
+                    for x, y in ((a, b), (b, c), (c, a)):
+                        # the products of a representative instance are over
+                        # the pairs {x, y} inside its triple; neither {x, y}
+                        # nor its negative {-x, -y}, in the same triple
+                        # orbit, is in another group
+                        for pair in ((x, y), (negate(x, N), negate(y, N))):
+                            assert owner.setdefault((N, frozenset(pair)), t) == t
         # every ordered pair is covered by exactly one orbit
         expected = [(N, a, b) for N in range(2, 6) for a, b in relations._pairs(N)]
         assert sorted(covered) == sorted(expected)
+
+    def test_scan_runs_one_task_per_level_largest_first(self, monkeypatch):
+        scan_level, tasks = relations._scan_level, []
+
+        def recording(task):
+            tasks.append(task)
+            return scan_level(task)
+
+        monkeypatch.setattr(relations, "_scan_level", recording)
+        assert run_scan(5, 4, 24)["failed"] == 0
+        assert tasks == [(N, 4, 24) for N in (5, 4, 3, 2)]
+
+    def test_pooled_scan_builds_each_series_once(self, monkeypatch, tmp_path,
+                                                  cold_caches):
+        # a level is one task, so a pool builds each series once, as a
+        # serial scan does; the workers are forked, so each logs its builder
+        # calls to a file
+        log, build = tmp_path / "builds", relations.eisenstein_int_form
+
+        def logging(idx, order):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {idx}\n")
+            return build(idx, order)
+
+        monkeypatch.setattr(relations, "eisenstein_int_form", logging)
+        counts = []
+        for workers in (1, 2):
+            log.write_text("")
+            assert run_scan(4, 4, 40, workers=workers)["failed"] == 0
+            lines = log.read_text().splitlines()
+            assert len({line.split(" ", 1)[1] for line in lines}) == len(lines)
+            counts.append(len(lines))
+        assert counts == [104, 104]
+
+    def test_one_level_scan_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a scan of one level started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert run_scan(2, 3, 12, workers=2) == run_scan(2, 3, 12)
 
     def test_representatives_are_picked_one_triple_at_a_time(self):
         # the representatives of one orbit of zero-sum triples lie in one
         # triple, so that they share their products
         for N in range(2, 7):
             triples = {}
-            for task in relations._scan_tasks(N, 4, 24):
-                if task[0] != N:
-                    continue
-                for a, b in task_reps(task):
+            for group in relations._orbits(N):
+                for a, b in group_reps(group):
                     t = frozenset([a, b, negate((a[0] + b[0], a[1] + b[1]), N)])
                     orbit = frozenset(frozenset(act(g, x, N) for x in t)
                                       for g in symmetries(N))
@@ -538,27 +580,28 @@ class TestScanSharding:
             assert triples and all(len(ts) == 1 for ts in triples.values())
 
     def test_cold_scan_builds_each_product_once(self, monkeypatch):
-        # the misses of every task add up to the scan's distinct product keys,
-        # and after each task the cache holds that task's products only
+        # the misses of every triple-orbit group add up to the scan's
+        # distinct product keys, and after each group the cache holds that
+        # group's products only
         relations._product.cache_clear()
         relations._orbit_series.cache_clear()
-        scan_chunk, misses, seen = relations._scan_chunk, [], []
+        orbits, misses, seen = relations._orbits, [], []
 
-        def checking(task):
-            out = scan_chunk(task)
-            N, orbits, k_max, order = task
-            keys = product_keys(N, task_reps(task), k_max, order)
-            misses.append(relations._product.cache_info().misses)
-            assert holds_exactly(relations._product, keys)
-            seen.append(keys)
-            return out
+        def checking(N):
+            for group in orbits(N):
+                yield group
+                # the scan has verified this group's representatives
+                keys = product_keys(N, group_reps(group), 4, 40)
+                misses.append(relations._product.cache_info().misses)
+                assert holds_exactly(relations._product, keys)
+                seen.append(keys)
 
-        monkeypatch.setattr(relations, "_scan_chunk", checking)
+        monkeypatch.setattr(relations, "_orbits", checking)
         assert run_scan(4, 4, 40)["failed"] == 0
         distinct = set().union(*seen)
-        assert len(distinct) == sum(len(keys) for keys in seen)  # tasks share none
+        assert len(distinct) == sum(len(keys) for keys in seen)  # groups share none
         assert sum(misses) == len(distinct) == 200
-        # and no two keys are one product up to sign: no task needs a
+        # and no two keys are one product up to sign: no group needs a
         # product and its negative
         assert len({pm_class(N, i, x, j, y) for i, x, j, y, N, _ in distinct}) == 200
 
@@ -667,8 +710,13 @@ class TestEquivarianceCheck:
         k, N, point, change, scan, brackets, message = PERTURBATIONS[case]
         monkeypatch.setattr(relations, "eisenstein_int_form",
                             perturb(k, N, point, change))
-        with pytest.raises(ArithmeticError, match=message):
+        with pytest.raises(ArithmeticError, match=message) as serial:
             run_scan(*scan)
+        if scan[0] > 2:
+            # a pool worker's failure reaches the caller with its message
+            with pytest.raises(ArithmeticError) as pooled:
+                run_scan(*scan, workers=2)
+            assert str(pooled.value) == str(serial.value)
         if brackets is not None:
             # a product with the perturbed factor is not built unchecked
             for cache in (relations._orbit_series, relations._product):
