@@ -14,9 +14,11 @@ Two independent evaluators:
   lattice summation with no knowledge of the Fourier expansion.
 
 On top of these sit numerical checks of the 3-term relation at generic
-complex parameters, the antiholomorphic derivative relations (via
-central finite differences), modularity under SL2(Z), and the z -> 0
-asymptotics.
+complex parameters, the antiholomorphic derivative relations, modularity
+under SL2(Z), and the z -> 0 asymptotics.  Both derivative checks go
+through one central-difference stencil for -(tau - taubar) d/dzbar
+(``_dbar``), and each evaluates the Fourier grid of each of its points
+once, not once per stencil point.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from .eisenstein import bernoulli_number
 from .qseries import check_tau
-from .relations import (HomPoly, coeff_alpha, coeff_beta, coeff_gamma, poly_P,
-                        poly_Q, poly_R)
+from .relations import (HomPoly, _monomials, coeff_alpha, coeff_beta, coeff_gamma,
+                        poly_P, poly_Q, poly_R)
 
 TWO_PI_I = 2j * math.pi
 _INT_TOL = 1e-9
@@ -268,12 +270,11 @@ def eval_bracket_numeric(P: HomPoly, u: TorusPoint, v: TorusPoint,
 
 def _bracket(P: HomPoly, Eu: Sequence[Optional[complex]],
              Ev: Sequence[Optional[complex]]) -> complex:
-    """P[u, v] from the ``eval_E_fourier_upto`` values at u and at v."""
-    ell = P.degree
+    """P[u, v] from the ``eval_E_fourier_upto`` values at u and at v: each
+    monomial (i, j, c) of ``relations._monomials`` adds c E^(i)_u E^(j)_v."""
     acc = 0j
-    for i, c in enumerate(P.coeffs):
-        if c:
-            acc += float(c) * (_entry(Eu, i + 1) * _entry(Ev, ell - i + 1))
+    for i, j, c in _monomials(P):
+        acc += float(c) * (_entry(Eu, i) * _entry(Ev, j))
     return acc
 
 
@@ -304,43 +305,32 @@ def check_relation_numeric(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
 # Finite-difference checks of the derivative relations.
 # ---------------------------------------------------------------------------
 
-def _lattice_distance(z: complex, tau: complex) -> float:
-    p = TorusPoint.from_z(z, tau)
-    best = math.inf
-    for dm in (math.floor(p.x1), math.ceil(p.x1)):
-        for dn in (math.floor(p.x2), math.ceil(p.x2)):
-            best = min(best, abs(z - (dm * tau + dn)))
-    return best
-
-
-def _wirtinger_conj(F, z: complex, h: float) -> complex:
-    """Central-difference estimate of dF/dzbar = (dF/dx + i dF/dy)/2."""
-    dx = (F(z + h) - F(z - h)) / (2 * h)
-    dy = (F(z + 1j * h) - F(z - 1j * h)) / (2 * h)
-    return (dx + 1j * dy) / 2
-
-
-def _check_step(z: complex, tau: complex, h: float) -> None:
-    if h >= 0.01 * _lattice_distance(z, tau):
+def _check_step(p: TorusPoint, cfg: NumericConfig, h: float) -> None:
+    """Raise unless h is below 1% of p's distance to its lattice cell's corners."""
+    tau = complex(cfg.tau)
+    z = p.to_z(tau)
+    corners = [(m, n) for m in (math.floor(p.x1), math.ceil(p.x1))
+               for n in (math.floor(p.x2), math.ceil(p.x2))]
+    if h >= 0.01 * min(abs(z - (m * tau + n)) for m, n in corners):
         raise ValueError("step too large relative to lattice distance")
+
+
+def _dbar(F, p: TorusPoint, cfg: NumericConfig, h: float) -> complex:
+    """-(tau - taubar) dF/dzbar at p, for F a function of the torus point:
+    central differences of dF/dzbar = (dF/dx + i dF/dy)/2 in z = x + iy."""
+    tau = complex(cfg.tau)
+    z = p.to_z(tau)
+    dx, dy = ((F(TorusPoint.from_z(z + s, tau)) - F(TorusPoint.from_z(z - s, tau)))
+              / (2 * h) for s in (h, 1j * h))
+    return -(tau - tau.conjugate()) * ((dx + 1j * dy) / 2)
 
 
 def check_diff_relation(k: int, p: TorusPoint, cfg: NumericConfig,
                         h: float = 1e-4) -> float:
     """Error in -(tau - taubar) d/dzbar E^(k) = 1 (k=1) or (k-1) E^(k-1)."""
-    tau = complex(cfg.tau)
-    z0 = p.to_z(tau)
-    _check_step(z0, tau, h)
-
-    def F(z: complex) -> complex:
-        return eval_E_fourier(k, TorusPoint.from_z(z, tau), cfg)
-
-    lhs = -(tau - tau.conjugate()) * _wirtinger_conj(F, z0, h)
-    if k == 1:
-        target = 1.0 + 0j
-    else:
-        target = (k - 1) * eval_E_fourier(k - 1, p, cfg)
-    return abs(lhs - target)
+    _check_step(p, cfg, h)
+    lhs = _dbar(lambda q: eval_E_fourier(k, q, cfg), p, cfg, h)
+    return abs(lhs - (1.0 + 0j if k == 1 else (k - 1) * eval_E_fourier(k - 1, p, cfg)))
 
 
 def check_diff_bracket(P: HomPoly, u: TorusPoint, v: TorusPoint,
@@ -349,26 +339,16 @@ def check_diff_bracket(P: HomPoly, u: TorusPoint, v: TorusPoint,
 
     First entry: derivative in conj(u) against dP/dX [u,v] + P(0,1) E^(k-1)_v.
     Second: derivative in conj(v) against dP/dY [u,v] + P(1,0) E^(k-1)_u.
+    Both steps are checked first; the grids at u and v are evaluated once.
     """
-    tau = complex(cfg.tau)
-    zu, zv = u.to_z(tau), v.to_z(tau)
-    _check_step(zu, tau, h)
-    _check_step(zv, tau, h)
-    k = P.degree + 2
-    minus_vol = -(tau - tau.conjugate())
-
-    def Fu(z: complex) -> complex:
-        return eval_bracket_numeric(P, TorusPoint.from_z(z, tau), v, cfg)
-
-    def Fv(z: complex) -> complex:
-        return eval_bracket_numeric(P, u, TorusPoint.from_z(z, tau), cfg)
-
-    lhs_u = minus_vol * _wirtinger_conj(Fu, zu, h)
-    tgt_u = (eval_bracket_numeric(P.deriv_x(), u, v, cfg) if P.degree > 0 else 0j) \
-        + float(P.eval(0, 1)) * eval_E_fourier(k - 1, v, cfg)
-    lhs_v = minus_vol * _wirtinger_conj(Fv, zv, h)
-    tgt_v = (eval_bracket_numeric(P.deriv_y(), u, v, cfg) if P.degree > 0 else 0j) \
-        + float(P.eval(1, 0)) * eval_E_fourier(k - 1, u, cfg)
+    _check_step(u, cfg, h)
+    _check_step(v, cfg, h)
+    d = P.degree + 1  # = k - 1: each grid holds the weights 1 .. k - 1
+    Eu, Ev = (eval_E_fourier_upto(d, pt, cfg) for pt in (u, v))
+    lhs_u = _dbar(lambda q: _bracket(P, eval_E_fourier_upto(d, q, cfg), Ev), u, cfg, h)
+    lhs_v = _dbar(lambda q: _bracket(P, Eu, eval_E_fourier_upto(d, q, cfg)), v, cfg, h)
+    tgt_u = _bracket(P.deriv_x(), Eu, Ev) + float(P.eval(0, 1)) * _entry(Ev, d)
+    tgt_v = _bracket(P.deriv_y(), Eu, Ev) + float(P.eval(1, 0)) * _entry(Eu, d)
     return abs(lhs_u - tgt_u), abs(lhs_v - tgt_v)
 
 
@@ -390,9 +370,11 @@ def check_modularity(k: int, x: TorusPoint, gamma: Sequence[Sequence[int]],
     return abs(lhs - rhs)
 
 
-def eval_G2(tau: complex, cutoff: int = 200) -> complex:
-    """The weight-2 series -1/24 + sum_{m,n>=1} n q^{mn}, summed directly."""
+def eval_G2(tau: complex) -> complex:
+    """The weight-2 series -1/24 + sum_{m,n>=1} n q^{mn}, summed directly
+    over m*n <= 200."""
     q = cmath.exp(TWO_PI_I * tau)
+    cutoff = 200
     acc = complex(-1.0 / 24.0)
     for m in range(1, cutoff + 1):
         for n in range(1, cutoff // m + 1):
@@ -410,8 +392,7 @@ def _richardson(values: List[complex]) -> complex:
     return row[0]
 
 
-def check_asymptotics(k: int, tau: complex, cfg: NumericConfig,
-                      steps: int = 6, t0: float = 0.04) -> dict:
+def check_asymptotics(k: int, tau: complex, cfg: NumericConfig) -> dict:
     """Behaviour of E^(k) as z -> 0 along a ray with irrational slope.
 
     Weight 1: z*E^(1)_z -> 1/(2 pi i), with a bounded slope; also checked
@@ -422,7 +403,7 @@ def check_asymptotics(k: int, tau: complex, cfg: NumericConfig,
         raise ValueError("asymptotics are for weights 1 and 2")
     cfg = replace(cfg, tau=tau)
     d1, d2 = 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(7.0)
-    ts = [t0 * 0.5 ** j for j in range(steps)]
+    ts = [0.04 * 0.5 ** j for j in range(6)]  # six steps, each half the last
     vals: List[complex] = []
     for t in ts:
         p = TorusPoint(t * d1, t * d2)

@@ -84,10 +84,16 @@ class QExpansion:
                 raise ValueError(f"expected vectors of {level} entries, got {len(vec)}")
             if any(vec):
                 clean[n] = tuple(vec)
-        self.level = level
-        self.order = order
-        self.den = den
-        self.data = MappingProxyType(clean)  # read-only: caches share expansions
+        # read-only, attributes and data alike: caches share expansions
+        for name, value in (("level", level), ("order", order), ("den", den),
+                            ("data", MappingProxyType(clean))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QExpansion is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QExpansion is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         return from_int_form, (self.level, self.order, self.den, dict(self.data))

@@ -333,6 +333,9 @@ class TestRelationNumeric:
                                       nm.TorusPoint(0.5, 0.5), CFG)
 
 
+STEP_ERROR = "step too large relative to lattice distance"
+
+
 class TestDifferentialChecks:
     P_PT = nm.TorusPoint(0.313, 0.457)
 
@@ -372,6 +375,110 @@ class TestDifferentialChecks:
         u, v = nm.TorusPoint(0.41, 0.13), nm.TorusPoint(0.66, 0.29)
         e_u, e_v = nm.check_diff_bracket(P, u, v, CFG)
         assert e_u < 1e-5 and e_v < 1e-5
+
+    @pytest.mark.parametrize("P", [HomPoly.monomial(0, 1), HomPoly.monomial(1, 1)],
+                             ids=["Y", "XY"])
+    @pytest.mark.parametrize("bad", [(0.0, 0.0), (1e-5, 1e-5)], ids=["lattice", "near"])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_bracket_step_guard(self, P, bad, side, monkeypatch):
+        # both steps are checked before any grid is evaluated: a check inside
+        # each point's own stencil would, at v = 0 with P = Y, stop at the
+        # undefined E^(2)_v while differentiating in u
+        good, bad = nm.TorusPoint(0.31, 0.47), nm.TorusPoint(*bad)
+        u, v = (bad, good) if side == "u" else (good, bad)
+
+        def no_grid(*args):
+            raise AssertionError("a grid was evaluated before the step checks")
+
+        monkeypatch.setattr(nm, "eval_E_fourier_upto", no_grid)
+        with pytest.raises(ValueError, match=STEP_ERROR):
+            nm.check_diff_bracket(P, u, v, CFG)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=STEP_ERROR):
+            nm.check_diff_bracket(P, u, v, CFG)
+
+    def test_bracket_degree_zero(self):
+        # P = 1: no monomial has a derivative, so each target is E^(1) alone
+        u, v = nm.TorusPoint(0.23, 0.61), nm.TorusPoint(0.57, 0.18)
+        e_u, e_v = nm.check_diff_bracket(poly_P(0, 0), u, v, CFG)
+        assert e_u < 1e-5 and e_v < 1e-5
+
+
+def reference_dbar(F, z0, tau, h):
+    """-(tau - taubar) dF/dzbar by central differences, F a function of z."""
+    dx = (F(z0 + h) - F(z0 - h)) / (2 * h)
+    dy = (F(z0 + 1j * h) - F(z0 - 1j * h)) / (2 * h)
+    return -(tau - tau.conjugate()) * ((dx + 1j * dy) / 2)
+
+
+def reference_diff_relation(k, p, cfg, h):
+    """check_diff_relation with every stencil point and target evaluated
+    from scratch."""
+    tau = complex(cfg.tau)
+    lhs = reference_dbar(lambda z: nm.eval_E_fourier(k, nm.TorusPoint.from_z(z, tau), cfg),
+                         p.to_z(tau), tau, h)
+    target = 1.0 + 0j if k == 1 else (k - 1) * nm.eval_E_fourier(k - 1, p, cfg)
+    return abs(lhs - target)
+
+
+def reference_diff_bracket(P, u, v, cfg, h):
+    """check_diff_bracket with every stencil point and target evaluated from
+    scratch by eval_bracket_numeric and eval_E_fourier."""
+    tau = complex(cfg.tau)
+    k = P.degree + 2
+    lhs_u = reference_dbar(
+        lambda z: nm.eval_bracket_numeric(P, nm.TorusPoint.from_z(z, tau), v, cfg),
+        u.to_z(tau), tau, h)
+    lhs_v = reference_dbar(
+        lambda z: nm.eval_bracket_numeric(P, u, nm.TorusPoint.from_z(z, tau), cfg),
+        v.to_z(tau), tau, h)
+    tgt_u = (nm.eval_bracket_numeric(P.deriv_x(), u, v, cfg) if P.degree > 0 else 0j) \
+        + float(P.eval(0, 1)) * nm.eval_E_fourier(k - 1, v, cfg)
+    tgt_v = (nm.eval_bracket_numeric(P.deriv_y(), u, v, cfg) if P.degree > 0 else 0j) \
+        + float(P.eval(1, 0)) * nm.eval_E_fourier(k - 1, u, cfg)
+    return abs(lhs_u - tgt_u), abs(lhs_v - tgt_v)
+
+
+DIFF_POINTS = [(nm.TorusPoint(0.313, 0.457), nm.TorusPoint(0.66, 0.29)),
+               (nm.TorusPoint(0.19, 0.72), nm.TorusPoint(0.36, 0.55)),
+               (nm.TorusPoint(0.875, 0.06), nm.TorusPoint(0.1, 0.93))]
+DIFF_POLYS = {"1": poly_P(0, 0), "X": poly_P(1, 0), "X+Y": HomPoly(1, [1, 1]),
+              "X^2Y": poly_P(2, 1),
+              "mixed3": HomPoly(3, [Fraction(3, 2), 0, -2, Fraction(1, 3)])}
+
+
+class TestDifferentialChecksAgainstReference:
+    """The shared stencil and the once-evaluated grids change no value."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("h", [1e-4, 1e-3])
+    def test_relation_equals_reference(self, k, h):
+        for p, _ in DIFF_POINTS:
+            ref = reference_diff_relation(k, p, CFG, h)
+            assert nm.check_diff_relation(k, p, CFG, h) == ref
+
+    @pytest.mark.parametrize("name", list(DIFF_POLYS))
+    def test_bracket_equals_reference(self, name):
+        P = DIFF_POLYS[name]
+        for u, v in DIFF_POINTS:
+            ref = reference_diff_bracket(P, u, v, CFG, 1e-4)
+            assert nm.check_diff_bracket(P, u, v, CFG) == ref
+
+    @pytest.mark.parametrize("name", list(DIFF_POLYS))
+    def test_bracket_evaluates_ten_grids(self, name, monkeypatch):
+        # one grid at u and one at v, then four stencil points at each
+        calls = []
+        upto = nm.eval_E_fourier_upto
+
+        def counted(k_max, p, cfg):
+            calls.append(k_max)
+            return upto(k_max, p, cfg)
+
+        monkeypatch.setattr(nm, "eval_E_fourier_upto", counted)
+        P = DIFF_POLYS[name]
+        u, v = DIFF_POINTS[0]
+        nm.check_diff_bracket(P, u, v, CFG)
+        assert calls == [P.degree + 1] * 10
 
 
 class TestModularity:

@@ -772,6 +772,22 @@ class TestImmutability:
         g = eisenstein_qexp(idx, 10)
         assert {n: c.coeffs for n, c in g.coeffs.items()} == before
 
+    @pytest.mark.parametrize("name", ["level", "order", "den", "data", "other"])
+    def test_cached_series_attributes_cannot_be_changed(self, name):
+        from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
+        idx = EisensteinIndex(4, 3, 1, 0)
+        f = eisenstein_qexp(idx, 10)
+        before = (f.level, f.order, f.den, dict(f.data))
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(f, name, 7 if name != "data" else {0: (1, 0, 0)})
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, name)
+        g = eisenstein_qexp(idx, 10)
+        assert g is f
+        assert (g.level, g.order, g.den, dict(g.data)) == before
+        h = pickle.loads(pickle.dumps(g))
+        assert (h.level, h.order, h.den, dict(h.data)) == before
+
     def test_cached_product_cannot_be_changed(self):
         from eiskron import relations
         x = relations._product(1, (1, 0), 2, (0, 1), 3, 10)
