@@ -8,7 +8,8 @@ each pair (mu, nu) with mu >= 1, nu in +-a1/N + Z, nu > 0, a term
     -+ zeta_N^{+-mu*a2} * nu^{k-1} * q^{mu*nu},
 
 the mirrored branch carrying an extra sign (-1)^{k+1}.  All exponents
-are multiples of 1/N, all coefficients live in Q(zeta_N).
+are multiples of 1/N, all coefficients live in Q(zeta_N).  The builder
+gives one flat integer list, which the scan checks and packs as it is.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb, gcd, lcm
 from typing import List, Tuple
 
 from .cyclotomic import CycNum, Rat
-from .qseries import IntCoeffs, QExpansion, from_int_form
+from .qseries import QExpansion, from_int_form
 
 
 class InvalidIndexError(ValueError):
@@ -132,10 +133,12 @@ def constant_term(idx: EisensteinIndex) -> CycNum:
     return CycNum(idx.N, [Fraction(x, den) for x in vec])
 
 
-def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, IntCoeffs]:
-    """(den, {n: integer vector}): the series at idx, all exponents n/N with
-    n < order in increasing n, as vector/den over the least common
-    denominator den.  Not cached: callers cache what they derive from it."""
+def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, List[int]]:
+    """(den, flat): the series at idx, all exponents n/N with n < order, over
+    the least common denominator den, as one row-major list of order*N
+    integers: flat[n*N + i] is den times the coefficient of zeta^i q^{n/N},
+    exact and unreduced (modulo x^N - 1).  Not cached: callers cache what
+    they derive from it."""
     if order < 1:
         raise ValueError("order must be >= 1")
     k, N, a1, a2 = idx.k, idx.N, idx.a1, idx.a2
@@ -165,13 +168,15 @@ def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, IntCoeff
     g = gcd(D, *flat)
     if g > 1:
         flat = [x // g for x in flat]
-    # the N-tuples of flat, one per exponent; all-zero ones are dropped
-    return D // g, {n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)}
+    return D // g, flat
 
 
 @lru_cache(maxsize=None)
 def _qexp_cached(k: int, N: int, a1: int, a2: int, order: int) -> QExpansion:
-    return from_int_form(N, order, *eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order))
+    den, flat = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
+    # the N-tuples of flat, one per exponent; all-zero ones are dropped
+    return from_int_form(N, order, den, {
+        n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)})
 
 
 def eisenstein_qexp(idx: EisensteinIndex, order: int) -> QExpansion:

@@ -16,17 +16,19 @@ The exact scan runs on PackedSeries: each series is reduced mod Phi_N,
 which makes it canonical, and packed into one signed big integer,
 two-dimensionally: the zeta exponent selects a limb within a block of
 2*phi - 1 limbs, the q exponent selects the block, so that a product of
-two packed series fits the same layout.  PackedSeries.pack is the one way
-in: it transposes the builder's unreduced vectors once into columns,
-reduces the columns mod Phi_N and writes them as limbs.  A
-product (convolve_int) is one big-integer multiply (Kronecker
-substitution), a truncation mask, column masks and the rows x^c mod Phi_N
-applied to whole columns; a linear combination is a few big-int
-multiply-adds, and it is zero in Q(zeta_N) iff its value is 0.  Limbs are
-signed (two's complement bytes offset by a per-limb bias), and every limb
-width comes from a derived height bound that is checked at run time:
-series, products and residuals are stored at a multiple of 8 bytes, and
-a product's one multiply runs at the byte width its bound needs.  Two
+two packed series fits the same layout.  On the scan's path a series is
+one flat row-major list of integers from the builder to the packed form:
+act_int_form applies the group B to it by whole slices, and
+PackedSeries.pack, the one way in, reads its columns as slices, reduces
+them mod Phi_N and writes them as limbs.  A product (convolve_int) is one
+big-integer multiply (Kronecker substitution), a truncation mask, column
+masks and the rows x^c mod Phi_N applied to whole columns; a linear
+combination is a few big-int multiply-adds, and it is zero in Q(zeta_N)
+iff its value is 0.  Limbs are signed (two's complement bytes offset by a
+per-limb bias), and every limb width comes from a derived height bound
+that is checked at run time: series, products and residuals are stored at
+a multiple of 8 bytes, and a product's one multiply runs at the byte
+width its bound needs, each operand narrowed to it once (narrow).  Two
 steps still touch limbs one at a time in Python: pack writes each limb
 with one to_bytes call (one comprehension per column), and unpack reads
 each limb back, which the scan does only for a failed instance.
@@ -39,10 +41,10 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat, zip_longest
-from operator import itemgetter
+from itertools import chain
+from operator import neg
 from types import MappingProxyType
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_columns,
                          reduce_mod_cyclotomic, reduction_norm, totient)
@@ -174,9 +176,13 @@ class QExpansion:
 
     def twist(self, j: int) -> "QExpansion":
         """Substitute tau -> tau + j: coefficient at q^{n/N} picks up zeta_N^{nj},
-        the action of (1, j, 1) (see act_int_form)."""
-        return from_int_form(self.level, self.order, self.den,
-                             act_int_form(self.level, (1, j, 1), 0, self.data))
+        the action of (1, j, 1) of the group B (see act_int_form), written
+        apart from it: each vector rotates by n j places."""
+        N, out = self.level, {}
+        for n, v in self.data.items():
+            r = n * j % N
+            out[n] = v[-r:] + v[:-r] if r else v
+        return from_int_form(N, self.order, self.den, out)
 
     # -- predicates ----------------------------------------------------------
 
@@ -289,30 +295,27 @@ def from_int_form(level: int, order: int, den: int, data: IntCoeffs) -> QExpansi
 
 
 def act_int_form(level: int, g: Tuple[int, int, int], k: int,
-                 data: IntCoeffs) -> IntCoeffs:
+                 flat: Sequence[int]) -> List[int]:
     """g = (s, j, t) of the group B (see relations) applied to the weight-k
-    series with length-level vectors data[n], modulo x^N - 1: s^k tau_j
-    sigma_t, which sends zeta^i q^{n/N} to s^k zeta^{t i + n j} q^{n/N}, so
-    entry m of the image at q^{n/N} is s^k data[n][t^-1 (m - n j)].  A
-    signed permutation of each vector, so no vector becomes zero."""
+    series held as the builder's flat list, flat[n*N + i] the coefficient
+    of zeta^i q^{n/N} modulo x^N - 1: s^k tau_j sigma_t, which sends
+    zeta^i q^{n/N} to s^k zeta^{t i + n j} q^{n/N}.  n j mod N has period
+    P = N / gcd(j, N) in n, so entry (n, i) moves to (n, t i + rho j mod N)
+    for rho = n mod P, and the rows n = rho mod P move together: P*N
+    extended-slice copies of stride P*N (N^2 at most), and one negation
+    when s^k = -1.  A signed permutation of each row."""
     s, j, t = g
     N = level
-    sigma = None
-    if (t - 1) % N:
-        # sigma_t: entry m is entry t^-1 m, one permutation for every
-        # vector; a unit t != 1 needs N >= 3, so the getter gives a tuple
-        t_inv = pow(t, -1, N)
-        sigma = itemgetter(*[t_inv * m % N for m in range(N)])
-    negate = s < 0 and k % 2
-    out = {}
-    for n, v in data.items():
-        if sigma:
-            v = sigma(v)
-        r = n * j % N
-        if r:  # tau_j: the vector at q^{n/N} rotates by n j places
-            v = v[-r:] + v[:-r]
-        out[n] = tuple([-x for x in v]) if negate else v
-    return out
+    if len(flat) % N:
+        raise ValueError(f"act_int_form takes whole rows of {N} entries")
+    out = [0] * len(flat)
+    P = N // math.gcd(j, N)
+    step = P * N
+    for rho in range(P):
+        row = rho * N
+        for i in range(N):
+            out[row + (t * i + rho * j) % N::step] = flat[row + i::step]
+    return list(map(neg, out)) if s < 0 and k % 2 else out
 
 
 def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoeffs:
@@ -427,19 +430,15 @@ class PackedSeries(NamedTuple):
     value: int
 
     @classmethod
-    def pack(cls, level: int, order: int, den: int, data: IntCoeffs) -> "PackedSeries":
-        """The series data[n] / den reduced mod Phi_N and packed, for vectors
-        modulo x^N - 1 (length <= level, as the builder gives them) at keys
-        0 <= n < order: the one way into a PackedSeries.  One transpose into
-        dense columns over n < order, reduce_columns, then the height is
-        measured on the reduced limbs and the limbs are written."""
-        if data and (max(map(len, data.values())) > level or min(data) < 0
-                     or max(data) >= order):
-            raise ValueError(f"pack takes vectors of at most {level} entries "
-                             f"at keys 0 <= n < {order}")
-        rows = map(data.get, range(order), repeat(()))
-        cols = reduce_columns(level, list(zip_longest(*rows, fillvalue=0))
-                              or [(0,) * order])
+    def pack(cls, level: int, order: int, den: int, flat: Sequence[int]) -> "PackedSeries":
+        """The one way into a PackedSeries: the builder's flat list, with
+        flat[n*N + i] den times the coefficient of zeta^i q^{n/N} (n < order)
+        modulo x^N - 1, read as columns flat[i::N], reduced mod Phi_N by
+        reduce_columns, its height measured and its limbs written."""
+        if len(flat) != order * level:
+            raise ValueError(f"pack takes order * level = {order * level} "
+                             f"entries, not {len(flat)}")
+        cols = reduce_columns(level, [flat[i::level] for i in range(level)])
         height = max(map(abs, chain.from_iterable(cols)), default=0)
         width = _limb_width(height)
         s = _stride(level)
@@ -502,6 +501,14 @@ class PackedSeries(NamedTuple):
         return self.unpack()[1].items()
 
 
+@lru_cache(maxsize=None)
+def narrow(x: PackedSeries, width: int) -> int:
+    """x.at(width), once per (series, width): a series enters many products
+    at one multiply width.  Unbounded, as relations' series cache is; the
+    scan clears both at each level."""
+    return x.at(width)
+
+
 def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeries:
     """The product of packed series f and g (level N, order T) reduced mod
     Phi_N, in the PackedSeries layout: the scan's product kernel.
@@ -514,7 +521,8 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     limb of every block and unbiased; columns c >= N fold onto c - N
     (zeta^N = 1), and reduce_mod_cyclotomic adds the rest into the first
     phi columns with the rows x^c mod Phi_N, phi <= c < N, as it reduces
-    any vector.  Every step acts on whole big ints, and the finished
+    any vector.  Every step acts on whole big ints: each operand is
+    narrowed to Wm once for all its products (narrow), and the finished
     product is widened once to its storage width.
     """
     if not all(isinstance(z, PackedSeries) and (z.level, z.order) == (N, T)
@@ -539,7 +547,7 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
         return PackedSeries(N, T, den, 0, W, 0)
     bias, trunc, column, column_bias = _product_masks(T, s, Wm)
     bits = 8 * Wm
-    t = (f.at(Wm) * g.at(Wm) + bias) & trunc
+    t = (narrow(f, Wm) * narrow(g, Wm) + bias) & trunc
     cols = [((t >> bits * c) & column) - column_bias for c in range(s)]
     for c in range(N, s):
         cols[c - N] += cols[c]

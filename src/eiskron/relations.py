@@ -21,8 +21,10 @@ every coefficient, and tau_j the twist tau -> tau + j, which multiplies
 the coefficient of q^{n/N} by zeta^{nj}.  That is an action, since
 sigma_t tau_j' = tau_{tj'} sigma_t, and tau_j sigma_t is a ring
 automorphism of the truncated series that fixes Q and every exponent.
-qseries.act_int_form applies g to integer vectors, and
-QExpansion.twist(j) is its case (1, j, 1).  The series have
+qseries.act_int_form applies g to the builder's flat integer list, by
+whole slices; QExpansion.twist(j), the case (1, j, 1) on a QExpansion,
+rotates each vector on its own, so the check below shares no code with
+the twist identities that test it.  The series have
 E^{(k)}_{g x} = g E^{(k)}_x: the builder's coefficients are
 zeta^{+-mu a2} and Bernoulli constants, so sigma_t moves (a1, a2) to
 (a1, t a2); the twist moves it to (a1, a2 + j a1) (acceptance criterion
@@ -85,7 +87,7 @@ from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Seq
 from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
-                      from_int_form, linear_combination)
+                      from_int_form, linear_combination, narrow)
 
 Pair = Tuple[int, int]
 
@@ -333,27 +335,28 @@ def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSe
     least point r, read-only, built only whole and only once every series
     in it passed the equivariance check (see the module docstring): with
     (r, gs) = _orbit_map(N)[x], E_x must have the den of E_r and equal
-    g E_r for each g in gs, else ArithmeticError.  The builder's vectors
-    are exact and unreduced, and B acts on them by signed permutations, so
-    each check is one comparison of vectors; equal vectors are equal series
-    in Q(zeta_N).  r and its stabilizer are checked first, and each series
-    is packed once its checks pass.  This is the one cache of the series.
+    g E_r for each g in gs, else ArithmeticError.  A series stays the
+    builder's flat list from build to pack: exact and unreduced, and B acts
+    on it by a signed permutation of each row, so each check is one
+    comparison of lists; equal lists are equal series in Q(zeta_N).  r and
+    its stabilizer are checked first, and each series is packed once its
+    checks pass.  This is the one cache of the series.
     """
     points = _orbit_map(N)
-    r_den, r_data = eisenstein_int_form(EisensteinIndex(k, N, *r), order)
+    r_den, r_flat = eisenstein_int_form(EisensteinIndex(k, N, *r), order)
     out = {}
     for x in [r] + [x for x, (y, _) in points.items() if y == r and x != r]:
-        den, data = ((r_den, r_data) if x == r else
+        den, flat = ((r_den, r_flat) if x == r else
                      eisenstein_int_form(EisensteinIndex(k, N, *x), order))
         for g in points[x][1]:
-            image = act_int_form(N, g, k, r_data)
+            image = act_int_form(N, g, k, r_flat)
             # an explicit raise, not an assert: python -O must not drop exactness
-            if den != r_den or image != data:
+            if den != r_den or image != flat:
                 what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
                         f"fixed by g = (s, j, t) = {g} in its stabilizer")
                 raise ArithmeticError(f"E^({k})_{x} at level {N} is not {what}: "
                                       "orbit transport would not be exact")
-        out[x] = PackedSeries.pack(N, order, den, data)
+        out[x] = PackedSeries.pack(N, order, den, flat)
     return MappingProxyType(out)
 
 
@@ -576,11 +579,12 @@ def _scan_level(args) -> Tuple[int, List[dict]]:
     pair of its orbit, whose series the representative's reads built and
     checked (see _orbit_series)."""
     N, k_max, order = args
-    # Caches are per process.  No series is used at another level, and a
-    # product key fixes its triple's orbit, so no product is used outside
-    # its triple-orbit group (see _orbits): each is built once and dropped
-    # with its group.
+    # Caches are per process.  No series is used at another level, nor is
+    # its narrowed value (qseries.narrow), and a product key fixes its
+    # triple's orbit, so no product is used outside its triple-orbit group
+    # (see _orbits): each is built once and dropped with its group.
     _orbit_series.cache_clear()
+    narrow.cache_clear()
     covered, failures = 0, []
     for group in _orbits(N):
         _product.cache_clear()

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import eiskron
 from eiskron.cyclotomic import (CycNum, LevelMismatchError, _reduction_rows,
-                                cyclotomic_polynomial, reduce_mod_cyclotomic,
+                                cyclotomic_polynomial, reduce_columns,
+                                reduce_mod_cyclotomic,
                                 reduction_norm, totient, zeta_pow)
 from eiskron.qseries import (PackedSeries, QExpansion, _pack, act_int_form,
                              convolve_int, convolve_naive, from_int_form,
@@ -36,6 +37,22 @@ def reduce_each(N, data):
     reduction must match."""
     out = {n: tuple(reduce_mod_cyclotomic(N, vec)) for n, vec in data.items()}
     return {n: vec for n, vec in out.items() if any(vec)}
+
+
+def flat(N, T, data):
+    """The row-major flat list of the vectors data[n], zero-padded to N
+    entries, over the exponents n < T: pack's input, built from the dict
+    form that these tests draw."""
+    assert all(0 <= n < T and len(vec) <= N for n, vec in data.items())
+    out = [0] * (N * T)
+    for n, vec in data.items():
+        out[n * N:n * N + len(vec)] = vec
+    return out
+
+
+def pack(N, T, den, data):
+    """PackedSeries.pack of the vectors data[n] at keys n < T."""
+    return PackedSeries.pack(N, T, den, flat(N, T, data))
 
 
 def reduced_entries(x):
@@ -155,35 +172,65 @@ class TestScaleAndSubstitutions:
                 assert (f * g).twist(j).field_equals(f.twist(j) * g.twist(j))
 
 
+def rows(N, flat):
+    """{n: vector} of the nonzero rows of a flat list: the dict form."""
+    return {n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)}
+
+
 class TestAction:
     """act_int_form is an action of the group B of relations' orbit
-    transport on integer vectors modulo x^N - 1."""
+    transport on flat lists of integer vectors modulo x^N - 1."""
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 12])
     def test_action_of_B(self, N):
         rng = random.Random(N)
-        data = {n: tuple(rng.randint(-9, 9) for _ in range(N)) for n in range(0, 9, 2)}
+        data = flat(N, 9, {n: tuple(rng.randint(-9, 9) for _ in range(N))
+                           for n in range(0, 9, 2)})
         B = _symmetries(N)
         for k in (1, 2):
             images = {g: act_int_form(N, g, k, data) for g in B}
             for g, image in images.items():
                 s, j, t = g
                 t_inv = pow(t, -1, N)
-                assert image == {n: tuple(s ** k * v[t_inv * (m - n * j) % N]
-                                          for m in range(N))
-                                 for n, v in data.items()}
+                assert rows(N, image) == {n: tuple(s ** k * v[t_inv * (m - n * j) % N]
+                                                   for m in range(N))
+                                          for n, v in rows(N, data).items()}
                 for h, h_image in images.items():
                     gh = (s * h[0], (j + t * h[1]) % N, t * h[2] % N or N)
                     assert gh in images
                     assert act_int_form(N, g, k, h_image) == images[gh], (g, h)
 
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_matches_per_entry_reference(self, N):
+        # image[n][t i + n j] = s^k data[n][i], entry by entry, at every
+        # order 1..2N+1: the slices of stride N^2 must also hold orders that
+        # are not multiples of N, where the residues rho = n mod N have
+        # unequal numbers of rows
+        rng = random.Random(100 + N)
+        B = _symmetries(N)
+        for T in range(1, 2 * N + 2):
+            data = [rng.randint(-99, 99) for _ in range(N * T)]
+            k = 1 + T % 2  # odd and even weights, so s = -1 negates or not
+            for s, j, t in B:
+                expect = [None] * (N * T)
+                for n in range(T):
+                    for i in range(N):
+                        expect[n * N + (t * i + n * j) % N] = s ** k * data[n * N + i]
+                assert act_int_form(N, (s, j, t), k, data) == expect, (T, s, j, t)
+
+    def test_rejects_a_partial_row(self):
+        with pytest.raises(ValueError, match="whole rows of 3 entries"):
+            act_int_form(3, (1, 1, 1), 1, [1, 2, 3, 4])
+
     @pytest.mark.parametrize("N", [1, 3, 4, 12])
     def test_twist_is_the_action_of_1_j_1(self, N):
+        # QExpansion.twist rotates each vector on its own, apart from
+        # act_int_form's slices, and the two agree
         rng = random.Random(N)
-        f = from_int_form(N, 9, 5, {n: tuple(rng.randint(-9, 9) for _ in range(N))
-                                    for n in range(9)})
+        data = [rng.randint(-9, 9) for _ in range(9 * N)]
+        f = from_int_form(N, 9, 5, rows(N, data))
         for j in range(-N, 2 * N):
-            assert dict(f.twist(j).data) == act_int_form(N, (1, j, 1), 1, f.data)
+            assert dict(f.twist(j).data) == rows(N, act_int_form(N, (1, j, 1), 1, data))
 
 
 def hidden_zero(N):
@@ -380,8 +427,8 @@ class TestIntForm:
     def test_linear_combination(self):
         # N = 3: Phi_3 = x^2 + x + 1, so zeta^2 reduces to -1 - zeta
         N, T = 3, 5
-        x = PackedSeries.pack(N, T, 3, reduce_each(N, {0: (6, 0, 0), 2: (0, 0, 3)}))
-        y = PackedSeries.pack(N, T, 2, reduce_each(N, {0: (2, 0, 0)}))
+        x = pack(N, T, 3, reduce_each(N, {0: (6, 0, 0), 2: (0, 0, 3)}))
+        y = pack(N, T, 2, reduce_each(N, {0: (2, 0, 0)}))
         res = linear_combination(N, T, [(Fraction(1, 2), x), (-1, y)])
         assert not res.is_zero()
         f = from_int_form(N, T, *res.unpack())
@@ -393,8 +440,8 @@ class TestIntForm:
         assert linear_combination(N, T, []).is_zero()
 
     def test_linear_combination_rejects_another_order(self):
-        x = PackedSeries.pack(3, 5, 1, {0: (1, 0, 0)})
-        y = PackedSeries.pack(3, 4, 1, {0: (1, 0, 0)})
+        x = pack(3, 5, 1, {0: (1, 0, 0)})
+        y = pack(3, 4, 1, {0: (1, 0, 0)})
         with pytest.raises(ValueError, match="terms differ in level or order"):
             linear_combination(3, 5, [(1, x), (1, y)])
 
@@ -412,7 +459,7 @@ class TestIntForm:
                     for n in rng.sample(range(T), rng.randint(0, T))}
             c = rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                             Fraction(10 ** 40 + 1), Fraction(1, 10 ** 40 - 1)])
-            terms.append((c, PackedSeries.pack(N, T, den, reduce_each(N, data))))
+            terms.append((c, pack(N, T, den, reduce_each(N, data))))
             expect = expect + from_int_form(N, T, den, data).scale(c)
         res = linear_combination(N, T, terms)
         got = from_int_form(N, T, *res.unpack())
@@ -432,18 +479,18 @@ class TestIntForm:
         data = {n: tuple((top, -top, 0, 1, -1)[(n + j) % 5] for j in range(4))
                 for n in range(T)}
         data = {n: v for n, v in data.items() if n != 2}  # an empty exponent
-        x = PackedSeries.pack(N, T, 7, data)
+        x = pack(N, T, 7, data)
         assert (x.width, x.height) == (8, top)
         for width in (16, 24, 72):
             assert x.at(width) == _pack(columns(data, T), T * s, width, s)
         den, out = x.unpack()
         assert den == 7 and out == {n: v + (0,) for n, v in data.items()}
-        assert PackedSeries.pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
+        assert pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
         # negative and extreme limbs, widened step by step 8 -> 16 -> 24 -> 32
         for edge in (-top, 2 ** 64 - 1, -2 ** 64, 2 ** 127 - 1, -2 ** 127):
             data = {n: tuple((edge, -1, 0, -edge, 1, top, -top)[(n * 3 + j) % 7]
                              for j in range(4)) for n in range(T)}
-            y = PackedSeries.pack(N, T, 1, data)
+            y = pack(N, T, 1, data)
             for width in range(y.width + 8, 33, 8):
                 y = y._replace(width=width, value=y.at(width))
                 assert y.value == _pack(columns(data, T), T * s, width, s)
@@ -460,7 +507,7 @@ class TestIntForm:
         s = 2 * 4 - 1
         data = {n: tuple((edge, -1, 0, -edge, 1, edge // 3)[(n * 3 + j) % 6]
                          for j in range(4)) for n in range(T)}
-        y = PackedSeries.pack(N, T, 1, data)
+        y = pack(N, T, 1, data)
         need = next(w for w in range(1, 33) if y.height < 2 ** (8 * w - 1))
         expect = {n: v + (0,) for n, v in data.items()}
         for source in (y, y._replace(width=32, value=y.at(32))):
@@ -475,10 +522,10 @@ class TestIntForm:
         # Phi_4 = x^2 + 1: zeta^2 = -1, zeta^3 = -zeta; field zeros drop out
         data = {0: (1, 2, 3, 4), 3: (1, 0, 1, 0), 5: (0, 0, 0, 0)}
         assert reduce_each(4, data) == {0: (-2, -2)}
-        x = PackedSeries.pack(4, 6, 1, data)
+        x = pack(4, 6, 1, data)
         assert (x.height, reduced_entries(x)) == (2, {0: (-2, -2)})
         assert reduce_each(1, {2: (5,)}) == {2: (5,)}
-        assert reduced_entries(PackedSeries.pack(1, 3, 1, {2: (5,)})) == {2: (5,)}
+        assert reduced_entries(pack(1, 3, 1, {2: (5,)})) == {2: (5,)}
 
     def test_int_form_is_zero(self):
         N = 3
@@ -536,18 +583,38 @@ class TestColumnarPath:
     @given(mixed_vectors())
     def test_reduce_matches_per_vector(self, case):
         N, data = case
-        x = PackedSeries.pack(N, max(data, default=0) + 1, 1, data)
+        x = pack(N, max(data, default=0) + 1, 1, data)
         assert reduced_entries(x) == reduce_each(N, data)
+
+    @example((3, {}))
+    @example((12, {0: (1, 2), 3: (2 ** 63, -2 ** 127) * 6}))
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_vectors())
+    def test_pack_matches_dict_path(self, case):
+        # the flat path against the dict path it replaced: the vectors
+        # transposed into columns by zip_longest, then reduce_columns, the
+        # measured height and _pack
+        N, data = case
+        T = max(data, default=0) + 1
+        rows_ = [data.get(n, ()) for n in range(T)]
+        cols = reduce_columns(N, list(zip_longest(*rows_, fillvalue=0)) or [(0,) * T])
+        height = max(map(abs, chain.from_iterable(cols)), default=0)
+        width = 8 * (height.bit_length() // 64 + 1)
+        s = 2 * totient(N) - 1
+        assert pack(N, T, 7, data) == \
+            PackedSeries(N, T, 7, height, width, _pack(cols, T * s, width, s))
+        with pytest.raises(ValueError):
+            PackedSeries.pack(N, T, 7, flat(N, T, data) + [0])
 
     @pytest.mark.parametrize("N", (1, 2, 3, 5, 12, 105))
     def test_reduce_edge_inputs(self, N):
         phi = totient(N)
-        assert PackedSeries.pack(N, 8, 1, {}).unpack() == (1, {})
-        assert PackedSeries.pack(N, 8, 1, {3: (), 7: (0,) * N}).unpack() == (1, {})
+        assert pack(N, 8, 1, {}).unpack() == (1, {})
+        assert pack(N, 8, 1, {3: (), 7: (0,) * N}).unpack() == (1, {})
         # the last entry alone is x^(N-1) mod Phi_N, the last reduction row
         last = (0,) * (N - 1) + (1,)
         row = _reduction_rows(N)[-1] if N - 1 >= phi else last
-        assert reduced_entries(PackedSeries.pack(N, 8, 1, {0: last, 1: (2,)})) == \
+        assert reduced_entries(pack(N, 8, 1, {0: last, 1: (2,)})) == \
             {0: tuple(row), 1: (2,) + (0,) * (phi - 1)}
 
     @example((1, 3, {0: (2 ** 63,), 2: (-2 ** 127,)}))
@@ -559,7 +626,7 @@ class TestColumnarPath:
     def test_pack_unpack_round_trip(self, case):
         N, T, data = case
         phi = totient(N)
-        x = PackedSeries.pack(N, T, 5, data)
+        x = pack(N, T, 5, data)
         height = max((abs(v) for vec in data.values() for v in vec), default=0)
         assert (x.height, x.width) == (height, 8 * (height.bit_length() // 64 + 1))
         pad = (0,) * (N - phi)
@@ -594,7 +661,7 @@ def assert_product_matches(N, T, A, B):
     """convolve_int of the packed A and B equals the schoolbook convolution
     reduced mod Phi_N."""
     phi = totient(N)
-    x, y = PackedSeries.pack(N, T, 3, A), PackedSeries.pack(N, T, 4, B)
+    x, y = pack(N, T, 3, A), pack(N, T, 4, B)
     den, got = convolve_int(N, T, x, y).unpack()
     assert den == 12
     assert {n: v[:phi] for n, v in got.items()} == \
@@ -671,7 +738,7 @@ class TestProductKernel:
         # schoolbook convolution reduced mod Phi_N
         N, T, A, B = case
         phi = totient(N)
-        x, y = PackedSeries.pack(N, T, 3, A), PackedSeries.pack(N, T, 4, B)
+        x, y = pack(N, T, 3, A), pack(N, T, 4, B)
         p = convolve_int(N, T, x, y)
         den, got = p.unpack()
         expect = reduce_each(N, convolve_naive(N, T, A, B))
@@ -688,7 +755,7 @@ class TestProductKernel:
         # and one at or just above it among the examples
         below, above = set(), set()
         for N, T, A, B in byte_width_products():
-            x, y = PackedSeries.pack(N, T, 1, A), PackedSeries.pack(N, T, 1, B)
+            x, y = pack(N, T, 1, A), pack(N, T, 1, B)
             h = T * totient(N) * x.height * y.height * reduction_norm(N)
             m = next(m for m in range(1, 11) if h < 2 ** (8 * m - 1))
             if h >= 2 ** (8 * m - 1) - 16:
@@ -698,22 +765,22 @@ class TestProductKernel:
         assert below >= set(range(1, 10)) and above >= set(range(2, 11))
 
     def test_operands_must_fit_the_layout(self):
-        x = PackedSeries.pack(3, 4, 1, {0: (1, 2)})
-        for y in (PackedSeries.pack(3, 5, 1, {0: (1, 2)}),
-                  PackedSeries.pack(4, 4, 1, {0: (1, 2)}), {0: (1, 2)}):
+        x = pack(3, 4, 1, {0: (1, 2)})
+        for y in (pack(3, 5, 1, {0: (1, 2)}),
+                  pack(4, 4, 1, {0: (1, 2)}), {0: (1, 2)}):
             for A, B in ((x, y), (y, x)):
                 with pytest.raises(ValueError):
                     convolve_int(3, 4, A, B)
         with pytest.raises(ValueError):  # dicts are not packed series
             convolve_int(3, 4, {0: (1, 2, 0)}, {1: (0, 1, 0)})
-        with pytest.raises(ValueError):  # vectors longer than the level do not fit
-            PackedSeries.pack(3, 4, 1, {0: (1, 2, 3, 4)})
-        with pytest.raises(ValueError):  # nor do exponents beyond the order
-            PackedSeries.pack(3, 4, 1, {4: (1, 2)})
+        # a flat list holds order * level entries: no more, no fewer
+        for length in (0, 11, 13, 15, 16):
+            with pytest.raises(ValueError, match="order \\* level = 12 entries"):
+                PackedSeries.pack(3, 4, 1, [1] * length)
 
     def test_no_tuple_arithmetic(self):
         # a NamedTuple would repeat or concatenate instead of raising
-        x = PackedSeries.pack(3, 4, 1, {0: (1, 2)})
+        x = pack(3, 4, 1, {0: (1, 2)})
         for op in (lambda: x * x, lambda: x * 3, lambda: 3 * x, lambda: x + x,
                    lambda: x + (1,)):
             with pytest.raises(TypeError):
@@ -728,7 +795,7 @@ from eiskron import qseries
 from eiskron.qseries import PackedSeries, linear_combination
 if not sys.flags.optimize:
     sys.exit(3)
-x = PackedSeries.pack(3, 4, 1, {0: (2 ** 70, -1), 3: (5, 2 ** 70)})
+x = PackedSeries.pack(3, 4, 1, [2 ** 70, -1, 0] + [0] * 6 + [5, 2 ** 70, 0])
 def raises(run):
     try:
         run()

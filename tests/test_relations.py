@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import eiskron
 from eiskron import relations
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import PackedSeries, QExpansion, act_int_form
+from eiskron.qseries import PackedSeries, QExpansion, _byte_width, act_int_form, narrow
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -390,6 +390,21 @@ class TestProductCache:
         assert len(packed) == len(built) == 104
         assert len(set(built)) == len(built)
 
+    def test_cold_scan_narrows_each_series_once(self, monkeypatch, cold_caches):
+        # a series enters many products at one multiply width and is
+        # narrowed from its storage width once for all of them
+        # (qseries.narrow); without that memo this scan narrows 268 times
+        narrowed, at = [], PackedSeries.at
+
+        def counting(self, width):
+            if width < self.width:
+                narrowed.append((self, width))
+            return at(self, width)
+
+        monkeypatch.setattr(PackedSeries, "at", counting)
+        assert run_scan(4, 4, 40)["failed"] == 0
+        assert len(narrowed) == len(set(narrowed)) == 78
+
     def test_declared_height_bounds_every_product(self, monkeypatch, cold_caches):
         # a product's height is a derived bound, used as is for the limb
         # width: every limb of every product of every instance with N <= 5,
@@ -414,13 +429,31 @@ class TestProductCache:
                        for inst in enumerate_instances(N, 6))
         assert checked[0] > 1000 and over == []
 
-    def test_scan_keeps_one_level_cached(self):
+    def test_scan_keeps_one_level_cached(self, monkeypatch):
         caches = (relations._orbit_series, relations._product)
-        for c in caches:
+        for c in caches + (narrow,):
             c.cache_clear()
+        # the narrow keys, (operand, multiply width), of each level's products
+        operands, convolve = {}, relations.convolve_int
+
+        def recording(N, T, f, g):
+            p = convolve(N, T, f, g)
+            if p.height:  # a zero product returns before any narrowing
+                width = _byte_width(p.height)
+                operands.setdefault(N, set()).update({(f, width), (g, width)})
+            return p
+
+        monkeypatch.setattr(relations, "convolve_int", recording)
         assert run_scan(4, 4, 40)["failed"] == 0
         sizes = [c.cache_info().currsize for c in caches]
         assert all(sizes)
+        # no narrowed operand of level 3 or 4 is left: the cache holds the
+        # level-2 operands only, and a level-3 or level-4 lookup misses
+        assert holds_exactly(narrow, operands[2])
+        for N in (3, 4):
+            misses = narrow.cache_info().misses
+            narrow(*min(operands[N], key=repr))
+            assert narrow.cache_info().misses == misses + 1
         # the scan runs its largest level first and level 2 last: no level-3
         # or level-4 entry is left, and a lookup there misses
         for N in (3, 4):
@@ -610,7 +643,7 @@ class TestScanSharding:
 def cold_caches():
     """Empty scan caches before and after the test, so that no series it
     built outlives it."""
-    caches = (relations._orbit_series, relations._product)
+    caches = (relations._orbit_series, relations._product, narrow)
 
     def clear():
         for cache in caches:
@@ -621,16 +654,32 @@ def cold_caches():
     clear()
 
 
+def as_dict(N, flat):
+    """The builder's flat list as {n: vector}, all-zero vectors dropped."""
+    return {n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)}
+
+
+def as_flat(N, order, data):
+    """{n: length-N vector} as the builder's flat list over n < order."""
+    flat = [0] * (N * order)
+    for n, vec in data.items():
+        assert 0 <= n < order and len(vec) == N
+        flat[n * N:(n + 1) * N] = vec
+    return flat
+
+
 def perturb(k, N, point, change):
     """eisenstein_int_form with E^{(k)}_point at level N replaced by
-    change(den, data), a den and a dict of integer vectors."""
+    change(den, data), a den and a dict of integer vectors: the builder's
+    flat list passes through as_dict and back through as_flat."""
     exact = relations.eisenstein_int_form
 
     def perturbed(idx, order):
-        den, data = exact(idx, order)
+        den, flat = exact(idx, order)
         if (idx.k, idx.N, (idx.a1, idx.a2)) == (k, N, point):
-            den, data = change(den, dict(data))
-        return den, data
+            den, data = change(den, as_dict(N, flat))
+            flat = as_flat(N, order, data)
+        return den, flat
 
     return perturbed
 
@@ -652,16 +701,17 @@ def orbit_plus_zeta(k, N, rep, exact):
     g_x the map the scan checks x against: every check at a point other
     than rep passes, and only the stabilizer check can see the change."""
     def perturbed(idx, order):
-        den, data = exact(idx, order)
+        den, flat = exact(idx, order)
         x = (idx.a1, idx.a2)
         r, gs = relations._orbit_map(N)[x]
         if (idx.k, idx.N, r) == (k, N, rep):
             s, j, t = gs[0] if x != r else (1, 0, 1)
+            data = as_dict(N, flat)
             n = min(data)
             vec = list(data[n])
             vec[(t + n * j) % N] += s ** k
-            data = {**data, n: tuple(vec)}
-        return den, data
+            flat = as_flat(N, order, {**data, n: tuple(vec)})
+        return den, flat
 
     return perturbed
 
