@@ -9,7 +9,7 @@ each pair (mu, nu) with mu >= 1, nu in +-a1/N + Z, nu > 0, a term
 
 the mirrored branch carrying an extra sign (-1)^{k+1}.  All exponents
 are multiples of 1/N, all coefficients live in Q(zeta_N).  The builder
-gives one flat integer list, which the scan checks and packs as it is.
+gives one flat integer list: the scan checks and packs it, QExpansion holds it.
 """
 
 from __future__ import annotations
@@ -173,10 +173,8 @@ def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, List[int
 
 @lru_cache(maxsize=None)
 def _qexp_cached(k: int, N: int, a1: int, a2: int, order: int) -> QExpansion:
-    den, flat = eisenstein_int_form(EisensteinIndex(k, N, a1, a2), order)
-    # the N-tuples of flat, one per exponent; all-zero ones are dropped
-    return from_int_form(N, order, den, {
-        n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)})
+    idx = EisensteinIndex(k, N, a1, a2)
+    return from_int_form(N, order, *eisenstein_int_form(idx, order))
 
 
 def eisenstein_qexp(idx: EisensteinIndex, order: int) -> QExpansion:

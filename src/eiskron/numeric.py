@@ -261,13 +261,6 @@ def lattice_tail_estimate(k: int, tau: complex, cfg: NumericConfig) -> float:
 # Numeric bracket and relation check.
 # ---------------------------------------------------------------------------
 
-def eval_bracket_numeric(P: HomPoly, u: TorusPoint, v: TorusPoint,
-                         cfg: NumericConfig) -> complex:
-    """P[u, v] with continuous parameters, via the Fourier evaluator."""
-    return _bracket(P, eval_E_fourier_upto(P.degree + 1, u, cfg),
-                    eval_E_fourier_upto(P.degree + 1, v, cfg))
-
-
 def _bracket(P: HomPoly, Eu: Sequence[Optional[complex]],
              Ev: Sequence[Optional[complex]]) -> complex:
     """P[u, v] from the ``eval_E_fourier_upto`` values at u and at v: each

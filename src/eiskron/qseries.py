@@ -1,13 +1,15 @@
 """Truncated series in q^{1/N} with coefficients in Q(zeta_N).
 
 A QExpansion of level N and order T knows every coefficient of q^{n/N}
-for 0 <= n < T (absent keys are zero).  All exponents are nonnegative,
+for 0 <= n < T (``coeffs`` omits the zero ones).  All exponents are nonnegative,
 so products of two series of orders T1, T2 are fully correct up to
 order min(T1, T2).
 
-A QExpansion holds its integer form: one common denominator and, per
-exponent, a length-N integer vector of coefficients of 1, zeta, ...,
-zeta^(N-1), unreduced (modulo x^N - 1).  Its ring operations run on these
+Every series here is held in one integer form: a common denominator den
+and one row-major tuple or list of order*N integers, entry n*N + i being
+den times the coefficient of zeta^i q^{n/N}, unreduced (modulo x^N - 1).
+The builder returns it, QExpansion holds it, and PackedSeries.pack takes
+and unpack returns it.  QExpansion's ring operations run on these
 integers, and a product is the schoolbook convolve_naive, which shares no
 code with the packed kernel below and so is its oracle.  The CycNum view
 (``coeffs``) is built only for printing, JSON and tests.
@@ -16,9 +18,8 @@ The exact scan runs on PackedSeries: each series is reduced mod Phi_N,
 which makes it canonical, and packed into one signed big integer,
 two-dimensionally: the zeta exponent selects a limb within a block of
 2*phi - 1 limbs, the q exponent selects the block, so that a product of
-two packed series fits the same layout.  On the scan's path a series is
-one flat row-major list of integers from the builder to the packed form:
-act_int_form applies the group B to it by whole slices, and
+two packed series fits the same layout.  On the scan's path act_int_form
+applies the group B to the builder's list by whole slices, and
 PackedSeries.pack, the one way in, reads its columns as slices, reduces
 them mod Phi_N and writes them as limbs.  A product (convolve_int) is one
 big-integer multiply (Kronecker substitution), a truncation mask, column
@@ -44,13 +45,10 @@ from functools import lru_cache
 from itertools import chain
 from operator import neg
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_columns,
                          reduce_mod_cyclotomic, reduction_norm, totient)
-
-# integer form of a series: common denominator + integer coefficient vectors
-IntCoeffs = Dict[int, Tuple[int, ...]]
 
 
 def check_tau(tau: complex) -> None:
@@ -60,35 +58,33 @@ def check_tau(tau: complex) -> None:
 
 
 class QExpansion:
-    """Sparse truncated series sum_n c_n q^{n/N}, c_n in Q(zeta_N), held as
-    c_n = data[n] / den with length-N integer vectors data[n]."""
+    """Truncated series sum_n c_n q^{n/N}, c_n in Q(zeta_N), held as
+    c_n = data[n*N:(n+1)*N] / den for one row-major tuple data."""
 
     __slots__ = ("level", "order", "den", "data")
 
     def __init__(self, level: int, order: int, coeffs: Mapping[int, CycNum]):
         # the one place where Fractions become integers
-        for c in coeffs.values():
-            if c.level != level:
-                raise LevelMismatchError("coefficient level differs from series level")
+        if any(c.level != level for c in coeffs.values()):
+            raise LevelMismatchError("coefficient level differs from series level")
         den = math.lcm(*(v.denominator for c in coeffs.values() for v in c.coeffs))
-        self._set(level, order, den, {
-            n: tuple(v.numerator * (den // v.denominator) for v in c.coeffs)
-            for n, c in coeffs.items()})
-
-    def _set(self, level: int, order: int, den: int, data: Mapping) -> None:
-        if level < 1 or order < 1 or den < 1:
-            raise ValueError("level, order and denominator must be positive")
-        clean: IntCoeffs = {}
-        for n, vec in data.items():
+        data = [0] * (order * level)
+        for n, c in coeffs.items():
             if not 0 <= n < order:
                 raise ValueError(f"exponent numerator {n} outside [0, {order})")
-            if len(vec) != level:
-                raise ValueError(f"expected vectors of {level} entries, got {len(vec)}")
-            if any(vec):
-                clean[n] = tuple(vec)
+            data[n * level:(n + 1) * level] = [v.numerator * (den // v.denominator)
+                                               for v in c.coeffs]
+        self._set(level, order, den, data)
+
+    def _set(self, level: int, order: int, den: int, data: Sequence[int]) -> None:
+        if level < 1 or order < 1 or den < 1:
+            raise ValueError("level, order and denominator must be positive")
+        if len(data) != order * level:
+            raise ValueError(f"expected order * level = {order * level} entries, "
+                             f"got {len(data)}")
         # read-only, attributes and data alike: caches share expansions
         for name, value in (("level", level), ("order", order), ("den", den),
-                            ("data", MappingProxyType(clean))):
+                            ("data", tuple(data))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -98,26 +94,26 @@ class QExpansion:
         raise AttributeError(f"QExpansion is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        return from_int_form, (self.level, self.order, self.den, dict(self.data))
+        return from_int_form, (self.level, self.order, self.den, self.data)
 
     @property
     def coeffs(self) -> Mapping[int, CycNum]:
-        """{n: c_n} as CycNums, built on each access."""
+        """{n: c_n} for the nonzero rows, as CycNums, built on each access."""
         den = self.den
         return MappingProxyType({n: CycNum(self.level, [Fraction(v, den) for v in vec])
-                                 for n, vec in self.data.items()})
+                                 for n, vec in _rows(self.level, self.data)})
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def zero(cls, level: int, order: int) -> "QExpansion":
-        return from_int_form(level, order, 1, {})
+        return from_int_form(level, order, 1, [0] * (order * level))
 
     @classmethod
     def constant(cls, level: int, order: int, value: Scalar) -> "QExpansion":
         _check_scalar(value, "constant takes an int or a Fraction")
         return from_int_form(level, order, value.denominator,
-                             {0: (value.numerator,) + (0,) * (level - 1)})
+                             [value.numerator] + [0] * (order * level - 1))
 
     def _check(self, other: "QExpansion") -> None:
         if self.level != other.level:
@@ -130,16 +126,11 @@ class QExpansion:
         if not isinstance(other, QExpansion):
             return NotImplemented
         self._check(other)
-        T = min(self.order, other.order)
         den = math.lcm(self.den, other.den)
         ma, mb = den // self.den, sign * (den // other.den)
-        out = {n: tuple(ma * x for x in v) for n, v in self.data.items() if n < T}
-        for n, v in other.data.items():
-            if n < T:
-                w = out.get(n)
-                out[n] = (tuple(mb * y for y in v) if w is None
-                          else tuple(x + mb * y for x, y in zip(w, v)))
-        return from_int_form(self.level, T, den, out)
+        # zip stops at the shorter tuple: min(order) * N entries
+        return from_int_form(self.level, min(self.order, other.order), den,
+                             [ma * x + mb * y for x, y in zip(self.data, other.data)])
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -148,8 +139,7 @@ class QExpansion:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return from_int_form(self.level, self.order, self.den,
-                             {n: tuple(-x for x in v) for n, v in self.data.items()})
+        return from_int_form(self.level, self.order, self.den, [-x for x in self.data])
 
     def __mul__(self, other):
         if not isinstance(other, QExpansion):
@@ -165,23 +155,27 @@ class QExpansion:
         _check_scalar(c, "scale takes an int, a Fraction or a CycNum")
         num = c.numerator
         return from_int_form(self.level, self.order, self.den * c.denominator,
-                             {n: tuple(num * x for x in v) for n, v in self.data.items()})
+                             [num * x for x in self.data])
 
     def rescale_exponents(self, M: int) -> "QExpansion":
         """Substitute tau -> M*tau, i.e. q^{n/N} -> q^{nM/N}."""
         if M < 1:
             raise ValueError("M must be >= 1")
-        return from_int_form(self.level, self.order * M, self.den,
-                             {n * M: v for n, v in self.data.items()})
+        N = self.level
+        out = [0] * (self.order * M * N)
+        for n, vec in _rows(N, self.data):
+            out[n * M * N:(n * M + 1) * N] = vec
+        return from_int_form(N, self.order * M, self.den, out)
 
     def twist(self, j: int) -> "QExpansion":
         """Substitute tau -> tau + j: coefficient at q^{n/N} picks up zeta_N^{nj},
         the action of (1, j, 1) of the group B (see act_int_form), written
-        apart from it: each vector rotates by n j places."""
-        N, out = self.level, {}
-        for n, v in self.data.items():
+        apart from it: each row rotates by n j places."""
+        N, out = self.level, list(self.data)
+        for n, vec in _rows(N, self.data):
             r = n * j % N
-            out[n] = v[-r:] + v[:-r] if r else v
+            if r:
+                out[n * N:(n + 1) * N] = vec[-r:] + vec[:-r]
         return from_int_form(N, self.order, self.den, out)
 
     # -- predicates ----------------------------------------------------------
@@ -204,7 +198,7 @@ class QExpansion:
         N, den = self.level, self.den
         z = cmath.exp(2j * cmath.pi / N)
         acc = 0j
-        for n, vec in self.data.items():
+        for n, vec in _rows(N, self.data):
             # c_n at zeta_N, summed as CycNum.embed sums it: int true division
             # is correctly rounded, as float(Fraction(v, den)) is
             c, pw = 0j, 1 + 0j
@@ -250,7 +244,8 @@ class QExpansion:
         return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
-        return f"QExpansion(level={self.level}, order={self.order}, terms={len(self.data)})"
+        terms = sum(1 for _ in _rows(self.level, self.data))
+        return f"QExpansion(level={self.level}, order={self.order}, terms={terms})"
 
     def __str__(self):
         coeffs = self.coeffs
@@ -279,16 +274,26 @@ def _check_scalar(c, accepted: str) -> None:
 # Integer form and the schoolbook product.
 # ---------------------------------------------------------------------------
 
-def to_int_form(f: QExpansion, order: Union[int, None] = None) -> Tuple[int, IntCoeffs]:
-    """(den, {n: integer vector}) with f's coefficients equal to vector/den,
-    keys below order (default f.order)."""
+def _rows(level: int, data: Sequence[int]) -> Iterator[Tuple[int, Sequence[int]]]:
+    """(n, data[n*N:(n+1)*N]) for each row of a row-major list that is not
+    all zero, in increasing n."""
+    for n, i in enumerate(range(0, len(data), level)):
+        row = data[i:i + level]
+        if any(row):
+            yield n, row
+
+
+def to_int_form(f: QExpansion, order: Union[int, None] = None) -> Tuple[int, Tuple[int, ...]]:
+    """(den, data): f's row-major integer tuple over its denominator, cut to
+    the exponents below order (default f.order)."""
     T = f.order if order is None else order
-    return f.den, {n: v for n, v in f.data.items() if n < T}
+    return f.den, f.data[:T * f.level]
 
 
-def from_int_form(level: int, order: int, den: int, data: IntCoeffs) -> QExpansion:
-    """The series with coefficients data[n] / den, for length-level integer
-    vectors data[n] (all-zero vectors are dropped); builds no Fraction."""
+def from_int_form(level: int, order: int, den: int, data: Sequence[int]) -> QExpansion:
+    """The series with coefficient data[n*N + i] / den at zeta^i q^{n/N},
+    for a row-major list of order*level integers (else ValueError); builds
+    no Fraction."""
     f = QExpansion.__new__(QExpansion)
     f._set(level, order, den, data)
     return f
@@ -318,19 +323,20 @@ def act_int_form(level: int, g: Tuple[int, int, int], k: int,
     return list(map(neg, out)) if s < 0 and k % 2 else out
 
 
-def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoeffs:
-    """Schoolbook 2-D convolution, cyclic in the zeta index (zeta^N = 1, not
-    reduced mod Phi_N), truncated at q^order: QExpansion's product, and the
-    oracle for convolve_int in tests."""
-    out: Dict[int, list] = {}
-    for n1, v1 in A.items():
-        if n1 >= order:
-            continue
-        for n2, v2 in B.items():
-            n = n1 + n2
-            if n2 >= order or n >= order:
-                continue
-            vec = out.setdefault(n, [0] * level)
+def convolve_naive(level: int, order: int, A: Sequence[int],
+                   B: Sequence[int]) -> List[int]:
+    """Schoolbook 2-D convolution of two row-major lists, cyclic in the zeta
+    index (zeta^N = 1, not reduced mod Phi_N), truncated at q^order to
+    order*level entries: QExpansion's product, and the oracle for
+    convolve_int in tests."""
+    end = order * level
+    out = [0] * end
+    B_rows = list(_rows(level, B[:end]))
+    for n1, v1 in _rows(level, A[:end]):
+        for n2, v2 in B_rows:
+            base = (n1 + n2) * level
+            if base >= end:
+                break
             for i, a in enumerate(v1):
                 if a:
                     for j, b in enumerate(v2):
@@ -338,8 +344,8 @@ def convolve_naive(level: int, order: int, A: IntCoeffs, B: IntCoeffs) -> IntCoe
                             k = i + j
                             if k >= level:
                                 k -= level
-                            vec[k] += a * b
-    return {n: tuple(v) for n, v in sorted(out.items()) if any(v)}
+                            out[base + k] += a * b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,27 +484,24 @@ class PackedSeries(NamedTuple):
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def unpack(self) -> Tuple[int, IntCoeffs]:
-        """(den, {n: length-level vector}): reduced basis, zero-padded."""
-        phi, s, w = totient(self.level), _stride(self.level), self.width
+    def unpack(self) -> Tuple[int, Tuple[int, ...]]:
+        """(den, data): the row-major tuple that pack takes, each row in the
+        reduced basis and zero-padded to level entries, read by columns."""
+        N, phi, s, w = self.level, totient(self.level), _stride(self.level), self.width
         positions = self.order * s
         H = _bias(positions, w)
         buf = ((self.value + H) ^ H).to_bytes(positions * w, "little")
-        pad = (0,) * (self.level - phi)
-        out: IntCoeffs = {}
-        for n in range(self.order):
-            base = n * s * w
-            vec = tuple(int.from_bytes(buf[off:off + w], "little", signed=True)
-                        for off in range(base, base + phi * w, w))
-            if any(vec):
-                out[n] = vec + pad
-        return self.den, out
+        out = [0] * (self.order * N)
+        for j in range(phi):
+            out[j::N] = [int.from_bytes(buf[off:off + w], "little", signed=True)
+                         for off in range(j * w, positions * w, s * w)]
+        return self.den, tuple(out)
 
     def items(self):
-        """unpack()'s (n, vector) pairs, so that code reading an IntCoeffs
-        operand (bench/tracing.py counts convolve_int's operand bits) reads a
-        packed series too."""
-        return self.unpack()[1].items()
+        """unpack()'s nonzero (n, row) pairs, so that code reading a series
+        by rows (bench/tracing.py counts convolve_int's operand bits) reads
+        a packed series too."""
+        return _rows(self.level, self.unpack()[1])
 
 
 @lru_cache(maxsize=None)
@@ -588,9 +591,10 @@ def linear_combination(level: int, order: int,
     return PackedSeries(level, order, D, bound, width, value)
 
 
-def int_form_is_zero(level: int, data: IntCoeffs) -> Union[int, None]:
-    """First key whose vector is nonzero in Q(zeta_N), or None if all vanish."""
-    for n in sorted(data):
-        if any(reduce_mod_cyclotomic(level, data[n])):
+def int_form_is_zero(level: int, data: Sequence[int]) -> Union[int, None]:
+    """First n whose row of the row-major list data is nonzero in
+    Q(zeta_N), or None if all vanish."""
+    for n, vec in _rows(level, data):
+        if any(reduce_mod_cyclotomic(level, vec)):
             return n
     return None

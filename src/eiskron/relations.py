@@ -484,8 +484,10 @@ def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
     """Check one instance (overrides as in relation_residual); report in
     the scan's JSON schema."""
     res = _residual(inst, order, _instance_plan(inst, overrides))
-    # unpack only a failure: its vectors are reduced, so every key is nonzero
-    first = None if res.is_zero() else min(res.unpack()[1])
+    # unpack only a failure: its rows are reduced, so the first nonzero
+    # entry lies in the first field-nonzero row
+    first = None if res.is_zero() else next(
+        i for i, v in enumerate(res.unpack()[1]) if v) // inst.N
     return {
         "instance": inst.as_dict(),
         "order": order,

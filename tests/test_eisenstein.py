@@ -277,6 +277,15 @@ class TestQExpansion:
                             {M * n: lift(c) for n, c in f.coeffs.items()})
         assert lifted.field_equals(g)
 
+    @pytest.mark.parametrize("k,N,a1,a2,T", [(1, 1, 0, 0, 5), (3, 4, 1, 0, 20),
+                                             (1, 6, 0, 2, 13), (4, 5, 2, 3, 30)])
+    def test_qexp_holds_the_builder_list(self, k, N, a1, a2, T):
+        # eisenstein_qexp holds the builder's den and flat list, uncut
+        idx = EisensteinIndex(k, N, a1, a2)
+        den, flat = eisenstein_int_form(idx, T)
+        f = eisenstein_qexp(idx, T)
+        assert f.den == den and f.data == tuple(flat)
+
     def test_order_validation(self):
         for build in (eisenstein_qexp, eisenstein_int_form):
             with pytest.raises(ValueError):

@@ -13,8 +13,8 @@ import json
 import pytest
 
 from eiskron.cli import main
-from eiskron.relations import (HomPoly, RelationInstance, coeff_alpha, poly_P,
-                               verify_instance)
+from eiskron.relations import (HomPoly, RelationInstance, bracket, coeff_alpha,
+                               poly_P, relation_residual, verify_instance)
 
 
 def sha(text: str) -> str:
@@ -52,6 +52,12 @@ CLI_GOLDEN = [
      "85cfe50c174456c57e6f9143110e2e11af334ff91e68fba57c12d26c90357ca7"),
     (("expand", "--level", "5", "--weight", "3", "--a", "2,1", "--order", "30"),
      "cba9787349f46dcfd084ac5fe0922eded1376ce95bee9470eae5b8024ac12463"),
+    # rescale_exponents of the Gamma_1(N) variant
+    (("bg-series", "--level", "4", "--weight", "3", "--a", "1", "--order", "20",
+      "--json"),
+     "9b74cc466a5107474e5fcfa89628b75cbf40171d573cf4103e8c5333030c0f51"),
+    (("bg-series", "--level", "4", "--weight", "3", "--a", "1", "--order", "20"),
+     "137647c5a1f35c93cc0f958f958fa28069bebf35f04eb7601b7eb4a6e14c92cc"),
 ]
 
 
@@ -86,3 +92,14 @@ def test_mutated_P_report_pinned(args, digest):
     P = poly_P(inst.k1, inst.k2)
     bad = HomPoly(P.degree, [P.coeffs[0] + 1, *P.coeffs[1:]])
     assert sha(json.dumps(verify_instance(inst, 40, P=bad), sort_keys=True)) == digest
+
+
+def test_series_from_the_packed_form_pinned():
+    # relation_residual and bracket read a packed series back through
+    # unpack into a QExpansion
+    inst = RelationInstance(4, 5, 2, 1, (1, 2), (3, 3))
+    residual = relation_residual(inst, 40, alpha=coeff_alpha(2, 1) + 1)
+    assert sha(residual.to_json()) == \
+        "4938f5f2323f6368621f45d2964a285433196fe9c963e96fcfdd1bfc1df47ef0"
+    assert sha(bracket(HomPoly(2, [1, 2, 3]), (1, 2), (3, 1), 4, 30).to_json()) == \
+        "4a59b0c55afec1dcbd3213e6a5d377a09904b73ec3021abaaa1e813ebcec7e6c"

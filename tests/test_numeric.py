@@ -208,8 +208,8 @@ class TestFourierClosedForm:
         # P = X puts E^(2) at u; P = Y puts E^(1) at u and E^(2) at v
         origin, v = nm.TorusPoint(0.0, 0.0), nm.TorusPoint(0.31, 0.47)
         with pytest.raises(ValueError):
-            nm.eval_bracket_numeric(poly_P(1, 0), origin, v, CFG)
-        assert cmath.isfinite(nm.eval_bracket_numeric(poly_P(0, 1), origin, v, CFG))
+            eval_bracket_numeric(poly_P(1, 0), origin, v, CFG)
+        assert cmath.isfinite(eval_bracket_numeric(poly_P(0, 1), origin, v, CFG))
 
 
 def lattice_reference(k, z, tau, L):
@@ -421,20 +421,26 @@ def reference_diff_relation(k, p, cfg, h):
     return abs(lhs - target)
 
 
+def eval_bracket_numeric(P, u, v, cfg):
+    """P[u, v] with continuous parameters, via the Fourier evaluator."""
+    return nm._bracket(P, nm.eval_E_fourier_upto(P.degree + 1, u, cfg),
+                       nm.eval_E_fourier_upto(P.degree + 1, v, cfg))
+
+
 def reference_diff_bracket(P, u, v, cfg, h):
     """check_diff_bracket with every stencil point and target evaluated from
     scratch by eval_bracket_numeric and eval_E_fourier."""
     tau = complex(cfg.tau)
     k = P.degree + 2
     lhs_u = reference_dbar(
-        lambda z: nm.eval_bracket_numeric(P, nm.TorusPoint.from_z(z, tau), v, cfg),
+        lambda z: eval_bracket_numeric(P, nm.TorusPoint.from_z(z, tau), v, cfg),
         u.to_z(tau), tau, h)
     lhs_v = reference_dbar(
-        lambda z: nm.eval_bracket_numeric(P, u, nm.TorusPoint.from_z(z, tau), cfg),
+        lambda z: eval_bracket_numeric(P, u, nm.TorusPoint.from_z(z, tau), cfg),
         v.to_z(tau), tau, h)
-    tgt_u = (nm.eval_bracket_numeric(P.deriv_x(), u, v, cfg) if P.degree > 0 else 0j) \
+    tgt_u = (eval_bracket_numeric(P.deriv_x(), u, v, cfg) if P.degree > 0 else 0j) \
         + float(P.eval(0, 1)) * nm.eval_E_fourier(k - 1, v, cfg)
-    tgt_v = (nm.eval_bracket_numeric(P.deriv_y(), u, v, cfg) if P.degree > 0 else 0j) \
+    tgt_v = (eval_bracket_numeric(P.deriv_y(), u, v, cfg) if P.degree > 0 else 0j) \
         + float(P.eval(1, 0)) * nm.eval_E_fourier(k - 1, u, cfg)
     return abs(lhs_u - tgt_u), abs(lhs_v - tgt_v)
 

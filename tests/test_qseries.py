@@ -50,15 +50,31 @@ def flat(N, T, data):
     return out
 
 
+def rows(N, flat):
+    """{n: vector} of the nonzero rows of a flat list: the dict form."""
+    return {n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)}
+
+
 def pack(N, T, den, data):
     """PackedSeries.pack of the vectors data[n] at keys n < T."""
     return PackedSeries.pack(N, T, den, flat(N, T, data))
 
 
+def unpacked(x):
+    """x.unpack() with its flat list read as rows(): (den, {n: vector})."""
+    den, data = x.unpack()
+    return den, rows(x.level, data)
+
+
+def naive(N, T, A, B):
+    """convolve_naive of the vectors A[n] and B[n], read as rows()."""
+    return rows(N, convolve_naive(N, T, flat(N, T, A), flat(N, T, B)))
+
+
 def reduced_entries(x):
     """A packed series' unpacked vectors cut to their phi reduced entries."""
     phi = totient(x.level)
-    return {n: v[:phi] for n, v in x.unpack()[1].items()}
+    return {n: v[:phi] for n, v in unpacked(x)[1].items()}
 
 
 class TestAdd:
@@ -172,11 +188,6 @@ class TestScaleAndSubstitutions:
                 assert (f * g).twist(j).field_equals(f.twist(j) * g.twist(j))
 
 
-def rows(N, flat):
-    """{n: vector} of the nonzero rows of a flat list: the dict form."""
-    return {n: vec for n, vec in enumerate(zip(*[iter(flat)] * N)) if any(vec)}
-
-
 class TestAction:
     """act_int_form is an action of the group B of relations' orbit
     transport on flat lists of integer vectors modulo x^N - 1."""
@@ -228,9 +239,9 @@ class TestAction:
         # act_int_form's slices, and the two agree
         rng = random.Random(N)
         data = [rng.randint(-9, 9) for _ in range(9 * N)]
-        f = from_int_form(N, 9, 5, rows(N, data))
+        f = from_int_form(N, 9, 5, data)
         for j in range(-N, 2 * N):
-            assert dict(f.twist(j).data) == rows(N, act_int_form(N, (1, j, 1), 1, data))
+            assert rows(N, f.twist(j).data) == rows(N, act_int_form(N, (1, j, 1), 1, data))
 
 
 def hidden_zero(N):
@@ -460,7 +471,7 @@ class TestIntForm:
             c = rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                             Fraction(10 ** 40 + 1), Fraction(1, 10 ** 40 - 1)])
             terms.append((c, pack(N, T, den, reduce_each(N, data))))
-            expect = expect + from_int_form(N, T, den, data).scale(c)
+            expect = expect + from_int_form(N, T, den, flat(N, T, data)).scale(c)
         res = linear_combination(N, T, terms)
         got = from_int_form(N, T, *res.unpack())
         assert got.field_equals(expect)
@@ -483,7 +494,7 @@ class TestIntForm:
         assert (x.width, x.height) == (8, top)
         for width in (16, 24, 72):
             assert x.at(width) == _pack(columns(data, T), T * s, width, s)
-        den, out = x.unpack()
+        den, out = unpacked(x)
         assert den == 7 and out == {n: v + (0,) for n, v in data.items()}
         assert pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
         # negative and extreme limbs, widened step by step 8 -> 16 -> 24 -> 32
@@ -494,7 +505,7 @@ class TestIntForm:
             for width in range(y.width + 8, 33, 8):
                 y = y._replace(width=width, value=y.at(width))
                 assert y.value == _pack(columns(data, T), T * s, width, s)
-                assert y.unpack()[1] == {n: v + (0,) for n, v in data.items()}
+                assert unpacked(y)[1] == {n: v + (0,) for n, v in data.items()}
         with pytest.raises(ArithmeticError):
             y.at(8)
 
@@ -514,7 +525,7 @@ class TestIntForm:
             for width in range(need, 33):
                 z = source._replace(width=width, value=source.at(width))
                 assert z.value == _pack(columns(data, T), T * s, width, s)
-                assert z.unpack()[1] == expect
+                assert unpacked(z)[1] == expect
             with pytest.raises(ArithmeticError, match=f"limb width {need - 1} too small"):
                 source.at(need - 1)
 
@@ -529,9 +540,11 @@ class TestIntForm:
 
     def test_int_form_is_zero(self):
         N = 3
-        assert int_form_is_zero(N, {2: (1, 1, 1)}) is None  # field zero
-        assert int_form_is_zero(N, {2: (1, 1, 1), 4: (1, 0, 0)}) == 4
-        assert int_form_is_zero(N, {}) is None
+        assert int_form_is_zero(N, flat(N, 5, {2: (1, 1, 1)})) is None  # field zero
+        assert int_form_is_zero(N, flat(N, 5, {2: (1, 1, 1), 4: (1, 0, 0)})) == 4
+        assert int_form_is_zero(N, flat(N, 5, {})) is None
+        # Phi_4 = x^2 + 1: the row 1 + zeta^2 at n = 1 is zero in the field
+        assert int_form_is_zero(4, flat(4, 3, {1: (1, 0, 1, 0), 2: (0, 5, 0, 0)})) == 2
 
 
 # limbs at the edges of signed 8-byte limbs, and beyond
@@ -609,8 +622,8 @@ class TestColumnarPath:
     @pytest.mark.parametrize("N", (1, 2, 3, 5, 12, 105))
     def test_reduce_edge_inputs(self, N):
         phi = totient(N)
-        assert pack(N, 8, 1, {}).unpack() == (1, {})
-        assert pack(N, 8, 1, {3: (), 7: (0,) * N}).unpack() == (1, {})
+        assert unpacked(pack(N, 8, 1, {})) == (1, {})
+        assert unpacked(pack(N, 8, 1, {3: (), 7: (0,) * N})) == (1, {})
         # the last entry alone is x^(N-1) mod Phi_N, the last reduction row
         last = (0,) * (N - 1) + (1,)
         row = _reduction_rows(N)[-1] if N - 1 >= phi else last
@@ -630,9 +643,12 @@ class TestColumnarPath:
         height = max((abs(v) for vec in data.values() for v in vec), default=0)
         assert (x.height, x.width) == (height, 8 * (height.bit_length() // 64 + 1))
         pad = (0,) * (N - phi)
-        assert x.unpack() == (5, {n: vec + (0,) * (phi - len(vec)) + pad
-                                  for n, vec in data.items() if any(vec)})
+        assert unpacked(x) == (5, {n: vec + (0,) * (phi - len(vec)) + pad
+                                   for n, vec in data.items() if any(vec)})
         assert x.is_zero() == (height == 0)
+        # unpack gives the row-major list that pack takes
+        assert len(x.unpack()[1]) == N * T
+        assert PackedSeries.pack(N, T, *x.unpack()) == x
 
 
 @st.composite
@@ -662,10 +678,9 @@ def assert_product_matches(N, T, A, B):
     reduced mod Phi_N."""
     phi = totient(N)
     x, y = pack(N, T, 3, A), pack(N, T, 4, B)
-    den, got = convolve_int(N, T, x, y).unpack()
+    den, got = unpacked(convolve_int(N, T, x, y))
     assert den == 12
-    assert {n: v[:phi] for n, v in got.items()} == \
-        reduce_each(N, convolve_naive(N, T, A, B))
+    assert {n: v[:phi] for n, v in got.items()} == reduce_each(N, naive(N, T, A, B))
 
 
 def huge_products():
@@ -740,15 +755,15 @@ class TestProductKernel:
         phi = totient(N)
         x, y = pack(N, T, 3, A), pack(N, T, 4, B)
         p = convolve_int(N, T, x, y)
-        den, got = p.unpack()
-        expect = reduce_each(N, convolve_naive(N, T, A, B))
+        den, got = unpacked(p)
+        expect = reduce_each(N, naive(N, T, A, B))
         assert den == 12
         assert {n: v[:phi] for n, v in got.items()} == expect
         assert p.height == T * phi * x.height * y.height * reduction_norm(N)
         assert p.is_zero() == (not expect)
         # the product is a valid operand again, in the same layout
         assert {n: v[:phi] for n, v in convolve_int(N, T, p, x).items()} == \
-            reduce_each(N, convolve_naive(N, T, expect, A))
+            reduce_each(N, naive(N, T, expect, A))
 
     def test_edge_products_span_byte_widths(self):
         # each byte boundary 2^(8m-1), m = 1..9, has a bound just below it
@@ -785,7 +800,7 @@ class TestProductKernel:
                    lambda: x + (1,)):
             with pytest.raises(TypeError):
                 op()
-        assert dict(x.items()) == x.unpack()[1] == {0: (1, 2, 0)}
+        assert dict(x.items()) == unpacked(x)[1] == {0: (1, 2, 0)}
 
     def test_width_checks_survive_optimize(self):
         # under python -O an assert would vanish; the checks must still raise
@@ -836,6 +851,8 @@ class TestImmutability:
             f.coeffs[1] = 999
         with pytest.raises(TypeError):
             del f.coeffs[0]
+        with pytest.raises(TypeError):
+            f.data[0] = 1
         g = eisenstein_qexp(idx, 10)
         assert {n: c.coeffs for n, c in g.coeffs.items()} == before
 
@@ -844,16 +861,16 @@ class TestImmutability:
         from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
         idx = EisensteinIndex(4, 3, 1, 0)
         f = eisenstein_qexp(idx, 10)
-        before = (f.level, f.order, f.den, dict(f.data))
+        before = (f.level, f.order, f.den, f.data)
         with pytest.raises(AttributeError, match="immutable"):
-            setattr(f, name, 7 if name != "data" else {0: (1, 0, 0)})
+            setattr(f, name, 7 if name != "data" else (1,) + (0,) * 29)
         with pytest.raises(AttributeError, match="immutable"):
             delattr(f, name)
         g = eisenstein_qexp(idx, 10)
         assert g is f
-        assert (g.level, g.order, g.den, dict(g.data)) == before
+        assert (g.level, g.order, g.den, g.data) == before
         h = pickle.loads(pickle.dumps(g))
-        assert (h.level, h.order, h.den, dict(h.data)) == before
+        assert (h.level, h.order, h.den, h.data) == before
 
     def test_cached_product_cannot_be_changed(self):
         from eiskron import relations
@@ -881,9 +898,15 @@ def test_coefficient_of_another_level_rejected():
 
 def test_from_int_form_rejects_bad_input():
     with pytest.raises(ValueError):
-        from_int_form(3, 0, 1, {})
+        from_int_form(3, 0, 1, [])
     with pytest.raises(ValueError):
-        from_int_form(3, 5, 1, {0: (1, 2)})
+        from_int_form(3, 5, 1, [1, 2])
+    # a row-major list holds order * level entries: no more, no fewer
+    assert from_int_form(3, 2, 1, [1, 0, 0, 0, 0, 7]).coeffs == \
+        {0: one(3), 1: CycNum.from_rat(3, 7) * zeta_pow(3, 2)}
+    for length in (0, 2, 5, 7, 9):
+        with pytest.raises(ValueError, match="order \\* level = 6 entries"):
+            from_int_form(3, 2, 1, [1] * length)
 
 
 def test_str_of_zero_series():

@@ -415,8 +415,7 @@ class TestProductCache:
 
         def measuring(level, order, A, B):
             p = convolve(level, order, A, B)
-            measured = max((abs(v) for vec in p.unpack()[1].values() for v in vec),
-                           default=0)
+            measured = max(map(abs, p.unpack()[1]), default=0)
             checked[0] += 1
             if measured > p.height:
                 over.append((p.level, measured, p.height))
