@@ -15,10 +15,11 @@ Two independent evaluators:
 
 On top of these sit numerical checks of the 3-term relation at generic
 complex parameters, the antiholomorphic derivative relations, modularity
-under SL2(Z), and the z -> 0 asymptotics.  Both derivative checks go
-through one central-difference stencil for -(tau - taubar) d/dzbar
-(``_dbar``), and each evaluates the Fourier grid of each of its points
-once, not once per stencil point.
+under SL2(Z), and the z -> 0 asymptotics.  The relation check sums the
+exact check's ``relations._plan``: the relation is stated only there.
+Both derivative checks go through one central-difference stencil for
+-(tau - taubar) d/dzbar (``_dbar``), and each evaluates the Fourier grid
+of each of its points once, not once per stencil point.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ import numpy as np
 
 from .eisenstein import bernoulli_number
 from .qseries import check_tau
-from .relations import (HomPoly, _monomials, coeff_alpha, coeff_beta, coeff_gamma,
-                        poly_P, poly_Q, poly_R)
+from .relations import BRACKET_SLOTS, HomPoly, Monomials, _monomials, _plan
 
 TWO_PI_I = 2j * math.pi
 _INT_TOL = 1e-9
@@ -91,6 +91,8 @@ class NumericConfig:
 
     def __post_init__(self):
         check_tau(complex(self.tau))
+        if not abs(_e(complex(self.tau))) < 1.0:  # Im tau below about 8.8e-18
+            raise ValueError(f"tau {self.tau} is too close to the real axis: |q| is 1.0")
         if self.fourier_terms < 1 or self.lattice_cutoff < 1:
             raise ValueError("cutoffs must be >= 1")
 
@@ -238,7 +240,7 @@ def lattice_window_radius(L: int, tau: complex) -> float:
 
 def fourier_tail_estimate(k: int, cfg: NumericConfig) -> float:
     """Crude bound on the omitted Fourier tail: C * |q|^cutoff."""
-    q = abs(cmath.exp(TWO_PI_I * complex(cfg.tau)))
+    q = abs(_e(complex(cfg.tau)))  # < 1: NumericConfig checks it
     M = cfg.fourier_terms
     try:
         growth = (M + 1.0) ** k
@@ -261,22 +263,21 @@ def lattice_tail_estimate(k: int, tau: complex, cfg: NumericConfig) -> float:
 # Numeric bracket and relation check.
 # ---------------------------------------------------------------------------
 
-def _bracket(P: HomPoly, Eu: Sequence[Optional[complex]],
+def _bracket(monomials: Monomials, Eu: Sequence[Optional[complex]],
              Ev: Sequence[Optional[complex]]) -> complex:
-    """P[u, v] from the ``eval_E_fourier_upto`` values at u and at v: each
-    monomial (i, j, c) of ``relations._monomials`` adds c E^(i)_u E^(j)_v."""
+    """A bracket at [u, v] from the ``eval_E_fourier_upto`` values at u and v:
+    each of its ``relations._monomials`` (i, j, c) adds c E^(i)_u E^(j)_v."""
     acc = 0j
-    for i, j, c in _monomials(P):
+    for i, j, c in monomials:
         acc += float(c) * (_entry(Eu, i) * _entry(Ev, j))
     return acc
 
 
 def check_relation_numeric(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
                            cfg: NumericConfig) -> float:
-    """|LHS - RHS| of the weight k1+k2+2 relation at generic points.
-
-    Each of u, v and -(u+v) is evaluated once, for every weight.
-    """
+    """|LHS - RHS| of the weight k1+k2+2 relation at generic points: the
+    exact check's plan summed at (a, b, c) = (u, v, -(u+v)), each point
+    evaluated once, for every weight."""
     if k1 < 0 or k2 < 0:
         raise ValueError("indices must be >= 0")
     w = -(u + v)
@@ -284,14 +285,13 @@ def check_relation_numeric(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
         if pt.is_lattice():
             raise ValueError(f"parameter {name} must avoid the lattice")
     k = k1 + k2 + 2
-    Eu, Ev, Ew = (eval_E_fourier_upto(k, pt, cfg) for pt in (u, v, w))
-    lhs = (_bracket(poly_P(k1, k2), Eu, Ev)
-           + _bracket(poly_Q(k1, k2), Ev, Ew)
-           + _bracket(poly_R(k1, k2), Ew, Eu))
-    rhs = (float(coeff_alpha(k1, k2)) * Eu[k - 1]
-           + float(coeff_beta(k1, k2)) * Ev[k - 1]
-           + float(coeff_gamma(k1, k2)) * Ew[k - 1])
-    return abs(lhs - rhs)
+    plan, E = _plan(k1, k2), [eval_E_fourier_upto(k, pt, cfg) for pt in (u, v, w)]
+    lhs = neg_rhs = 0j
+    for monomials, (s, t) in zip(plan[:3], BRACKET_SLOTS):
+        lhs += _bracket(monomials, E[s], E[t])
+    for c, values in zip(plan.negated, E):  # negation is exact: -rhs, summed alone
+        neg_rhs += float(c) * values[k - 1]
+    return abs(lhs + neg_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +338,11 @@ def check_diff_bracket(P: HomPoly, u: TorusPoint, v: TorusPoint,
     _check_step(v, cfg, h)
     d = P.degree + 1  # = k - 1: each grid holds the weights 1 .. k - 1
     Eu, Ev = (eval_E_fourier_upto(d, pt, cfg) for pt in (u, v))
-    lhs_u = _dbar(lambda q: _bracket(P, eval_E_fourier_upto(d, q, cfg), Ev), u, cfg, h)
-    lhs_v = _dbar(lambda q: _bracket(P, Eu, eval_E_fourier_upto(d, q, cfg)), v, cfg, h)
-    tgt_u = _bracket(P.deriv_x(), Eu, Ev) + float(P.eval(0, 1)) * _entry(Ev, d)
-    tgt_v = _bracket(P.deriv_y(), Eu, Ev) + float(P.eval(1, 0)) * _entry(Eu, d)
+    m = _monomials(P)
+    lhs_u = _dbar(lambda q: _bracket(m, eval_E_fourier_upto(d, q, cfg), Ev), u, cfg, h)
+    lhs_v = _dbar(lambda q: _bracket(m, Eu, eval_E_fourier_upto(d, q, cfg)), v, cfg, h)
+    tgt_u = _bracket(_monomials(P.deriv_x()), Eu, Ev) + float(P.eval(0, 1)) * _entry(Ev, d)
+    tgt_v = _bracket(_monomials(P.deriv_y()), Eu, Ev) + float(P.eval(1, 0)) * _entry(Eu, d)
     return abs(lhs_u - tgt_u), abs(lhs_v - tgt_v)
 
 

@@ -10,8 +10,9 @@ The exact path has one of everything: one pair-major generator
 enumerates a level's instances, for ``enumerate_instances`` and the scan
 workers alike, and one residual function serves ``relation_residual`` and
 ``verify_instance``.  It works on series reduced mod Phi_N and packed
-into one signed big int each (see qseries.PackedSeries), and it reads a
-split's weights from an integer plan built once per split.
+into one signed big int each (see qseries.PackedSeries).  The relation is
+written once, as BRACKET_SLOTS and the one plan builder _plan, and
+numeric.check_relation_numeric sums the same plan in floats.
 
 Orbit transport.  Let B be the maps g = (s, j, t): x -> s*(x1, j*x1 + t*x2)
 on (Z/N)^2, with s = +-1, j in Z/N and t a unit mod N.  They form a group,
@@ -369,14 +370,20 @@ def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
 @lru_cache(maxsize=None)
 def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
     """E^{(i)}_a E^{(j)}_b reduced and packed, with its derived height bound
-    (see qseries.convolve_int).  Callers pass the key in canonical order
-    (see _product_terms), so a product and its swap share one entry."""
+    (see qseries.convolve_int).  Callers go through _ordered_product."""
     return convolve_int(N, order, _series(i, N, a[0], a[1], order),
                         _series(j, N, b[0], b[1], order))
 
 
+def _ordered_product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
+    """_product with its key canonical under the swap of the (commutative)
+    factors, so a product and its swap share one entry."""
+    return (_product(i, a, j, b, N, order) if (i, a) <= (j, b)
+            else _product(j, b, i, a, N, order))
+
+
 def _canonical(k1: int, k2: int) -> dict:
-    """The closed-form weights of split (k1, k2), keyed as _build_plan's."""
+    """The closed-form weights of split (k1, k2), keyed as _plan's overrides."""
     return dict(alpha=coeff_alpha(k1, k2), beta=coeff_beta(k1, k2),
                 gamma=coeff_gamma(k1, k2), P=poly_P(k1, k2), Q=poly_Q(k1, k2),
                 R=poly_R(k1, k2))
@@ -384,12 +391,16 @@ def _canonical(k1: int, k2: int) -> dict:
 
 Monomials = Tuple[Tuple[int, int, Scalar], ...]
 
+# P[a, b] + Q[b, c] + R[c, a] = alpha E_a + beta E_b + gamma E_c, written once:
+# the slots in (a, b, c) of the points of P, Q and R, read with a _plan
+BRACKET_SLOTS = ((0, 1), (1, 2), (2, 0))
+
 
 class Plan(NamedTuple):
-    """A split's weights as the residual reads them: per bracket P[a, b],
-    Q[b, c], R[c, a] the (i, j, coef) of each product E^{(i)} E^{(j)} with
-    a nonzero coefficient (an int where it is one), and the negated weights
-    of E_a, E_b, E_c.  A tuple, so a cached plan cannot be changed."""
+    """A split's weights as the residual reads them: per bracket P, Q, R the
+    (i, j, coef) of each product E^{(i)} E^{(j)} with a nonzero coefficient
+    (an int where it is one), and the negated weights of E_a, E_b, E_c.
+    A tuple, so a cached plan cannot be changed."""
 
     P: Monomials
     Q: Monomials
@@ -409,47 +420,28 @@ def _monomials(P: HomPoly) -> Monomials:
                  for i, c in enumerate(P.coeffs) if c)
 
 
-def _build_plan(*, alpha: Rat, beta: Rat, gamma: Rat, P: HomPoly, Q: HomPoly,
-                R: HomPoly) -> Plan:
-    return Plan(_monomials(P), _monomials(Q), _monomials(R),
-                tuple(_integral(-Fraction(w)) for w in (alpha, beta, gamma)))
-
-
 @lru_cache(maxsize=None)
-def _plan(k1: int, k2: int) -> Plan:
-    """The plan of the closed-form weights of split (k1, k2)."""
-    return _build_plan(**_canonical(k1, k2))
-
-
-def _instance_plan(inst: RelationInstance, overrides: Mapping[str, object]) -> Plan:
-    """The cached plan, or an uncached one with the overrides (alpha, beta,
-    gamma, P, Q, R; any other raises TypeError) replacing canonical weights."""
-    if not overrides:
-        return _plan(inst.k1, inst.k2)
-    return _build_plan(**{**_canonical(inst.k1, inst.k2), **overrides})
-
-
-def _product_terms(monomials: Monomials, a: Pair, b: Pair, N: int,
-                   order: int) -> List[tuple]:
-    """Terms (coef, packed product) of a bracket at [a, b], one cached
-    product per monomial."""
-    terms = []
-    for i, j, coef in monomials:
-        # the key is canonical under the swap of the (commutative) factors
-        key = (i, a, j, b) if (i, a) <= (j, b) else (j, b, i, a)
-        terms.append((coef, _product(*key, N, order)))
-    return terms
+def _plan(k1: int, k2: int, **overrides) -> Plan:
+    """The plan of split (k1, k2): its closed-form weights, with any
+    overrides (alpha, beta, gamma, P, Q, R) in their place.  An unknown
+    name, or a P, Q or R that is not a HomPoly, raises TypeError."""
+    w = {**_canonical(k1, k2), **overrides}
+    if len(w) != 6 or not all(isinstance(w[name], HomPoly) for name in "PQR"):
+        raise TypeError("overrides are alpha, beta, gamma and HomPoly P, Q, R, "
+                        f"not {overrides}")
+    return Plan(*(_monomials(w[name]) for name in "PQR"),
+                tuple(_integral(-Fraction(w[name])) for name in ("alpha", "beta", "gamma")))
 
 
 def _residual(inst: RelationInstance, order: int, plan: Plan) -> PackedSeries:
     """P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c, reduced
     mod Phi_N and packed: zero in Q(zeta_N) iff its packed value is 0."""
-    N, k, a, b, c = inst.N, inst.k, inst.a, inst.b, inst.c
-    terms = (_product_terms(plan.P, a, b, N, order)
-             + _product_terms(plan.Q, b, c, N, order)
-             + _product_terms(plan.R, c, a, N, order))
-    for coef, point in zip(plan.negated, (a, b, c)):
-        terms.append((coef, _series(k, N, point[0], point[1], order)))
+    N, k, points = inst.N, inst.k, (inst.a, inst.b, inst.c)
+    terms = [(coef, _ordered_product(i, points[s], j, points[t], N, order))
+             for monomials, (s, t) in zip(plan[:3], BRACKET_SLOTS)
+             for i, j, coef in monomials]
+    terms += [(coef, _series(k, N, x[0], x[1], order))
+              for coef, x in zip(plan.negated, points)]
     return linear_combination(N, order, terms)
 
 
@@ -464,8 +456,9 @@ def bracket(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> QExpansion:
     """
     if N < 1:
         raise ValueError("level must be >= 1")
-    terms = _product_terms(_monomials(P), (a[0] % N, a[1] % N), (b[0] % N, b[1] % N),
-                           N, order)
+    a, b = (a[0] % N, a[1] % N), (b[0] % N, b[1] % N)
+    terms = [(coef, _ordered_product(i, a, j, b, N, order))
+             for i, j, coef in _monomials(P)]
     return from_int_form(N, order, *linear_combination(N, order, terms).unpack())
 
 
@@ -476,14 +469,14 @@ def relation_residual(inst: RelationInstance, order: int, **overrides) -> QExpan
     Keyword overrides (alpha, beta, gamma, P, Q, R; any other raises
     TypeError) replace the canonical weights, for mutation testing.
     """
-    res = _residual(inst, order, _instance_plan(inst, overrides))
+    res = _residual(inst, order, _plan(inst.k1, inst.k2, **overrides))
     return from_int_form(inst.N, order, *res.unpack())
 
 
 def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
     """Check one instance (overrides as in relation_residual); report in
     the scan's JSON schema."""
-    res = _residual(inst, order, _instance_plan(inst, overrides))
+    res = _residual(inst, order, _plan(inst.k1, inst.k2, **overrides))
     # unpack only a failure: its rows are reduced, so the first nonzero
     # entry lies in the first field-nonzero row
     first = None if res.is_zero() else next(

@@ -282,6 +282,16 @@ class TestNumeric:
         assert exc.value.code == 2
         assert "expected 're,im'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["relation", "diff", "bracket", "modularity",
+                                       "asymptotics"])
+    def test_tau_where_q_rounds_to_one_exits_2(self, capsys, check):
+        # |e(tau)| rounds to 1.0 below Im tau ~ 8.8e-18: bad input, one
+        # error line, not a ZeroDivisionError from the tail estimate
+        code, out, err = run(capsys, "numeric", "--check", check, "--tau", "0,1e-18")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too close to the real axis" in err
+
     def test_bad_tau_exits_2(self, capsys):
         # a NaN or infinite tau is bad input, not a failed check
         for argv in (["relation", "--tau", "0,-1"],

@@ -8,7 +8,8 @@ import pytest
 
 from eiskron import numeric as nm
 from eiskron.eisenstein import EisensteinIndex, bernoulli_number, eisenstein_qexp
-from eiskron.relations import HomPoly, poly_P
+from eiskron.relations import (HomPoly, _monomials, coeff_alpha, coeff_beta, coeff_gamma,
+                               poly_P, poly_Q, poly_R)
 
 TAU = 0.3 + 1.1j
 CFG = nm.NumericConfig(tau=TAU)
@@ -62,6 +63,13 @@ class TestConfig:
             nm.eval_E_lattice(3, 0.3 + 0.4j, 0.1 + 0.8j, CFG)
         z = 0.37 + 0.21j
         assert nm.eval_E_lattice(3, z, TAU, CFG) == nm.eval_E_lattice(3, z, complex(TAU), CFG)
+
+    @pytest.mark.parametrize("im", [1e-18, 8e-18, 5e-300])
+    def test_rejects_tau_where_q_rounds_to_one(self, im):
+        # |e(tau)| is 1.0 as a float: the tail estimate would divide by zero
+        with pytest.raises(ValueError, match="too close to the real axis"):
+            nm.NumericConfig(tau=complex(0.0, im))
+        assert nm.NumericConfig(tau=complex(0.0, 1e-16)).tau == complex(0.0, 1e-16)
 
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(ValueError):
@@ -332,6 +340,35 @@ class TestRelationNumeric:
             nm.check_relation_numeric(0, 0, nm.TorusPoint(0.5, 0.5),
                                       nm.TorusPoint(0.5, 0.5), CFG)
 
+    @pytest.mark.parametrize("tau", [0.3 + 1.1j, 1j, 0.1 + 0.6j])
+    def test_matches_the_relation_written_by_hand(self, tau):
+        # an independent statement of the relation's shape: P[u, v] +
+        # Q[v, w] + R[w, u] against alpha E_u + beta E_v + gamma E_w at
+        # w = -(u+v), summed as abs(lhs - rhs); the check sums the plan,
+        # and must return the identical float
+        def bracket(P, Ea, Eb):
+            acc = 0j
+            for i, c in enumerate(P.coeffs):
+                if c:
+                    acc += float(c) * (Ea[i] * Eb[P.degree - i])
+            return acc
+
+        cfg = nm.NumericConfig(tau=tau)
+        rng = random.Random(24)
+        for k in range(2, 11):
+            for k1 in range(k - 1):
+                k2 = k - 2 - k1
+                for _ in range(2):
+                    u, v = (nm.TorusPoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
+                            for _ in range(2))
+                    Eu, Ev, Ew = (nm.eval_E_fourier_upto(k, p, cfg) for p in (u, v, -(u + v)))
+                    lhs = (bracket(poly_P(k1, k2), Eu, Ev) + bracket(poly_Q(k1, k2), Ev, Ew)
+                           + bracket(poly_R(k1, k2), Ew, Eu))
+                    rhs = (float(coeff_alpha(k1, k2)) * Eu[k - 1]
+                           + float(coeff_beta(k1, k2)) * Ev[k - 1]
+                           + float(coeff_gamma(k1, k2)) * Ew[k - 1])
+                    assert nm.check_relation_numeric(k1, k2, u, v, cfg) == abs(lhs - rhs)
+
 
 STEP_ERROR = "step too large relative to lattice distance"
 
@@ -423,7 +460,7 @@ def reference_diff_relation(k, p, cfg, h):
 
 def eval_bracket_numeric(P, u, v, cfg):
     """P[u, v] with continuous parameters, via the Fourier evaluator."""
-    return nm._bracket(P, nm.eval_E_fourier_upto(P.degree + 1, u, cfg),
+    return nm._bracket(_monomials(P), nm.eval_E_fourier_upto(P.degree + 1, u, cfg),
                        nm.eval_E_fourier_upto(P.degree + 1, v, cfg))
 
 

@@ -241,6 +241,15 @@ class TestVerifyInstance:
         with pytest.raises(TypeError):
             relation_residual(inst, 40, alhpa=0)
 
+    @pytest.mark.parametrize("override", [{"P": None}, {"Q": 5}, {"R": "x"},
+                                          {"P": Fraction(1)}])
+    def test_override_polynomial_of_wrong_type_raises(self, override):
+        inst = RelationInstance(3, 4, 1, 1, (1, 0), (0, 1))
+        with pytest.raises(TypeError, match="HomPoly P, Q, R"):
+            verify_instance(inst, 40, **override)
+        with pytest.raises(TypeError, match="HomPoly P, Q, R"):
+            relation_residual(inst, 40, **override)
+
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "P"])
     @pytest.mark.parametrize("args", [(3, 2, 0, 0, (1, 0), (0, 1)),
                                       (3, 4, 1, 1, (1, 0), (0, 1)),
@@ -899,7 +908,7 @@ class TestPlan:
                 canonical = dict(relations._canonical(inst.k1, inst.k2))
                 cached = relations._residual(inst, 24, relations._plan(inst.k1, inst.k2))
                 override = relations._residual(
-                    inst, 24, relations._instance_plan(inst, canonical))
+                    inst, 24, relations._plan(inst.k1, inst.k2, **canonical))
                 fields = ("den", "height", "width", "value")
                 assert ([getattr(cached, f) for f in fields]
                         == [getattr(override, f) for f in fields])
