@@ -100,10 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, doc: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(human)
+    print(json.dumps(doc) if args.json else human)
 
 
 def cmd_expand(args) -> int:
@@ -183,8 +180,8 @@ def _numeric_relation(nm, args, cfg, draw_point) -> list:
 def _numeric_diff(nm, args, cfg, draw_point) -> list:
     k = args.weight
     p = draw_point()
-    res = nm.check_diff_relation(k, p, cfg)
-    return [nm.make_report("diff", {"weight": k, "p": [p.x1, p.x2], "h": 1e-4}, res,
+    res = nm.check_diff_relation(k, p, cfg, nm.FD_STEP)
+    return [nm.make_report("diff", {"weight": k, "p": [p.x1, p.x2], "h": nm.FD_STEP}, res,
                            nm.fourier_tail_estimate(k, cfg), FD_TOL)]
 
 
@@ -208,7 +205,7 @@ def _numeric_modularity(nm, args, cfg, draw_point) -> list:
         res = nm.check_modularity(k, x, gam, cfg)
         reports.append(nm.make_report(
             "modularity", {"weight": k, "gamma": name, "x": [x.x1, x.x2]},
-            res, nm.fourier_tail_estimate(k, cfg), tol))
+            res, nm.modularity_tail_estimate(k, gam, cfg), tol))
     return reports
 
 

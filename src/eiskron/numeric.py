@@ -298,6 +298,8 @@ def check_relation_numeric(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
 # Finite-difference checks of the derivative relations.
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-4  # the stencil's default step h, and the one the CLI reports
+
 def _check_step(p: TorusPoint, cfg: NumericConfig, h: float) -> None:
     """Raise unless h is below 1% of p's distance to its lattice cell's corners."""
     tau = complex(cfg.tau)
@@ -319,7 +321,7 @@ def _dbar(F, p: TorusPoint, cfg: NumericConfig, h: float) -> complex:
 
 
 def check_diff_relation(k: int, p: TorusPoint, cfg: NumericConfig,
-                        h: float = 1e-4) -> float:
+                        h: float = FD_STEP) -> float:
     """Error in -(tau - taubar) d/dzbar E^(k) = 1 (k=1) or (k-1) E^(k-1)."""
     _check_step(p, cfg, h)
     lhs = _dbar(lambda q: eval_E_fourier(k, q, cfg), p, cfg, h)
@@ -327,7 +329,7 @@ def check_diff_relation(k: int, p: TorusPoint, cfg: NumericConfig,
 
 
 def check_diff_bracket(P: HomPoly, u: TorusPoint, v: TorusPoint,
-                       cfg: NumericConfig, h: float = 1e-4) -> Tuple[float, float]:
+                       cfg: NumericConfig, h: float = FD_STEP) -> Tuple[float, float]:
     """Errors in both derivative formulas for the bracket P[u, v].
 
     First entry: derivative in conj(u) against dP/dX [u,v] + P(0,1) E^(k-1)_v.
@@ -350,18 +352,35 @@ def check_diff_bracket(P: HomPoly, u: TorusPoint, v: TorusPoint,
 # Modularity and asymptotics.
 # ---------------------------------------------------------------------------
 
-def check_modularity(k: int, x: TorusPoint, gamma: Sequence[Sequence[int]],
-                     cfg: NumericConfig) -> float:
-    """|E~_x(gamma tau) - (c tau + d)^k E~_{x gamma}(tau)|."""
+def _image(gamma: Sequence[Sequence[int]],
+           cfg: NumericConfig) -> Tuple[NumericConfig, complex]:
+    """(cfg at gamma tau, c tau + d); a bad gamma tau names tau and gamma."""
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise ValueError("gamma must have determinant 1")
     tau = complex(cfg.tau)
-    gtau = (a * tau + b) / (c * tau + d)
+    try:
+        return replace(cfg, tau=(a * tau + b) / (c * tau + d)), c * tau + d
+    except ValueError:
+        raise ValueError(f"the image of tau {tau} under gamma {gamma} is too close "
+                         "to the real axis") from None
+
+
+def check_modularity(k: int, x: TorusPoint, gamma: Sequence[Sequence[int]],
+                     cfg: NumericConfig) -> float:
+    """|E~_x(gamma tau) - (c tau + d)^k E~_{x gamma}(tau)|."""
+    gcfg, j = _image(gamma, cfg)
+    (a, b), (c, d) = gamma
     xg = TorusPoint(x.x1 * a + x.x2 * c, x.x1 * b + x.x2 * d)
-    lhs = eval_E_fourier(k, x, replace(cfg, tau=gtau))
-    rhs = (c * tau + d) ** k * eval_E_fourier(k, xg, cfg)
-    return abs(lhs - rhs)
+    return abs(eval_E_fourier(k, x, gcfg) - j ** k * eval_E_fourier(k, xg, cfg))
+
+
+def modularity_tail_estimate(k: int, gamma: Sequence[Sequence[int]],
+                             cfg: NumericConfig) -> float:
+    """Bound on the gap between check_modularity's two truncated sums:
+    tail(gamma tau) + |c tau + d|^k tail(tau)."""
+    gcfg, j = _image(gamma, cfg)
+    return fourier_tail_estimate(k, gcfg) + abs(j) ** k * fourier_tail_estimate(k, cfg)
 
 
 def eval_G2(tau: complex) -> complex:

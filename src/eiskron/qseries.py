@@ -26,13 +26,13 @@ big-integer multiply (Kronecker substitution), a truncation mask, column
 masks and the rows x^c mod Phi_N applied to whole columns; a linear
 combination is a few big-int multiply-adds, and it is zero in Q(zeta_N)
 iff its value is 0.  Limbs are signed (two's complement bytes offset by a
-per-limb bias), and every limb width comes from a derived height bound
-that is checked at run time: series, products and residuals are stored at
-a multiple of 8 bytes, and a product's one multiply runs at the byte
-width its bound needs, each operand narrowed to it once (narrow).  Two
-steps still touch limbs one at a time in Python: pack writes each limb
-with one to_bytes call (one comprehension per column), and unpack reads
-each limb back, which the scan does only for a failed instance.
+per-limb bias), and each value sits at the least byte width its height
+bound, measured or derived, needs, checked at run time.  A product's
+bound covers its operands' and a residual's its terms', so a value only
+widens, once per width (widen).  Two steps still touch limbs one at a
+time in Python: pack writes each limb with one to_bytes call (one
+comprehension per column), and unpack reads each limb back, which the
+scan does only for a failed instance.
 """
 
 from __future__ import annotations
@@ -354,15 +354,8 @@ def convolve_naive(level: int, order: int, A: Sequence[int],
 
 def _byte_width(bound: int) -> int:
     """Bytes per signed limb holding |v| <= bound: the smallest w with
-    bound < 2^(8w-1).  The product kernel multiplies at this width."""
+    bound < 2^(8w-1), the one limb width of every packed value."""
     return bound.bit_length() // 8 + 1
-
-
-def _limb_width(bound: int) -> int:
-    """The storage width for |v| <= bound: the smallest multiple of 8 bytes
-    with bound < 2^(8w-1), so that series, products and residuals of
-    similar height share widths and a linear combination seldom widens."""
-    return 8 * (bound.bit_length() // 64 + 1)
 
 
 def _check_width(bound: int, width: int, what: str) -> None:
@@ -423,17 +416,20 @@ class PackedSeries(NamedTuple):
     in the same layout.  Every limb has |v| <= height: measured for a packed
     series, a derived bound for a product or a linear combination.  Reduced
     forms are canonical, so the series is zero in Q(zeta_N) iff every limb
-    is zero.  A tuple, so a cached series cannot be changed; ``at(width)``
-    gives the value at any limb width that holds the height, wider or
-    narrower.
+    is zero.  Limbs are width = _byte_width(height) bytes, the least that
+    hold the height.  A tuple, so a cached series cannot be changed;
+    ``at(width)`` gives the value at any wider limb width.
     """
 
     level: int
     order: int
     den: int
     height: int
-    width: int
     value: int
+
+    @property
+    def width(self) -> int:
+        return _byte_width(self.height)
 
     @classmethod
     def pack(cls, level: int, order: int, den: int, flat: Sequence[int]) -> "PackedSeries":
@@ -446,34 +442,31 @@ class PackedSeries(NamedTuple):
                              f"entries, not {len(flat)}")
         cols = reduce_columns(level, [flat[i::level] for i in range(level)])
         height = max(map(abs, chain.from_iterable(cols)), default=0)
-        width = _limb_width(height)
+        width = _byte_width(height)
+        _check_width(height, width, "packed series")
         s = _stride(level)
-        return cls(level, order, den, height, width, _pack(cols, order * s, width, s))
+        return cls(level, order, den, height, _pack(cols, order * s, width, s))
 
     def at(self, width: int) -> int:
-        """The packed int at limb width `width`, which must hold the height.
+        """The packed int at limb width `width`, which must hold the height,
+        so width >= self.width: a value only widens.
 
         The value plus the bias is every limb v + 2^(8w-1) as w unsigned
-        bytes; byte b < min(w, width) of limb l moves to byte b of the new
-        limb l.  Widening subtracts a bias spaced at the new width again.
-        Narrowing keeps the low bytes, v mod 2^(8*width) since
-        8w - 1 >= 8*width: the two's complement limb that pack writes and
-        unpack reads.  Byte-lane slices do the copy at C speed, with no
-        per-limb Python loop.
+        bytes; byte b < w of limb l moves to byte b of the wider limb l,
+        and subtracting the same bias spaced width bytes apart gives v
+        back.  Byte-lane slices do the copy at C speed, with no per-limb
+        Python loop.
         """
+        _check_width(self.height, width, "packed series")
         w = self.width
         if width == w:
             return self.value
-        _check_width(self.height, width, "packed series")
         positions = self.order * _stride(self.level)
         raw = (self.value + _bias(positions, w)).to_bytes(positions * w, "little")
         out = bytearray(positions * width)
-        for b in range(min(w, width)):
+        for b in range(w):
             out[b::width] = raw[b::w]
-        if width > w:
-            return int.from_bytes(out, "little") - _bias(positions, w, width)
-        H = _bias(positions, width)
-        return (int.from_bytes(out, "little") ^ H) - H
+        return int.from_bytes(out, "little") - _bias(positions, w, width)
 
     def _no_arithmetic(self, other):
         return NotImplemented
@@ -505,10 +498,10 @@ class PackedSeries(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def narrow(x: PackedSeries, width: int) -> int:
-    """x.at(width), once per (series, width): a series enters many products
-    at one multiply width.  Unbounded, as relations' series cache is; the
-    scan clears both at each level."""
+def widen(x: PackedSeries, width: int) -> int:
+    """x.at(width), once per (value, width): a value enters many products
+    or residuals at one width.  Unbounded, as relations' product cache
+    is; the scan clears both at each triple-orbit group."""
     return x.at(width)
 
 
@@ -524,9 +517,9 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     limb of every block and unbiased; columns c >= N fold onto c - N
     (zeta^N = 1), and reduce_mod_cyclotomic adds the rest into the first
     phi columns with the rows x^c mod Phi_N, phi <= c < N, as it reduces
-    any vector.  Every step acts on whole big ints: each operand is
-    narrowed to Wm once for all its products (narrow), and the finished
-    product is widened once to its storage width.
+    any vector.  Every step acts on whole big ints, and each operand is
+    widened to Wm once for all its products (widen).  The product is
+    stored at Wm, its own byte width.
     """
     if not all(isinstance(z, PackedSeries) and (z.level, z.order) == (N, T)
                for z in (f, g)):
@@ -539,27 +532,22 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     # entries <= h0 mod Phi_N gives entries <= h0*reduction_norm(N) = h.
     # Each limb, raw or reduced, is then a balanced base-2^(8Wm) digit
     # when h < 2^(8Wm-1): no carry crosses a limb.  The multiply runs at the
-    # byte width Wm that h needs; h >= each operand height, so Wm holds the
-    # operands too.  The product is stored at W, a multiple of 8 bytes.
+    # byte width Wm that h needs, the product's own width; a nonzero h is
+    # >= each operand height, so each operand only widens to Wm.
     h = T * phi * f.height * g.height * reduction_norm(N)
-    Wm, W = _byte_width(h), _limb_width(h)
+    Wm = _byte_width(h)
     _check_width(h, Wm, "product")
-    _check_width(h, W, "product")
     den = f.den * g.den
     if not h:  # an operand is zero
-        return PackedSeries(N, T, den, 0, W, 0)
+        return PackedSeries(N, T, den, 0, 0)
     bias, trunc, column, column_bias = _product_masks(T, s, Wm)
     bits = 8 * Wm
-    t = (narrow(f, Wm) * narrow(g, Wm) + bias) & trunc
+    t = (widen(f, Wm) * widen(g, Wm) + bias) & trunc
     cols = [((t >> bits * c) & column) - column_bias for c in range(s)]
     for c in range(N, s):
         cols[c - N] += cols[c]
     out = reduce_mod_cyclotomic(N, cols[:N])
-    value = out[0]
-    for j in range(1, phi):
-        value += out[j] << bits * j
-    product = PackedSeries(N, T, den, h, Wm, value)
-    return product._replace(width=W, value=product.at(W))
+    return PackedSeries(N, T, den, h, sum(out[j] << bits * j for j in range(phi)))
 
 
 def linear_combination(level: int, order: int,
@@ -571,7 +559,8 @@ def linear_combination(level: int, order: int,
     s_l = sum_i m_i * v_{i,l}, so |s_l| <= B = sum_i |m_i| * height_i.  At a
     width w with B < 2^(8w-1) every s_l is a balanced base-2^(8w) digit and
     no carry crosses a limb: the packed sum is sum_l s_l 2^(8wl) exactly,
-    and it is 0 iff every s_l is 0.
+    and it is 0 iff every s_l is 0.  The least such w holds every term
+    (B >= height_i, as |m_i| >= 1): each term only widens to it (widen).
     """
     # int and Fraction both have numerator and denominator: no Fraction is built
     D = math.lcm(*[x.den * c.denominator for c, x in terms])
@@ -583,12 +572,9 @@ def linear_combination(level: int, order: int,
             m = D // (x.den * c.denominator) * c.numerator
             scaled.append((m, x))
             bound += abs(m) * x.height
-    width = _limb_width(bound)  # >= every term's width: |m_i| >= 1
+    width = _byte_width(bound)
     _check_width(bound, width, "residual")
-    value = 0
-    for m, x in scaled:
-        value += m * (x.value if x.width == width else x.at(width))
-    return PackedSeries(level, order, D, bound, width, value)
+    return PackedSeries(level, order, D, bound, sum(m * widen(x, width) for m, x in scaled))
 
 
 def int_form_is_zero(level: int, data: Sequence[int]) -> Union[int, None]:

@@ -88,7 +88,7 @@ from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Seq
 from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
-                      from_int_form, linear_combination, narrow)
+                      from_int_form, linear_combination, widen)
 
 Pair = Tuple[int, int]
 
@@ -574,15 +574,15 @@ def _scan_level(args) -> Tuple[int, List[dict]]:
     pair of its orbit, whose series the representative's reads built and
     checked (see _orbit_series)."""
     N, k_max, order = args
-    # Caches are per process.  No series is used at another level, nor is
-    # its narrowed value (qseries.narrow), and a product key fixes its
-    # triple's orbit, so no product is used outside its triple-orbit group
-    # (see _orbits): each is built once and dropped with its group.
+    # Caches are per process.  No series is used at another level, and a
+    # product key fixes its triple's orbit, so no product is used outside
+    # its triple-orbit group (see _orbits): each is built once and dropped
+    # with its group, and so is every widened value (qseries.widen).
     _orbit_series.cache_clear()
-    narrow.cache_clear()
     covered, failures = 0, []
     for group in _orbits(N):
         _product.cache_clear()
+        widen.cache_clear()
         for rep, orbit in group:
             for inst in _instances(N, k_max, [rep]):
                 report = verify_instance(inst, order)

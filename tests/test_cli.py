@@ -211,6 +211,48 @@ class TestNumeric:
         assert code == 0
         assert json.loads(out)["pass"]
 
+    def test_modularity_tail_bounds_both_truncated_sums(self, capsys):
+        # the left side is a Fourier sum at gamma tau: the S image of the
+        # default tau has Im 0.85 against Im tau = 1.1, so the two reports'
+        # tails differ, each tail(gamma tau) + |c tau + d|^k tail(tau)
+        from eiskron import numeric as nm
+        code, out, _ = run(capsys, "numeric", "--check", "modularity", "--json")
+        assert code == 0
+        T, S = json.loads(out)["reports"]
+        tau = complex(0.3, 1.1)
+
+        def tail(t):
+            return nm.fourier_tail_estimate(3, nm.NumericConfig(tau=t))
+
+        assert T["tail_estimate"] == pytest.approx(tail(tau + 1) + tail(tau), rel=1e-12)
+        assert S["tail_estimate"] == pytest.approx(tail(-1 / tau) + abs(tau) ** 3 * tail(tau),
+                                                   rel=1e-12)
+        assert S["tail_estimate"] > 1e50 * T["tail_estimate"]
+
+    def test_modularity_image_near_the_axis_names_the_typed_tau(self, capsys):
+        # S sends 1e8 + 1e-3 i to about -1e-8 + 1e-19 i, where |q| is 1.0:
+        # the error names the tau given and the gamma, not the image
+        code, out, err = run(capsys, "numeric", "--check", "modularity",
+                             "--tau", "1e8,1e-3")
+        assert code == 2 and out == ""
+        assert err == ("error: the image of tau (100000000+0.001j) under gamma "
+                       "((0, -1), (1, 0)) is too close to the real axis\n")
+
+    def test_diff_reports_the_step_it_runs(self, capsys, monkeypatch):
+        # the report's h is the step the check was given, from one constant
+        from eiskron import numeric as nm
+        steps, check = [], nm.check_diff_relation
+
+        def recording(*args):
+            steps.append(args[3:])
+            return check(*args)
+
+        monkeypatch.setattr(nm, "check_diff_relation", recording)
+        monkeypatch.setattr(nm, "FD_STEP", 2e-4)
+        code, out, _ = run(capsys, "numeric", "--check", "diff", "--json")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["params"]["h"] == 2e-4 and steps == [(2e-4,)]
+
     def test_asymptotics(self, capsys):
         code, out, _ = run(capsys, "numeric", "--check", "asymptotics",
                            "--weight", "2", "--tau", "0,1", "--json")

@@ -41,6 +41,9 @@ CLI_GOLDEN = [
       "--parallel", "2"), SCAN_WIDE),
     (("scan", "--level-max", "3", "--weight-max", "4", "--order", "160", "--json"),
      "bb54dc54c4b49458637205ef9559ec159b16cdc293b1629deae3e5162c690bb3"),
+    # limbs past 8 bytes: products up to 9 bytes wide, residuals up to 10
+    (("scan", "--level-max", "4", "--weight-max", "8", "--order", "100", "--json"),
+     "4852691a74553e64e63c6fd8c5e1db0ebc7de7ac17981fe53ebba13a3667808f"),
     (("verify", "--level", "4", "--weight", "5", "--split", "2,1", "--a", "1,2",
       "--b", "3,3", "--json"),
      "9d19cce7ff1d73e579b800d5b572c3f4374f7560778040d08112c2b30f715d9e"),
@@ -103,3 +106,17 @@ def test_series_from_the_packed_form_pinned():
         "4938f5f2323f6368621f45d2964a285433196fe9c963e96fcfdd1bfc1df47ef0"
     assert sha(bracket(HomPoly(2, [1, 2, 3]), (1, 2), (3, 1), 4, 30).to_json()) == \
         "4a59b0c55afec1dcbd3213e6a5d377a09904b73ec3021abaaa1e813ebcec7e6c"
+
+
+def test_wide_residual_pinned():
+    # the alpha+1 residual of this instance is nonzero from exponent 0 and
+    # needs 10-byte limbs; the report and the residual read back through
+    # unpack are pinned
+    inst = RelationInstance(4, 8, 3, 3, (1, 2), (3, 3))
+    alpha = coeff_alpha(inst.k1, inst.k2) + 1
+    report = verify_instance(inst, 100, alpha=alpha)
+    assert report["first_nonzero_exponent"] == 0
+    assert sha(json.dumps(report, sort_keys=True)) == \
+        "83ef776ad63fc3f96a5bfaa9b872097a13ff922ce8374ef8cd04779e0676f414"
+    assert sha(relation_residual(inst, 100, alpha=alpha).to_json()) == \
+        "d96db21809060b35695e737258aef2d8e25103a6a370ff2e99dd22abbd5ab070"

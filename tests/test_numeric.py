@@ -543,6 +543,25 @@ class TestModularity:
         with pytest.raises(ValueError):
             nm.check_modularity(3, nm.TorusPoint(0.2, 0.4), ((2, 0), (0, 1)), CFG)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_tail_estimate_bounds_a_truncated_check(self, k):
+        # at 5 Fourier terms truncation dominates the S check's residual;
+        # the left side is a sum at S tau (Im 0.85 against Im tau = 1.1),
+        # whose tail the estimate at tau alone understates
+        cfg = nm.NumericConfig(tau=complex(0.3, 1.1), fourier_terms=5)
+        S = ((0, -1), (1, 0))
+        res = nm.check_modularity(k, nm.TorusPoint(1 / 3, 0.0), S, cfg)
+        assert nm.fourier_tail_estimate(k, cfg) < res <= nm.modularity_tail_estimate(k, S, cfg)
+
+    def test_image_too_close_to_the_axis_names_tau_and_gamma(self):
+        cfg = nm.NumericConfig(tau=complex(1e8, 1e-3))
+        S = ((0, -1), (1, 0))
+        for run in (lambda: nm.check_modularity(3, nm.TorusPoint(0.2, 0.4), S, cfg),
+                    lambda: nm.modularity_tail_estimate(3, S, cfg)):
+            with pytest.raises(ValueError, match=r"the image of tau \(100000000\+0\.001j\) "
+                                                 r"under gamma \(\(0, -1\), \(1, 0\)\)"):
+                run()
+
 
 class TestAsymptotics:
     def test_g2_constant_term(self):

@@ -71,6 +71,12 @@ def naive(N, T, A, B):
     return rows(N, convolve_naive(N, T, flat(N, T, A), flat(N, T, B)))
 
 
+def least_width(height):
+    """The smallest limb width w in bytes with height < 2^(8w-1), found by
+    search: the width every packed value is stored at."""
+    return next(w for w in range(1, 64) if height < 2 ** (8 * w - 1))
+
+
 def reduced_entries(x):
     """A packed series' unpacked vectors cut to their phi reduced entries."""
     phi = totient(x.level)
@@ -492,42 +498,46 @@ class TestIntForm:
         data = {n: v for n, v in data.items() if n != 2}  # an empty exponent
         x = pack(N, T, 7, data)
         assert (x.width, x.height) == (8, top)
-        for width in (16, 24, 72):
+        for width in (8, 9, 16, 24, 72):
             assert x.at(width) == _pack(columns(data, T), T * s, width, s)
         den, out = unpacked(x)
         assert den == 7 and out == {n: v + (0,) for n, v in data.items()}
-        assert pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 16
-        # negative and extreme limbs, widened step by step 8 -> 16 -> 24 -> 32
+        # one past the 8-byte edge is stored at 9 bytes, not 16
+        assert pack(N, T, 1, {0: (2 ** 63, 0, 0, 0)}).width == 9
+        # negative and extreme limbs, stored at their own byte width, read
+        # back, and widened from it to every width up to 32 bytes
         for edge in (-top, 2 ** 64 - 1, -2 ** 64, 2 ** 127 - 1, -2 ** 127):
             data = {n: tuple((edge, -1, 0, -edge, 1, top, -top)[(n * 3 + j) % 7]
                              for j in range(4)) for n in range(T)}
             y = pack(N, T, 1, data)
-            for width in range(y.width + 8, 33, 8):
-                y = y._replace(width=width, value=y.at(width))
-                assert y.value == _pack(columns(data, T), T * s, width, s)
-                assert unpacked(y)[1] == {n: v + (0,) for n, v in data.items()}
-        with pytest.raises(ArithmeticError):
-            y.at(8)
+            assert y.width == least_width(y.height) in (8, 9, 16, 17)
+            assert unpacked(y)[1] == {n: v + (0,) for n, v in data.items()}
+            for width in range(y.width, 33):
+                assert y.at(width) == _pack(columns(data, T), T * s, width, s)
+            with pytest.raises(ArithmeticError):
+                y.at(y.width - 1)
 
     @pytest.mark.parametrize("edge", (2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 64 - 1, -2 ** 64,
                                       2 ** 127 - 1, -2 ** 127, 127, -128))
     def test_packed_narrow(self, edge):
-        # every width that holds the height, down to the height's own byte
-        # width, against the _pack oracle; one byte less raises
+        # a series is stored at the height's own byte width, so no width
+        # below it holds the height: at() only widens, and every narrower
+        # width raises; each width from it up to 32 bytes matches the
+        # _pack oracle
         N, T = 5, 4
         s = 2 * 4 - 1
         data = {n: tuple((edge, -1, 0, -edge, 1, edge // 3)[(n * 3 + j) % 6]
                          for j in range(4)) for n in range(T)}
         y = pack(N, T, 1, data)
-        need = next(w for w in range(1, 33) if y.height < 2 ** (8 * w - 1))
-        expect = {n: v + (0,) for n, v in data.items()}
-        for source in (y, y._replace(width=32, value=y.at(32))):
-            for width in range(need, 33):
-                z = source._replace(width=width, value=source.at(width))
-                assert z.value == _pack(columns(data, T), T * s, width, s)
-                assert unpacked(z)[1] == expect
-            with pytest.raises(ArithmeticError, match=f"limb width {need - 1} too small"):
-                source.at(need - 1)
+        need = least_width(y.height)
+        assert y.width == need
+        assert y.value == _pack(columns(data, T), T * s, need, s)
+        assert unpacked(y)[1] == {n: v + (0,) for n, v in data.items()}
+        for width in range(need, 33):
+            assert y.at(width) == _pack(columns(data, T), T * s, width, s)
+        for width in range(need):
+            with pytest.raises(ArithmeticError, match=f"limb width {width} too small"):
+                y.at(width)
 
     def test_pack_reduces_mod_phi(self):
         # Phi_4 = x^2 + 1: zeta^2 = -1, zeta^3 = -zeta; field zeros drop out
@@ -612,10 +622,11 @@ class TestColumnarPath:
         rows_ = [data.get(n, ()) for n in range(T)]
         cols = reduce_columns(N, list(zip_longest(*rows_, fillvalue=0)) or [(0,) * T])
         height = max(map(abs, chain.from_iterable(cols)), default=0)
-        width = 8 * (height.bit_length() // 64 + 1)
+        width = least_width(height)
         s = 2 * totient(N) - 1
-        assert pack(N, T, 7, data) == \
-            PackedSeries(N, T, 7, height, width, _pack(cols, T * s, width, s))
+        x = pack(N, T, 7, data)
+        assert x == PackedSeries(N, T, 7, height, _pack(cols, T * s, width, s))
+        assert x.width == width
         with pytest.raises(ValueError):
             PackedSeries.pack(N, T, 7, flat(N, T, data) + [0])
 
@@ -641,7 +652,13 @@ class TestColumnarPath:
         phi = totient(N)
         x = pack(N, T, 5, data)
         height = max((abs(v) for vec in data.values() for v in vec), default=0)
-        assert (x.height, x.width) == (height, 8 * (height.bit_length() // 64 + 1))
+        assert (x.height, x.width) == (height, least_width(height))
+        # the value at its own width, and widened to every width up to 32
+        # bytes, is the _pack oracle's
+        s = 2 * phi - 1
+        assert x.value == _pack(columns(data, T), T * s, x.width, s)
+        for width in range(x.width + 1, 33):
+            assert x.at(width) == _pack(columns(data, T), T * s, width, s)
         pad = (0,) * (N - phi)
         assert unpacked(x) == (5, {n: vec + (0,) * (phi - len(vec)) + pad
                                    for n, vec in data.items() if any(vec)})
@@ -820,13 +837,11 @@ def raises(run):
         sys.exit(4)
 raises(lambda: x.at(8))  # below the height's own byte width
 byte = qseries._byte_width
-qseries._byte_width = lambda bound: byte(bound) - 1  # the multiply one byte too narrow
-raises(lambda: qseries.convolve_int(3, 4, x, x))
-qseries._byte_width = byte
-narrow = qseries._limb_width
-qseries._limb_width = lambda bound: narrow(bound) - 8  # storage one limb too narrow
+qseries._byte_width = lambda bound: byte(bound) - 1  # every width one byte too narrow
+raises(lambda: PackedSeries.pack(3, 4, 1, [2 ** 70, -1, 0] + [0] * 6 + [5, 2 ** 70, 0]))
 raises(lambda: qseries.convolve_int(3, 4, x, x))
 raises(lambda: linear_combination(3, 4, [(1, x), (2, x)]))
+raises(lambda: x.at(x.width))
 """
         src = os.path.dirname(os.path.dirname(eiskron.__file__))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -834,11 +849,13 @@ raises(lambda: linear_combination(3, 4, [(1, x), (2, x)]))
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        # x has height 2^70; x*x has bound h = 4*2*2^140*2 < 2^(8*19-1)
+        # x has height 2^70 < 2^(8*9-1); x*x has bound h = 4*2*2^140*2
+        # < 2^(8*19-1); x + 2x has bound 3*2^70 < 2^(8*10-1)
         assert proc.stdout.splitlines() == ["limb width 8 too small for the packed series",
+                                            "limb width 8 too small for the packed series",
                                             "limb width 18 too small for the product",
-                                            "limb width 16 too small for the product",
-                                            "limb width 8 too small for the residual"]
+                                            "limb width 9 too small for the residual",
+                                            "limb width 8 too small for the packed series"]
 
 
 class TestImmutability:

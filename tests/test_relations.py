@@ -12,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eiskron
-from eiskron import relations
+from eiskron import qseries, relations
+from eiskron.cyclotomic import totient
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import PackedSeries, QExpansion, _byte_width, act_int_form, narrow
+from eiskron.qseries import PackedSeries, QExpansion, _byte_width, act_int_form, widen
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -399,20 +400,67 @@ class TestProductCache:
         assert len(packed) == len(built) == 104
         assert len(set(built)) == len(built)
 
-    def test_cold_scan_narrows_each_series_once(self, monkeypatch, cold_caches):
-        # a series enters many products at one multiply width and is
-        # narrowed from its storage width once for all of them
-        # (qseries.narrow); without that memo this scan narrows 268 times
-        narrowed, at = [], PackedSeries.at
+    def test_cold_scan_widens_each_value_once_per_group(self, monkeypatch, cold_caches):
+        # every value is stored at the least width its height needs, and a
+        # product's height bounds its operands', a residual's its terms':
+        # the scan never narrows.  A series enters many products at one
+        # multiply width, and a product many residuals, and each (value,
+        # width) pair is converted once per triple-orbit group for all of
+        # them (qseries.widen); without that memo this scan widens 1,698
+        # times
+        groups, orbits = [0], relations._orbits
+
+        def marking(N):
+            for group in orbits(N):
+                groups[0] += 1
+                yield group
+
+        calls, at = [], PackedSeries.at
 
         def counting(self, width):
-            if width < self.width:
-                narrowed.append((self, width))
+            calls.append((groups[0], self, width))
             return at(self, width)
 
+        monkeypatch.setattr(relations, "_orbits", marking)
         monkeypatch.setattr(PackedSeries, "at", counting)
         assert run_scan(4, 4, 40)["failed"] == 0
-        assert len(narrowed) == len(set(narrowed)) == 78
+        assert [c for c in calls if c[2] < c[1].width] == []
+        assert len(calls) == len(set(calls)) == 395
+        assert sum(c[2] > c[1].width for c in calls) == 344
+
+    def test_every_value_sits_at_its_byte_width(self, monkeypatch, cold_caches):
+        # every series, product and residual of a scan is stored at the
+        # least byte width its height needs, and its value is its own limbs
+        # packed at that width; this scan's products reach 9 bytes and its
+        # residuals 10, past the 8-byte edge
+        made = {"series": [], "product": [], "residual": []}
+
+        def recording(kind, make):
+            def run(*args):
+                x = make(*args)
+                made[kind].append(x)
+                return x
+            return run
+
+        monkeypatch.setattr(PackedSeries, "pack",
+                            staticmethod(recording("series", PackedSeries.pack)))
+        monkeypatch.setattr(relations, "convolve_int",
+                            recording("product", relations.convolve_int))
+        monkeypatch.setattr(relations, "linear_combination",
+                            recording("residual", relations.linear_combination))
+        assert run_scan(4, 8, 100)["failed"] == 0
+        for values in made.values():
+            for x in values:
+                N, phi = x.level, totient(x.level)
+                s = 2 * phi - 1
+                least = next(w for w in range(1, 64) if x.height < 2 ** (8 * w - 1))
+                assert x.width == _byte_width(x.height) == least
+                data = x.unpack()[1]
+                assert max(map(abs, data), default=0) <= x.height
+                cols = [data[j::N] for j in range(phi)]
+                assert qseries._pack(cols, x.order * s, x.width, s) == x.value
+        assert {kind: max(x.width for x in values) for kind, values in made.items()} == \
+            {"series": 8, "product": 9, "residual": 10}
 
     def test_declared_height_bounds_every_product(self, monkeypatch, cold_caches):
         # a product's height is a derived bound, used as is for the limb
@@ -439,29 +487,33 @@ class TestProductCache:
 
     def test_scan_keeps_one_level_cached(self, monkeypatch):
         caches = (relations._orbit_series, relations._product)
-        for c in caches + (narrow,):
+        for c in caches + (widen,):
             c.cache_clear()
-        # the narrow keys, (operand, multiply width), of each level's products
-        operands, convolve = {}, relations.convolve_int
+        # the widen keys, (value, width), of each triple-orbit group, by level
+        keys, orbits_of, memo = {}, relations._orbits, qseries.widen
 
-        def recording(N, T, f, g):
-            p = convolve(N, T, f, g)
-            if p.height:  # a zero product returns before any narrowing
-                width = _byte_width(p.height)
-                operands.setdefault(N, set()).update({(f, width), (g, width)})
-            return p
+        def marking(N):
+            for group in orbits_of(N):
+                keys.setdefault(N, []).append(set())
+                yield group
 
-        monkeypatch.setattr(relations, "convolve_int", recording)
+        def recording(x, width):
+            keys[x.level][-1].add((x, width))
+            return memo(x, width)
+
+        monkeypatch.setattr(relations, "_orbits", marking)
+        monkeypatch.setattr(qseries, "widen", recording)
         assert run_scan(4, 4, 40)["failed"] == 0
         sizes = [c.cache_info().currsize for c in caches]
         assert all(sizes)
-        # no narrowed operand of level 3 or 4 is left: the cache holds the
-        # level-2 operands only, and a level-3 or level-4 lookup misses
-        assert holds_exactly(narrow, operands[2])
+        # no widened value of level 3 or 4 is left: the memo holds the keys
+        # of the last group, level 2's one group, only, and a level-3 or
+        # level-4 lookup misses
+        assert len(keys[2]) == 1 and holds_exactly(widen, keys[2][-1])
         for N in (3, 4):
-            misses = narrow.cache_info().misses
-            narrow(*min(operands[N], key=repr))
-            assert narrow.cache_info().misses == misses + 1
+            misses = widen.cache_info().misses
+            widen(*next(iter(keys[N][0])))
+            assert widen.cache_info().misses == misses + 1
         # the scan runs its largest level first and level 2 last: no level-3
         # or level-4 entry is left, and a lookup there misses
         for N in (3, 4):
@@ -474,6 +526,7 @@ class TestProductCache:
             for c in caches:
                 c.cache_clear()
             relations._scan_level((N, 4, 40))
+            groups = keys[N][-len(list(orbits_of(N))):]
             if N == 2:
                 # the level-2 task alone fills the caches as much as the scan
                 assert [c.cache_info().currsize for c in caches] == sizes
@@ -489,6 +542,14 @@ class TestProductCache:
             *_, last = relations._orbits(N)
             assert holds_exactly(relations._product,
                                  product_keys(N, group_reps(last), 4, 40))
+            # ... and the widen memo the last group's keys only: a key that
+            # only an earlier group of level 4 used misses
+            assert holds_exactly(widen, groups[-1])
+            if N == 4:
+                stale = set().union(*groups) - groups[-1]
+                misses = widen.cache_info().misses
+                widen(*next(iter(stale)))
+                assert widen.cache_info().misses == misses + 1
 
 
 def negate(x, N):
@@ -651,7 +712,7 @@ class TestScanSharding:
 def cold_caches():
     """Empty scan caches before and after the test, so that no series it
     built outlives it."""
-    caches = (relations._orbit_series, relations._product, narrow)
+    caches = (relations._orbit_series, relations._product, widen)
 
     def clear():
         for cache in caches:
