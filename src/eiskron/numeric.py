@@ -366,13 +366,22 @@ def _image(gamma: Sequence[Sequence[int]],
                          "to the real axis") from None
 
 
+def _automorphy_range_error(k: int, cfg: NumericConfig) -> ValueError:
+    return ValueError(f"weight {k} leaves the float range at tau {complex(cfg.tau)}: "
+                      f"|c tau + d|^{k} overflows")
+
+
 def check_modularity(k: int, x: TorusPoint, gamma: Sequence[Sequence[int]],
                      cfg: NumericConfig) -> float:
     """|E~_x(gamma tau) - (c tau + d)^k E~_{x gamma}(tau)|."""
     gcfg, j = _image(gamma, cfg)
     (a, b), (c, d) = gamma
     xg = TorusPoint(x.x1 * a + x.x2 * c, x.x1 * b + x.x2 * d)
-    return abs(eval_E_fourier(k, x, gcfg) - j ** k * eval_E_fourier(k, xg, cfg))
+    try:
+        factor = j ** k
+    except OverflowError:
+        raise _automorphy_range_error(k, cfg) from None
+    return abs(eval_E_fourier(k, x, gcfg) - factor * eval_E_fourier(k, xg, cfg))
 
 
 def modularity_tail_estimate(k: int, gamma: Sequence[Sequence[int]],
@@ -380,7 +389,11 @@ def modularity_tail_estimate(k: int, gamma: Sequence[Sequence[int]],
     """Bound on the gap between check_modularity's two truncated sums:
     tail(gamma tau) + |c tau + d|^k tail(tau)."""
     gcfg, j = _image(gamma, cfg)
-    return fourier_tail_estimate(k, gcfg) + abs(j) ** k * fourier_tail_estimate(k, cfg)
+    try:
+        factor = abs(j) ** k
+    except OverflowError:
+        raise _automorphy_range_error(k, cfg) from None
+    return fourier_tail_estimate(k, gcfg) + factor * fourier_tail_estimate(k, cfg)
 
 
 def eval_G2(tau: complex) -> complex:

@@ -77,6 +77,9 @@ instance costs a few big-int multiply-adds and a comparison with 0.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -593,6 +596,71 @@ def _scan_level(args) -> Tuple[int, List[dict]]:
     return covered, failures
 
 
+def _fork_scan(tasks: List[tuple], share: range) -> Tuple[int, int]:
+    """Fork a child that scans tasks[i] for each i in share, in order, and
+    pickles its list of _scan_level results into a pipe, the list ending at
+    the exception it caught, if any.  The pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)  # so that a write fails, not blocks, once the caller is gone
+        levels: list = []
+        try:
+            for i in share:
+                levels.append(_scan_level(tasks[i]))
+        except Exception as exc:
+            levels.append(exc)
+        with open(write, "wb") as pipe:
+            pickle.dump(levels, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
+    """[_scan_level(t) for t in tasks], by the caller and n - 1 forked
+    children: the caller scans tasks[0], the largest level, and child c
+    scans tasks[1 + c :: n - 1].  The first exception in task order is
+    raised, as a serial scan raises it.  No child outlives the call: on
+    any error of the caller's own, each is killed and reaped."""
+    shares = [range(1 + c, len(tasks), n - 1) for c in range(n - 1)]
+    pids: List[int] = []
+    pipes: list = []
+    statuses: List[int] = []
+    try:
+        for share in shares:
+            pid, read = _fork_scan(tasks, share)
+            pids.append(pid)
+            pipes.append(open(read, "rb"))
+        results = {0: _scan_level(tasks[0])}
+        outputs = [pipe.read() for pipe in pipes]
+        while len(statuses) < len(pids):
+            statuses.append(os.waitpid(pids[len(statuses)], 0)[1])
+    except BaseException:
+        for pid in pids[len(statuses):]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+    for share, output, status in zip(shares, outputs, statuses):
+        # a child exits 0 only once its whole list is in the pipe
+        if status:
+            raise RuntimeError(
+                f"the scan of levels {[tasks[i][0] for i in share]} exited with "
+                f"status {os.waitstatus_to_exitcode(status)} and no complete result")
+        results.update(zip(share, pickle.loads(output)))
+    for i in range(len(tasks)):
+        if isinstance(results[i], Exception):
+            raise results[i]
+    return [results[i] for i in range(len(tasks))]
+
+
 def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> dict:
     """Verify every enumerated instance with N <= level_max, k <= weight_max.
 
@@ -601,18 +669,18 @@ def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> d
     orbit transport (see the module docstring); ``instances`` and
     ``passed`` count covered instances.  A level is one task, so that
     each series is built and checked once, by the one process that scans
-    its level.  The tasks run largest level first: with a pool of
-    min(workers, levels) processes, the largest level, the bulk of a
-    scan, overlaps the others, and a scan of one level runs with no pool.
-    The summary is independent of the worker count (failure reports are
-    sorted before emission).
+    its level.  The tasks run largest level first.  With workers > 1 the
+    scan runs in min(workers, levels) processes in all: the caller scans
+    the largest level, the bulk of a scan, while forked children scan the
+    others (see _scan_forked).  A scan of one level forks nothing, and
+    where the OS has no fork the scan runs serially.  The summary is
+    independent of the worker count (failure reports are sorted before
+    emission).
     """
     tasks = [(N, weight_max, order) for N in range(level_max, 1, -1)]
-    if workers > 1 and len(tasks) > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(tasks))) as pool:
-            levels = list(pool.map(_scan_level, tasks))
+    n = min(workers, len(tasks)) if hasattr(os, "fork") else 1
+    if n > 1:
+        levels = _scan_forked(tasks, n)
     else:
         levels = [_scan_level(t) for t in tasks]
     n_instances = sum(count for count, _ in levels)

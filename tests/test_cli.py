@@ -312,6 +312,14 @@ class TestNumeric:
         assert code == 2 and out == ""
         assert "float range" in err
 
+    def test_automorphy_factor_beyond_float_range_exits_2(self, capsys):
+        # |tau|^150 = 1e450 at tau = 1000 + i: bad input, one error line
+        code, out, err = run(capsys, "numeric", "--check", "modularity",
+                             "--weight", "150", "--tau", "1e3,1")
+        assert code == 2 and out == ""
+        assert err == ("error: weight 150 leaves the float range at tau (1000+1j): "
+                       "|c tau + d|^150 overflows\n")
+
     def test_weight_150_runs_and_fails(self, capsys):
         # in range: the check runs, and its residual (about 1e137) fails
         code, out, _ = run(capsys, "numeric", "--check", "modularity",

@@ -562,6 +562,17 @@ class TestModularity:
                                                  r"under gamma \(\(0, -1\), \(1, 0\)\)"):
                 run()
 
+    def test_automorphy_factor_overflow_names_weight_and_tau(self):
+        # |tau|^150 = 1e450 at tau = 1000 + i: out of the float range, in
+        # the complex power of the check and the float power of its tail
+        cfg = nm.NumericConfig(tau=complex(1e3, 1))
+        S = ((0, -1), (1, 0))
+        for run in (lambda: nm.check_modularity(150, nm.TorusPoint(1 / 3, 0.0), S, cfg),
+                    lambda: nm.modularity_tail_estimate(150, S, cfg)):
+            with pytest.raises(ValueError, match=r"weight 150 leaves the float range "
+                                                 r"at tau \(1000\+1j\)"):
+                run()
+
 
 class TestAsymptotics:
     def test_g2_constant_term(self):

@@ -639,9 +639,9 @@ class TestScanSharding:
 
     def test_pooled_scan_builds_each_series_once(self, monkeypatch, tmp_path,
                                                   cold_caches):
-        # a level is one task, so a pool builds each series once, as a
-        # serial scan does; the workers are forked, so each logs its builder
-        # calls to a file
+        # a level is one task, so a forked scan builds each series once, as
+        # a serial scan does; the children are forked, so each logs its
+        # builder calls to a file
         log, build = tmp_path / "builds", relations.eisenstein_int_form
 
         def logging(idx, order):
@@ -660,13 +660,100 @@ class TestScanSharding:
         assert counts == [104, 104]
 
     def test_one_level_scan_starts_no_pool(self, monkeypatch):
-        import concurrent.futures
+        fork, forks = os.fork, []
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a scan of one level started a pool")
+        def counting():
+            forks.append(1)
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # two levels and two workers: the caller and one child
+        monkeypatch.setattr(os, "fork", counting)
+        assert run_scan(3, 3, 12, workers=2) == run_scan(3, 3, 12)
+        assert forks == [1]
+
+        def no_fork():
+            raise AssertionError("a scan of one level forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         assert run_scan(2, 3, 12, workers=2) == run_scan(2, 3, 12)
+
+    def test_two_children_split_round_robin(self, monkeypatch, tmp_path):
+        # workers=3 over levels 5..2: the caller scans 5, one child 4 and 2,
+        # the other 3; the summary is the serial one
+        log, scan_level = tmp_path / "levels", relations._scan_level
+
+        def logging(task):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {task[0]}\n")
+            return scan_level(task)
+
+        serial = run_scan(5, 3, 12)
+        monkeypatch.setattr(relations, "_scan_level", logging)
+        assert run_scan(5, 3, 12, workers=3) == serial
+        owners = {}
+        for line in log.read_text().splitlines():
+            pid, N = map(int, line.split())
+            owners.setdefault(pid, []).append(N)
+        assert owners.pop(os.getpid()) == [5]
+        assert sorted(owners.values()) == [[3], [4, 2]]
+
+    def test_child_without_result_raises(self, monkeypatch):
+        scan_level = relations._scan_level
+
+        def dying(task):
+            if task[0] == 2:
+                os._exit(3)
+            return scan_level(task)
+
+        monkeypatch.setattr(relations, "_scan_level", dying)
+        with pytest.raises(RuntimeError, match=r"levels \[2\] exited with status 3"):
+            run_scan(3, 3, 12, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_error_leaves_no_child(self, monkeypatch):
+        # the caller's level raises while its child still scans: the child
+        # is killed and reaped before the error propagates
+        scan_level = relations._scan_level
+
+        def failing(task):
+            if task[0] == 5:
+                raise ZeroDivisionError("caller level")
+            return scan_level(task)
+
+        monkeypatch.setattr(relations, "_scan_level", failing)
+        with pytest.raises(ZeroDivisionError, match="caller level"):
+            run_scan(5, 4, 40, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pooled_scan_leaves_no_child(self):
+        assert run_scan(4, 3, 12, workers=2) == run_scan(4, 3, 12)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_runs_serially(self, monkeypatch):
+        serial = run_scan(4, 3, 12)
+        monkeypatch.delattr(os, "fork")
+        assert run_scan(4, 3, 12, workers=2) == serial
+
+    def test_parallel_scan_imports_no_pool(self):
+        # the fork path needs neither concurrent.futures nor multiprocessing,
+        # whose imports alone cost more than a small level's scan
+        code = """
+import sys
+from eiskron.cli import main
+assert main(["scan", "--level-max", "3", "--weight-max", "3", "--order", "12",
+             "--json", "--parallel", "2"]) == 0
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+        src = os.path.dirname(os.path.dirname(eiskron.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_representatives_are_picked_one_triple_at_a_time(self):
         # the representatives of one orbit of zero-sum triples lie in one
@@ -832,10 +919,20 @@ class TestEquivarianceCheck:
         with pytest.raises(ArithmeticError, match=message) as serial:
             run_scan(*scan)
         if scan[0] > 2:
-            # a pool worker's failure reaches the caller with its message
+            # the perturbed level is the largest, so the caller's own
+            # level raises, with the serial message
             with pytest.raises(ArithmeticError) as pooled:
                 run_scan(*scan, workers=2)
             assert str(pooled.value) == str(serial.value)
+        # one level more: the caller scans it, and the perturbed level is a
+        # child's, whose exception the caller re-raises
+        wider = (scan[0] + 1, *scan[1:])
+        with pytest.raises(ArithmeticError, match=message) as serial:
+            run_scan(*wider)
+        with pytest.raises(ArithmeticError) as pooled:
+            run_scan(*wider, workers=2)
+        assert str(pooled.value) == str(serial.value)
+        assert type(pooled.value) is type(serial.value)
         if brackets is not None:
             # a product with the perturbed factor is not built unchecked
             for cache in (relations._orbit_series, relations._product):
