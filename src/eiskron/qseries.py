@@ -29,10 +29,11 @@ iff its value is 0.  Limbs are signed (two's complement bytes offset by a
 per-limb bias), and each value sits at the least byte width its height
 bound, measured or derived, needs, checked at run time.  A product's
 bound covers its operands' and a residual's its terms', so a value only
-widens, once per width (widen).  Two steps still touch limbs one at a
-time in Python: pack writes each limb with one to_bytes call (one
-comprehension per column), and unpack reads each limb back, which the
-scan does only for a failed instance.
+widens, and it keeps each wider copy it makes for as long as it lives
+(PackedSeries.at).  Two steps still touch limbs one at a time in Python:
+pack writes each limb with one to_bytes call (one comprehension per
+column), and unpack reads each limb back, which the scan does only for a
+failed instance.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import neg
 from types import MappingProxyType
-from typing import Iterator, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_columns,
                          reduce_mod_cyclotomic, reduction_norm, totient)
@@ -371,7 +373,6 @@ def _stride(level: int) -> int:
     return 2 * totient(level) - 1
 
 
-@lru_cache(maxsize=256)
 def _bias(positions: int, width: int, spacing: int = 0) -> int:
     """H = sum_i 2^(8*width-1) * 2^(8*spacing*i), spacing defaulting to the
     width: the top bit of every width-byte limb, limbs spacing bytes apart."""
@@ -394,7 +395,8 @@ def _pack(cols: Sequence[Sequence[int]], positions: int, width: int,
     return (int.from_bytes(b"".join(limbs), "little") ^ H) - H
 
 
-@lru_cache(maxsize=256)
+# a level's products use a few widths (6 in criterion 1): 8 order-sized entries
+@lru_cache(maxsize=8)
 def _product_masks(order: int, stride: int, width: int) -> Tuple[int, int, int, int]:
     """(bias, truncation mask, column mask, column bias) of the product
     kernel: the bias sets the top bit of each of the order*stride limbs,
@@ -407,7 +409,7 @@ def _product_masks(order: int, stride: int, width: int) -> Tuple[int, int, int, 
             _bias(order, width, width * stride))
 
 
-class PackedSeries(NamedTuple):
+class PackedSeries(namedtuple("PackedSeries", "level order den height value")):
     """A Phi_N-reduced integer series packed into one signed big int.
 
     Limb n*s + j (s = 2*phi - 1, phi = totient(level), n < order) holds den
@@ -417,15 +419,12 @@ class PackedSeries(NamedTuple):
     series, a derived bound for a product or a linear combination.  Reduced
     forms are canonical, so the series is zero in Q(zeta_N) iff every limb
     is zero.  Limbs are width = _byte_width(height) bytes, the least that
-    hold the height.  A tuple, so a cached series cannot be changed;
-    ``at(width)`` gives the value at any wider limb width.
+    hold the height.  A tuple of those five fields, so a series cannot be
+    changed; ``at(width)`` gives the value at any wider limb width.
     """
 
-    level: int
-    order: int
-    den: int
-    height: int
-    value: int
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PackedSeries is immutable: cannot set {name!r}")
 
     @property
     def width(self) -> int:
@@ -452,11 +451,17 @@ class PackedSeries(NamedTuple):
         so width >= self.width: a value only widens.
 
         The value plus the bias is every limb v + 2^(8w-1) as w unsigned
-        bytes; byte b < w of limb l moves to byte b of the wider limb l,
-        and subtracting the same bias spaced width bytes apart gives v
-        back.  Byte-lane slices do the copy at C speed, with no per-limb
-        Python loop.
+        bytes; byte b < w of limb l moves to byte b of the wider limb l, and
+        subtracting the same bias spaced width bytes apart (the width-byte
+        bias shifted down by 8(width - w) bits) gives v back.  Byte-lane
+        slices do the copy at C speed, with no per-limb Python loop.  A
+        series enters many products or residuals at one width, so each
+        width is converted once and kept in the instance dict, keyed by the
+        int width: no field, comparison, hash or attribute name reaches it.
         """
+        memo = self.__dict__
+        if width in memo:
+            return memo[width]
         _check_width(self.height, width, "packed series")
         w = self.width
         if width == w:
@@ -466,7 +471,9 @@ class PackedSeries(NamedTuple):
         out = bytearray(positions * width)
         for b in range(w):
             out[b::width] = raw[b::w]
-        return int.from_bytes(out, "little") - _bias(positions, w, width)
+        spaced = _bias(positions, width) >> 8 * (width - w)
+        memo[width] = int.from_bytes(out, "little") - spaced
+        return memo[width]
 
     def _no_arithmetic(self, other):
         return NotImplemented
@@ -497,14 +504,6 @@ class PackedSeries(NamedTuple):
         return _rows(self.level, self.unpack()[1])
 
 
-@lru_cache(maxsize=None)
-def widen(x: PackedSeries, width: int) -> int:
-    """x.at(width), once per (value, width): a value enters many products
-    or residuals at one width.  Unbounded, as relations' product cache
-    is; the scan clears both at each triple-orbit group."""
-    return x.at(width)
-
-
 def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeries:
     """The product of packed series f and g (level N, order T) reduced mod
     Phi_N, in the PackedSeries layout: the scan's product kernel.
@@ -518,8 +517,8 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
     (zeta^N = 1), and reduce_mod_cyclotomic adds the rest into the first
     phi columns with the rows x^c mod Phi_N, phi <= c < N, as it reduces
     any vector.  Every step acts on whole big ints, and each operand is
-    widened to Wm once for all its products (widen).  The product is
-    stored at Wm, its own byte width.
+    widened to Wm once for all its products (PackedSeries.at).  The product
+    is stored at Wm, its own byte width.
     """
     if not all(isinstance(z, PackedSeries) and (z.level, z.order) == (N, T)
                for z in (f, g)):
@@ -542,7 +541,7 @@ def convolve_int(N: int, T: int, f: PackedSeries, g: PackedSeries) -> PackedSeri
         return PackedSeries(N, T, den, 0, 0)
     bias, trunc, column, column_bias = _product_masks(T, s, Wm)
     bits = 8 * Wm
-    t = (widen(f, Wm) * widen(g, Wm) + bias) & trunc
+    t = (f.at(Wm) * g.at(Wm) + bias) & trunc
     cols = [((t >> bits * c) & column) - column_bias for c in range(s)]
     for c in range(N, s):
         cols[c - N] += cols[c]
@@ -560,7 +559,8 @@ def linear_combination(level: int, order: int,
     width w with B < 2^(8w-1) every s_l is a balanced base-2^(8w) digit and
     no carry crosses a limb: the packed sum is sum_l s_l 2^(8wl) exactly,
     and it is 0 iff every s_l is 0.  The least such w holds every term
-    (B >= height_i, as |m_i| >= 1): each term only widens to it (widen).
+    (B >= height_i, as |m_i| >= 1): each term only widens to it
+    (PackedSeries.at).
     """
     # int and Fraction both have numerator and denominator: no Fraction is built
     D = math.lcm(*[x.den * c.denominator for c, x in terms])
@@ -574,7 +574,7 @@ def linear_combination(level: int, order: int,
             bound += abs(m) * x.height
     width = _byte_width(bound)
     _check_width(bound, width, "residual")
-    return PackedSeries(level, order, D, bound, sum(m * widen(x, width) for m, x in scaled))
+    return PackedSeries(level, order, D, bound, sum(m * x.at(width) for m, x in scaled))
 
 
 def int_form_is_zero(level: int, data: Sequence[int]) -> Union[int, None]:

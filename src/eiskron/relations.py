@@ -8,11 +8,12 @@ truncation order.
 
 The exact path has one of everything: one pair-major generator
 enumerates a level's instances, for ``enumerate_instances`` and the scan
-workers alike, and one residual function serves ``relation_residual`` and
-``verify_instance``.  It works on series reduced mod Phi_N and packed
-into one signed big int each (see qseries.PackedSeries).  The relation is
-written once, as BRACKET_SLOTS and the one plan builder _plan, and
-numeric.check_relation_numeric sums the same plan in floats.
+workers alike, and one verification context, _Level, computes the
+residual for ``relation_residual``, ``verify_instance`` and the scan, on
+series reduced mod Phi_N and packed into one signed big int each (see
+qseries.PackedSeries).  The relation is written once, as BRACKET_SLOTS
+and the plan builder _build_plan, which numeric.check_relation_numeric
+sums in floats.
 
 Orbit transport.  Let B be the maps g = (s, j, t): x -> s*(x1, j*x1 + t*x2)
 on (Z/N)^2, with s = +-1, j in Z/N and t a unit mod N.  They form a group,
@@ -42,7 +43,7 @@ nonzero exponent.  So the scan verifies one ordered pair (a, b) per
 B-orbit and derives the reports of the rest of the orbit from it.
 
 The equivariance is checked, not assumed, once per orbit and weight: a
-series is built only together with its whole B-orbit, by _orbit_series,
+series is built only together with its whole B-orbit, by _Level.series_at,
 and handed out only once every series of that orbit passed.  Each point
 x has the least point r of its orbit and one g_x in B with g_x r = x.
 At x != r the series must equal g_x E_r; at r it must equal h E_r for
@@ -66,8 +67,8 @@ triple T, and -T is in the orbit of T (parity is in B), so it is no other
 triple of the group.  Where -T = T, every point is 2-torsion and each key
 is its own negative.
 
-A scan task is one level.  It builds and checks each series of the
-level once and keeps it for the rest of the task.  It walks the level's
+A scan task is one level, with one _Level, which builds and checks each
+series of the level once and keeps it for the task.  It walks the level's
 triple-orbit groups, the representatives of the orbits of the ordered
 pairs of one triple, which share their products: each product is built
 once, within its group, and dropped when the group ends.  So checking an
@@ -91,7 +92,7 @@ from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Seq
 from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
-                      from_int_form, linear_combination, widen)
+                      from_int_form, linear_combination)
 
 Pair = Tuple[int, int]
 
@@ -294,7 +295,7 @@ def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
 
 
 # ---------------------------------------------------------------------------
-# Phi_N-reduced packed caches for the hot path.
+# B-orbits, the relation's plan and the verification context.
 # ---------------------------------------------------------------------------
 
 Symmetry = Tuple[int, int, int]
@@ -318,7 +319,7 @@ def _orbit_map(N: int) -> Mapping[Pair, Tuple[Pair, Tuple[Symmetry, ...]]]:
     """x -> (r, gs) for every point x mod N: r is the least point of the
     B-orbit of x; gs is (g_x,), the first g in _symmetries(N) with
     g r = x, if x != r, and the stabilizer of r but the identity if x == r.
-    _orbit_series checks E_x = g E_r for each g in gs."""
+    _Level.series_at checks E_x = g E_r for each g in gs."""
     out: dict = {}
     for r in sorted((a1, a2) for a1 in range(N) for a2 in range(N)):
         if r not in out:
@@ -331,58 +332,6 @@ def _orbit_map(N: int) -> Mapping[Pair, Tuple[Pair, Tuple[Symmetry, ...]]]:
                     out[x] = (r, (g,))
             out[r] = (r, tuple(stabilizer))
     return MappingProxyType(out)
-
-
-@lru_cache(maxsize=None)
-def _orbit_series(k: int, N: int, r: Pair, order: int) -> Mapping[Pair, PackedSeries]:
-    """{x: E^{(k)}_x reduced mod Phi_N and packed} over the B-orbit of its
-    least point r, read-only, built only whole and only once every series
-    in it passed the equivariance check (see the module docstring): with
-    (r, gs) = _orbit_map(N)[x], E_x must have the den of E_r and equal
-    g E_r for each g in gs, else ArithmeticError.  A series stays the
-    builder's flat list from build to pack: exact and unreduced, and B acts
-    on it by a signed permutation of each row, so each check is one
-    comparison of lists; equal lists are equal series in Q(zeta_N).  r and
-    its stabilizer are checked first, and each series is packed once its
-    checks pass.  This is the one cache of the series.
-    """
-    points = _orbit_map(N)
-    r_den, r_flat = eisenstein_int_form(EisensteinIndex(k, N, *r), order)
-    out = {}
-    for x in [r] + [x for x, (y, _) in points.items() if y == r and x != r]:
-        den, flat = ((r_den, r_flat) if x == r else
-                     eisenstein_int_form(EisensteinIndex(k, N, *x), order))
-        for g in points[x][1]:
-            image = act_int_form(N, g, k, r_flat)
-            # an explicit raise, not an assert: python -O must not drop exactness
-            if den != r_den or image != flat:
-                what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if x != r else
-                        f"fixed by g = (s, j, t) = {g} in its stabilizer")
-                raise ArithmeticError(f"E^({k})_{x} at level {N} is not {what}: "
-                                      "orbit transport would not be exact")
-        out[x] = PackedSeries.pack(N, order, den, flat)
-    return MappingProxyType(out)
-
-
-def _series(k: int, N: int, a1: int, a2: int, order: int) -> PackedSeries:
-    """E^{(k)}_{(a1,a2)} reduced mod Phi_N and packed: a lookup into its
-    checked orbit, which _orbit_series caches."""
-    return _orbit_series(k, N, _orbit_map(N)[(a1, a2)][0], order)[(a1, a2)]
-
-
-@lru_cache(maxsize=None)
-def _product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
-    """E^{(i)}_a E^{(j)}_b reduced and packed, with its derived height bound
-    (see qseries.convolve_int).  Callers go through _ordered_product."""
-    return convolve_int(N, order, _series(i, N, a[0], a[1], order),
-                        _series(j, N, b[0], b[1], order))
-
-
-def _ordered_product(i: int, a: Pair, j: int, b: Pair, N: int, order: int) -> PackedSeries:
-    """_product with its key canonical under the swap of the (commutative)
-    factors, so a product and its swap share one entry."""
-    return (_product(i, a, j, b, N, order) if (i, a) <= (j, b)
-            else _product(j, b, i, a, N, order))
 
 
 def _canonical(k1: int, k2: int) -> dict:
@@ -424,10 +373,15 @@ def _monomials(P: HomPoly) -> Monomials:
 
 
 @lru_cache(maxsize=None)
-def _plan(k1: int, k2: int, **overrides) -> Plan:
-    """The plan of split (k1, k2): its closed-form weights, with any
-    overrides (alpha, beta, gamma, P, Q, R) in their place.  An unknown
-    name, or a P, Q or R that is not a HomPoly, raises TypeError."""
+def _plan(k1: int, k2: int) -> Plan:
+    """The plan of split (k1, k2), with its closed-form weights, cached."""
+    return _build_plan(k1, k2)
+
+
+def _build_plan(k1: int, k2: int, **overrides) -> Plan:
+    """The plan of split (k1, k2) with overrides (alpha, beta, gamma, P, Q,
+    R) in place of its closed-form weights, built per call, so no mutation
+    is cached; an unknown name, or a non-HomPoly P, Q or R, raises TypeError."""
     w = {**_canonical(k1, k2), **overrides}
     if len(w) != 6 or not all(isinstance(w[name], HomPoly) for name in "PQR"):
         raise TypeError("overrides are alpha, beta, gamma and HomPoly P, Q, R, "
@@ -436,16 +390,77 @@ def _plan(k1: int, k2: int, **overrides) -> Plan:
                 tuple(_integral(-Fraction(w[name])) for name in ("alpha", "beta", "gamma")))
 
 
-def _residual(inst: RelationInstance, order: int, plan: Plan) -> PackedSeries:
-    """P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c, reduced
-    mod Phi_N and packed: zero in Q(zeta_N) iff its packed value is 0."""
-    N, k, points = inst.N, inst.k, (inst.a, inst.b, inst.c)
-    terms = [(coef, _ordered_product(i, points[s], j, points[t], N, order))
-             for monomials, (s, t) in zip(plan[:3], BRACKET_SLOTS)
-             for i, j, coef in monomials]
-    terms += [(coef, _series(k, N, x[0], x[1], order))
-              for coef, x in zip(plan.negated, points)]
-    return linear_combination(N, order, terms)
+class _Level:
+    """The verification context of one (level, order): its checked series,
+    and a product dict, which the scan replaces at each triple-orbit group.
+    A scan makes one per level, a direct call its own: nothing outlives it."""
+
+    def __init__(self, N: int, order: int):
+        self.N, self.order = N, order
+        self.series: dict = {}    # (k, x) -> E^{(k)}_x
+        self.products: dict = {}  # (i, a, j, b), (i, a) <= (j, b) -> E^{(i)}_a E^{(j)}_b
+
+    def series_at(self, k: int, x: Pair) -> PackedSeries:
+        """E^{(k)}_x reduced mod Phi_N and packed, built on first use with
+        its whole B-orbit, which enters self.series only once every series
+        in it passed the equivariance check (see the module docstring): with
+        (r, gs) = _orbit_map(N)[y], E_y must have the den of E_r and equal
+        g E_r for each g in gs, else ArithmeticError.  The checks compare
+        the builder's exact flat lists, on which B acts by a signed
+        permutation of each row; each series is packed once they pass."""
+        if (k, x) in self.series:
+            return self.series[(k, x)]
+        N, order, points = self.N, self.order, _orbit_map(self.N)
+        r = points[x][0]
+        r_den, r_flat = eisenstein_int_form(EisensteinIndex(k, N, *r), order)
+        orbit = {}
+        for y in [r] + [y for y, (z, _) in points.items() if z == r and y != r]:
+            den, flat = ((r_den, r_flat) if y == r else
+                         eisenstein_int_form(EisensteinIndex(k, N, *y), order))
+            for g in points[y][1]:
+                image = act_int_form(N, g, k, r_flat)
+                # an explicit raise, not an assert: python -O must not drop exactness
+                if den != r_den or image != flat:
+                    what = (f"g = (s, j, t) = {g} times E^({k})_{r}" if y != r else
+                            f"fixed by g = (s, j, t) = {g} in its stabilizer")
+                    raise ArithmeticError(f"E^({k})_{y} at level {N} is not {what}: "
+                                          "orbit transport would not be exact")
+            orbit[(k, y)] = PackedSeries.pack(N, order, den, flat)
+        self.series.update(orbit)
+        return orbit[(k, x)]
+
+    def product(self, i: int, a: Pair, j: int, b: Pair) -> PackedSeries:
+        """E^{(i)}_a E^{(j)}_b reduced and packed (see qseries.convolve_int),
+        keyed canonically under the swap of the factors: both share one entry."""
+        key = (i, a, j, b) if (i, a) <= (j, b) else (j, b, i, a)
+        found = self.products.get(key)
+        if found is None:
+            found = self.products[key] = convolve_int(
+                self.N, self.order, self.series_at(*key[:2]), self.series_at(*key[2:]))
+        return found
+
+    def residual(self, inst: RelationInstance, **overrides) -> PackedSeries:
+        """P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c, with
+        overrides as in relation_residual, reduced mod Phi_N and packed:
+        zero in Q(zeta_N) iff its packed value is 0."""
+        plan = (_build_plan if overrides else _plan)(inst.k1, inst.k2, **overrides)
+        points = (inst.a, inst.b, inst.c)
+        terms = [(coef, self.product(i, points[s], j, points[t]))
+                 for monomials, (s, t) in zip(plan[:3], BRACKET_SLOTS)
+                 for i, j, coef in monomials]
+        terms += [(coef, self.series_at(inst.k, x))
+                  for coef, x in zip(plan.negated, points)]
+        return linear_combination(self.N, self.order, terms)
+
+    def verify(self, inst: RelationInstance, **overrides) -> dict:
+        """The report of one instance, in the scan's JSON schema."""
+        res = self.residual(inst, **overrides)
+        # unpack only a failure: its rows are reduced, so the first nonzero
+        # entry lies in the first field-nonzero row
+        first = None if res.is_zero() else next(
+            i for i, v in enumerate(res.unpack()[1]) if v) // self.N
+        return {"instance": inst.as_dict(), "order": self.order,
+                "residual_zero": first is None, "first_nonzero_exponent": first}
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +474,8 @@ def bracket(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> QExpansion:
     """
     if N < 1:
         raise ValueError("level must be >= 1")
-    a, b = (a[0] % N, a[1] % N), (b[0] % N, b[1] % N)
-    terms = [(coef, _ordered_product(i, a, j, b, N, order))
-             for i, j, coef in _monomials(P)]
+    a, b, level = (a[0] % N, a[1] % N), (b[0] % N, b[1] % N), _Level(N, order)
+    terms = [(coef, level.product(i, a, j, b)) for i, j, coef in _monomials(P)]
     return from_int_form(N, order, *linear_combination(N, order, terms).unpack())
 
 
@@ -472,24 +486,14 @@ def relation_residual(inst: RelationInstance, order: int, **overrides) -> QExpan
     Keyword overrides (alpha, beta, gamma, P, Q, R; any other raises
     TypeError) replace the canonical weights, for mutation testing.
     """
-    res = _residual(inst, order, _plan(inst.k1, inst.k2, **overrides))
+    res = _Level(inst.N, order).residual(inst, **overrides)
     return from_int_form(inst.N, order, *res.unpack())
 
 
 def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
     """Check one instance (overrides as in relation_residual); report in
     the scan's JSON schema."""
-    res = _residual(inst, order, _plan(inst.k1, inst.k2, **overrides))
-    # unpack only a failure: its rows are reduced, so the first nonzero
-    # entry lies in the first field-nonzero row
-    first = None if res.is_zero() else next(
-        i for i, v in enumerate(res.unpack()[1]) if v) // inst.N
-    return {
-        "instance": inst.as_dict(),
-        "order": order,
-        "residual_zero": first is None,
-        "first_nonzero_exponent": first,
-    }
+    return _Level(inst.N, order).verify(inst, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -571,24 +575,17 @@ def _orbits(N: int) -> Iterator[List[Orbit]]:
             yield group
 
 
-def _scan_level(args) -> Tuple[int, List[dict]]:
+def _scan_level(N: int, k_max: int, order: int) -> Tuple[int, List[dict]]:
     """(instances covered, failure reports) at level N: each representative
     instance is verified, and its report stands for the instance at every
     pair of its orbit, whose series the representative's reads built and
-    checked (see _orbit_series)."""
-    N, k_max, order = args
-    # Caches are per process.  No series is used at another level, and a
-    # product key fixes its triple's orbit, so no product is used outside
-    # its triple-orbit group (see _orbits): each is built once and dropped
-    # with its group, and so is every widened value (qseries.widen).
-    _orbit_series.cache_clear()
-    covered, failures = 0, []
+    checked (see _Level.series_at)."""
+    level, covered, failures = _Level(N, order), 0, []
     for group in _orbits(N):
-        _product.cache_clear()
-        widen.cache_clear()
+        level.products = {}  # no product is used outside its group (see _orbits)
         for rep, orbit in group:
             for inst in _instances(N, k_max, [rep]):
-                report = verify_instance(inst, order)
+                report = level.verify(inst)
                 covered += len(orbit)
                 if not report["residual_zero"]:
                     failures += [dict(report, instance=RelationInstance(
@@ -611,7 +608,7 @@ def _fork_scan(tasks: List[tuple], share: range) -> Tuple[int, int]:
         levels: list = []
         try:
             for i in share:
-                levels.append(_scan_level(tasks[i]))
+                levels.append(_scan_level(*tasks[i]))
         except Exception as exc:
             levels.append(exc)
         with open(write, "wb") as pipe:
@@ -622,7 +619,7 @@ def _fork_scan(tasks: List[tuple], share: range) -> Tuple[int, int]:
 
 
 def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
-    """[_scan_level(t) for t in tasks], by the caller and n - 1 forked
+    """[_scan_level(*t) for t in tasks], by the caller and n - 1 forked
     children: the caller scans tasks[0], the largest level, and child c
     scans tasks[1 + c :: n - 1].  The first exception in task order is
     raised, as a serial scan raises it.  No child outlives the call: on
@@ -636,7 +633,7 @@ def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
             pid, read = _fork_scan(tasks, share)
             pids.append(pid)
             pipes.append(open(read, "rb"))
-        results = {0: _scan_level(tasks[0])}
+        results = {0: _scan_level(*tasks[0])}
         outputs = [pipe.read() for pipe in pipes]
         while len(statuses) < len(pids):
             statuses.append(os.waitpid(pids[len(statuses)], 0)[1])
@@ -664,25 +661,27 @@ def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
 def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> dict:
     """Verify every enumerated instance with N <= level_max, k <= weight_max.
 
-    One ordered pair per B-orbit is verified directly, through
-    verify_instance, and every other instance of the orbit is covered by
-    orbit transport (see the module docstring); ``instances`` and
-    ``passed`` count covered instances.  A level is one task, so that
-    each series is built and checked once, by the one process that scans
-    its level.  The tasks run largest level first.  With workers > 1 the
-    scan runs in min(workers, levels) processes in all: the caller scans
-    the largest level, the bulk of a scan, while forked children scan the
-    others (see _scan_forked).  A scan of one level forks nothing, and
-    where the OS has no fork the scan runs serially.  The summary is
-    independent of the worker count (failure reports are sorted before
-    emission).
+    One ordered pair per B-orbit is verified directly, by its level's
+    _Level, and every other instance of the orbit is covered by orbit
+    transport (see the module docstring); ``instances`` and ``passed``
+    count covered instances.  A level is one task, so that each series is
+    built and checked once, by the one process that scans its level.  The
+    tasks run largest level first.  With workers > 1 the scan runs in
+    min(workers, levels) processes in all: the caller scans the largest
+    level, the bulk of a scan, while forked children scan the others (see
+    _scan_forked).  A scan of one level forks nothing, and where the OS
+    has no fork the scan runs serially.  The summary is independent of the
+    worker count (failure reports are sorted before emission).  Nothing to
+    verify (level_max or weight_max below 2) and workers < 1 raise
+    ValueError: no scan passes vacuously.
     """
+    if level_max < 2 or weight_max < 2:
+        raise ValueError("nothing to verify: need --level-max, --weight-max >= 2")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = [(N, weight_max, order) for N in range(level_max, 1, -1)]
     n = min(workers, len(tasks)) if hasattr(os, "fork") else 1
-    if n > 1:
-        levels = _scan_forked(tasks, n)
-    else:
-        levels = [_scan_level(t) for t in tasks]
+    levels = _scan_forked(tasks, n) if n > 1 else [_scan_level(*t) for t in tasks]
     n_instances = sum(count for count, _ in levels)
     failures = sorted((f for _, level in levels for f in level),
                       key=lambda r: json.dumps(r, sort_keys=True))

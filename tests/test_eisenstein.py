@@ -316,14 +316,13 @@ class TestIntegerBuilder:
 
         monkeypatch.setattr(eisenstein, "bernoulli_poly_eval", counted)
         _bernoulli_constant.cache_clear()
-        relations._orbit_series.cache_clear()
         try:
-            orbit = relations._orbit_series(4, 12, (1, 0), 20)
-            assert len(orbit) == 24
+            level = relations._Level(12, 20)
+            level.series_at(4, (1, 0))
+            assert len(level.series) == 24
             assert sorted(calls) == [(4, Fraction(1, 12)), (4, Fraction(11, 12))]
         finally:
             _bernoulli_constant.cache_clear()
-            relations._orbit_series.cache_clear()
 
     def test_scan_builds_no_fraction_series(self, monkeypatch):
         # the scan builds its series in integers: neither the cached
@@ -337,8 +336,6 @@ class TestIntegerBuilder:
         for module in (eisenstein, qseries, relations):
             if hasattr(module, "to_int_form"):
                 monkeypatch.setattr(module, "to_int_form", refuse)
-        for cache in (relations._orbit_series, relations._product):
-            cache.cache_clear()
         report = relations.run_scan(3, 3, 20)
         assert report["instances"] > 0 and report["failed"] == 0
 

@@ -891,11 +891,22 @@ class TestImmutability:
 
     def test_cached_product_cannot_be_changed(self):
         from eiskron import relations
-        x = relations._product(1, (1, 0), 2, (0, 1), 3, 10)
-        for field in x._fields:
+        level = relations._Level(3, 10)
+        x = level.product(1, (1, 0), 2, (0, 1))
+        for field in x._fields + ("memo",):
             with pytest.raises(AttributeError):
                 setattr(x, field, 0)
-        assert relations._product(1, (1, 0), 2, (0, 1), 3, 10) is x
+        assert level.product(1, (1, 0), 2, (0, 1)) is x
+
+    def test_widened_values_stay_out_of_the_fields(self):
+        # at() keeps each wider value with the series, outside its five
+        # fields: equality, hashing and the tuple do not see it
+        x = pack(3, 4, 1, {0: (2 ** 40, -1), 3: (5, 2 ** 40)})
+        y = PackedSeries(*x)
+        wide = x.at(x.width + 3)
+        assert x.at(x.width + 3) is wide
+        assert x == y and hash(x) == hash(y) and tuple(x) == tuple(y)
+        assert len(x) == len(x._fields) == 5
 
     def test_pickle_round_trip(self):
         f = QExpansion(4, 9, {0: CycNum(4, [Fraction(1, 3), 0, -2, Fraction(7, 5)]),

@@ -4,8 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +15,7 @@ import eiskron
 from eiskron import qseries, relations
 from eiskron.cyclotomic import totient
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import PackedSeries, QExpansion, _byte_width, act_int_form, widen
+from eiskron.qseries import PackedSeries, QExpansion, _byte_width, act_int_form
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -348,6 +348,18 @@ def group_reps(group):
     return [rep for rep, _ in group]
 
 
+def record_levels(monkeypatch):
+    """The list of every _Level made from now on, in order."""
+    levels, init = [], relations._Level.__init__
+
+    def recording(self, N, order):
+        init(self, N, order)
+        levels.append(self)
+
+    monkeypatch.setattr(relations._Level, "__init__", recording)
+    return levels
+
+
 class TestProductCache:
     def test_cold_scan_convolves_each_unordered_product_once(self, monkeypatch):
         # (i, a, j, b) and (j, b, i, a) are one product: one convolution; no
@@ -355,32 +367,31 @@ class TestProductCache:
         # (i, -a, j, -b), whose triple is in the same orbit; and only the
         # representative
         # instances' products are built
-        relations._product.cache_clear()
-        relations._orbit_series.cache_clear()
         calls, built = [], []
-        convolve, product = relations.convolve_int, relations._product.__wrapped__
+        convolve, product = relations.convolve_int, relations._Level.product
 
         def counting(level, order, A, B):
             calls.append((level, tuple(sorted((id(A), id(B))))))
             return convolve(level, order, A, B)
 
-        def recording(i, a, j, b, N, order):
-            built.append(pm_class(N, i, a, j, b))
-            return product(i, a, j, b, N, order)
+        def recording(self, i, a, j, b):
+            if not {(i, a, j, b), (j, b, i, a)} & set(self.products):
+                built.append(pm_class(self.N, i, a, j, b))
+            return product(self, i, a, j, b)
 
         monkeypatch.setattr(relations, "convolve_int", counting)
-        monkeypatch.setattr(relations, "_product", lru_cache(maxsize=None)(recording))
+        monkeypatch.setattr(relations._Level, "product", recording)
         assert run_scan(4, 4, 40)["failed"] == 0
         assert len(calls) == 200
         assert len(set(calls)) == len(calls)
         # no product of a +- class is built twice
         assert len(built) == len(set(built)) == 200
         # and the products are exactly those of the representatives
-        reps = set().union(*(product_keys(N, group_reps(group), 4, 40)
+        reps = set().union(*({(N, *key) for key in product_keys(N, group_reps(group), 4)}
                              for N in range(2, 5) for group in relations._orbits(N)))
         assert len(reps) == 200
 
-    def test_cold_scan_packs_each_series_once(self, monkeypatch, cold_caches):
+    def test_cold_scan_packs_each_series_once(self, monkeypatch):
         # the equivariance check compares the builder's vectors, so every
         # built series is packed once, after its checks, and nothing else is
         built, packed = [], []
@@ -400,35 +411,28 @@ class TestProductCache:
         assert len(packed) == len(built) == 104
         assert len(set(built)) == len(built)
 
-    def test_cold_scan_widens_each_value_once_per_group(self, monkeypatch, cold_caches):
+    def test_cold_scan_widens_each_value_once_per_group(self, monkeypatch):
         # every value is stored at the least width its height needs, and a
         # product's height bounds its operands', a residual's its terms':
         # the scan never narrows.  A series enters many products at one
-        # multiply width, and a product many residuals, and each (value,
-        # width) pair is converted once per triple-orbit group for all of
-        # them (qseries.widen); without that memo this scan widens 1,698
-        # times
-        groups, orbits = [0], relations._orbits
-
-        def marking(N):
-            for group in orbits(N):
-                groups[0] += 1
-                yield group
-
+        # multiply width, and a product many residuals, and each value
+        # converts once per width for all of them and keeps the result
+        # (PackedSeries.at): a product for its group, a series for its
+        # whole level, so no series converts twice in a level.  A call
+        # converts unless its width is the value's own or already kept
         calls, at = [], PackedSeries.at
 
         def counting(self, width):
-            calls.append((groups[0], self, width))
+            if width != self.width and width not in vars(self):
+                calls.append((self, width))
             return at(self, width)
 
-        monkeypatch.setattr(relations, "_orbits", marking)
         monkeypatch.setattr(PackedSeries, "at", counting)
         assert run_scan(4, 4, 40)["failed"] == 0
-        assert [c for c in calls if c[2] < c[1].width] == []
-        assert len(calls) == len(set(calls)) == 395
-        assert sum(c[2] > c[1].width for c in calls) == 344
+        assert [c for c in calls if c[1] < c[0].width] == []
+        assert len(calls) == 296
 
-    def test_every_value_sits_at_its_byte_width(self, monkeypatch, cold_caches):
+    def test_every_value_sits_at_its_byte_width(self, monkeypatch):
         # every series, product and residual of a scan is stored at the
         # least byte width its height needs, and its value is its own limbs
         # packed at that width; this scan's products reach 9 bytes and its
@@ -462,11 +466,12 @@ class TestProductCache:
         assert {kind: max(x.width for x in values) for kind, values in made.items()} == \
             {"series": 8, "product": 9, "residual": 10}
 
-    def test_declared_height_bounds_every_product(self, monkeypatch, cold_caches):
+    def test_declared_height_bounds_every_product(self, monkeypatch):
         # a product's height is a derived bound, used as is for the limb
         # width: every limb of every product of every instance with N <= 5,
         # k <= 6 at order 40 must obey it.  The scan builds only its
-        # representatives' products, so the instances are walked directly.
+        # representatives' products, so the instances are walked directly,
+        # one context per level.
         convolve = relations.convolve_int
         checked, over = [0], []
 
@@ -480,76 +485,51 @@ class TestProductCache:
 
         monkeypatch.setattr(relations, "convolve_int", measuring)
         for N in range(2, 6):
-            relations._product.cache_clear()
-            assert all(verify_instance(inst, 40)["residual_zero"]
+            level = relations._Level(N, 40)
+            assert all(level.verify(inst)["residual_zero"]
                        for inst in enumerate_instances(N, 6))
         assert checked[0] > 1000 and over == []
 
     def test_scan_keeps_one_level_cached(self, monkeypatch):
-        caches = (relations._orbit_series, relations._product)
-        for c in caches + (widen,):
-            c.cache_clear()
-        # the widen keys, (value, width), of each triple-orbit group, by level
-        keys, orbits_of, memo = {}, relations._orbits, qseries.widen
+        # one context per level, largest first: after each triple-orbit
+        # group it holds that group's products only, and after its level
+        # every series of the level, weights 1-4 at every nonzero point
+        levels, orbits_of = record_levels(monkeypatch), relations._orbits
 
-        def marking(N):
+        def checking(N):
             for group in orbits_of(N):
-                keys.setdefault(N, []).append(set())
                 yield group
+                assert levels[-1].N == N
+                assert set(levels[-1].products) == product_keys(N, group_reps(group), 4)
 
-        def recording(x, width):
-            keys[x.level][-1].add((x, width))
-            return memo(x, width)
-
-        monkeypatch.setattr(relations, "_orbits", marking)
-        monkeypatch.setattr(qseries, "widen", recording)
+        monkeypatch.setattr(relations, "_orbits", checking)
         assert run_scan(4, 4, 40)["failed"] == 0
-        sizes = [c.cache_info().currsize for c in caches]
-        assert all(sizes)
-        # no widened value of level 3 or 4 is left: the memo holds the keys
-        # of the last group, level 2's one group, only, and a level-3 or
-        # level-4 lookup misses
-        assert len(keys[2]) == 1 and holds_exactly(widen, keys[2][-1])
-        for N in (3, 4):
-            misses = widen.cache_info().misses
-            widen(*next(iter(keys[N][0])))
-            assert widen.cache_info().misses == misses + 1
-        # the scan runs its largest level first and level 2 last: no level-3
-        # or level-4 entry is left, and a lookup there misses
-        for N in (3, 4):
-            for c, key in ((relations._orbit_series, (2, N, (1, 0), 40)),
-                           (relations._product, (1, (0, 1), 1, (1, 0), N, 40))):
-                misses = c.cache_info().misses
-                c(*key)
-                assert c.cache_info().misses == misses + 1
-        for N in (2, 4):
-            for c in caches:
-                c.cache_clear()
-            relations._scan_level((N, 4, 40))
-            groups = keys[N][-len(list(orbits_of(N))):]
-            if N == 2:
-                # the level-2 task alone fills the caches as much as the scan
-                assert [c.cache_info().currsize for c in caches] == sizes
-            # the orbit cache holds every series of the level, weights 1-4 at
-            # every nonzero point, ...
-            orbit_map = relations._orbit_map(N)
-            orbits = {(k, N, orbit_map[p][0], 40) for k in range(1, 5)
-                      for p in itertools.product(range(N), repeat=2) if p != (0, 0)}
-            assert holds_exactly(relations._orbit_series, orbits)
-            assert (sum(len(relations._orbit_series(*key)) for key in orbits)
-                    == 4 * (N * N - 1))
-            # ... and the product cache the last triple-orbit group's only
-            *_, last = relations._orbits(N)
-            assert holds_exactly(relations._product,
-                                 product_keys(N, group_reps(last), 4, 40))
-            # ... and the widen memo the last group's keys only: a key that
-            # only an earlier group of level 4 used misses
-            assert holds_exactly(widen, groups[-1])
-            if N == 4:
-                stale = set().union(*groups) - groups[-1]
-                misses = widen.cache_info().misses
-                widen(*next(iter(stale)))
-                assert widen.cache_info().misses == misses + 1
+        assert [(level.N, level.order) for level in levels] == [(4, 40), (3, 40), (2, 40)]
+        for level in levels:
+            N = level.N
+            assert set(level.series) == {(k, p) for k in range(1, 5)
+                                         for p in itertools.product(range(N), repeat=2)
+                                         if p != (0, 0)}
+
+
+class TestMemory:
+    def test_direct_calls_and_scans_retain_nothing(self):
+        # every direct call makes its own context and a scan one per level,
+        # so neither leaves a series, product or widened value behind: the
+        # traced memory returns to within 1 MB of its start (module-level
+        # caches of these kept 1.4 MB after the direct calls below)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for inst in itertools.islice(enumerate_instances(5, 8), 28):
+                assert verify_instance(inst, 160)["residual_zero"]
+            assert relation_residual(inst, 160).is_zero()
+            assert not bracket(poly_Q(3, 3), inst.a, inst.b, 5, 160).is_zero()
+            assert tracemalloc.get_traced_memory()[0] - start < 10 ** 6
+            assert run_scan(4, 4, 40)["failed"] == 0
+            assert tracemalloc.get_traced_memory()[0] - start < 10 ** 6
+        finally:
+            tracemalloc.stop()
 
 
 def negate(x, N):
@@ -575,9 +555,9 @@ def pm_class(N, i, x, j, y):
                           frozenset([(i, negate(x, N)), (j, negate(y, N))])]))
 
 
-def product_keys(N, pairs, k_max, order):
-    """The distinct _product keys of the instances on these (a, b) pairs,
-    read off the closed-form polynomials: (i, x, j, y, N, order) with
+def product_keys(N, pairs, k_max):
+    """The distinct _Level product keys of the instances on these (a, b)
+    pairs, read off the closed-form polynomials: (i, x, j, y) with
     (i, x) <= (j, y) for each nonzero monomial of P[a,b], Q[b,c], R[c,a]."""
     keys = set()
     for a, b in pairs:
@@ -590,18 +570,8 @@ def product_keys(N, pairs, k_max, order):
                     for i, coef in enumerate(P.coeffs):
                         if coef:
                             x, y = sorted([(i + 1, u), (P.degree - i + 1, v)])
-                            keys.add((*x, *y, N, order))
+                            keys.add((*x, *y))
     return keys
-
-
-def holds_exactly(cache, keys):
-    """True iff an lru_cache holds these keys and no other: every lookup
-    hits, and the cache has as many entries as keys."""
-    info = cache.cache_info()
-    for key in keys:
-        cache(*key)
-    after = cache.cache_info()
-    return after.misses == info.misses and after.currsize == len(keys)
 
 
 class TestScanSharding:
@@ -629,16 +599,15 @@ class TestScanSharding:
     def test_scan_runs_one_task_per_level_largest_first(self, monkeypatch):
         scan_level, tasks = relations._scan_level, []
 
-        def recording(task):
+        def recording(*task):
             tasks.append(task)
-            return scan_level(task)
+            return scan_level(*task)
 
         monkeypatch.setattr(relations, "_scan_level", recording)
         assert run_scan(5, 4, 24)["failed"] == 0
         assert tasks == [(N, 4, 24) for N in (5, 4, 3, 2)]
 
-    def test_pooled_scan_builds_each_series_once(self, monkeypatch, tmp_path,
-                                                  cold_caches):
+    def test_pooled_scan_builds_each_series_once(self, monkeypatch, tmp_path):
         # a level is one task, so a forked scan builds each series once, as
         # a serial scan does; the children are forked, so each logs its
         # builder calls to a file
@@ -682,10 +651,10 @@ class TestScanSharding:
         # the other 3; the summary is the serial one
         log, scan_level = tmp_path / "levels", relations._scan_level
 
-        def logging(task):
+        def logging(*task):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()} {task[0]}\n")
-            return scan_level(task)
+            return scan_level(*task)
 
         serial = run_scan(5, 3, 12)
         monkeypatch.setattr(relations, "_scan_level", logging)
@@ -700,10 +669,10 @@ class TestScanSharding:
     def test_child_without_result_raises(self, monkeypatch):
         scan_level = relations._scan_level
 
-        def dying(task):
+        def dying(*task):
             if task[0] == 2:
                 os._exit(3)
-            return scan_level(task)
+            return scan_level(*task)
 
         monkeypatch.setattr(relations, "_scan_level", dying)
         with pytest.raises(RuntimeError, match=r"levels \[2\] exited with status 3"):
@@ -716,10 +685,10 @@ class TestScanSharding:
         # is killed and reaped before the error propagates
         scan_level = relations._scan_level
 
-        def failing(task):
+        def failing(*task):
             if task[0] == 5:
                 raise ZeroDivisionError("caller level")
-            return scan_level(task)
+            return scan_level(*task)
 
         monkeypatch.setattr(relations, "_scan_level", failing)
         with pytest.raises(ZeroDivisionError, match="caller level"):
@@ -769,45 +738,24 @@ print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.mo
             assert triples and all(len(ts) == 1 for ts in triples.values())
 
     def test_cold_scan_builds_each_product_once(self, monkeypatch):
-        # the misses of every triple-orbit group add up to the scan's
-        # distinct product keys, and after each group the cache holds that
-        # group's products only
-        relations._product.cache_clear()
-        relations._orbit_series.cache_clear()
-        orbits, misses, seen = relations._orbits, [], []
+        # the products of the groups' representatives: no group shares one
+        # with another, and the scan convolves each once
+        calls, convolve = [], relations.convolve_int
 
-        def checking(N):
-            for group in orbits(N):
-                yield group
-                # the scan has verified this group's representatives
-                keys = product_keys(N, group_reps(group), 4, 40)
-                misses.append(relations._product.cache_info().misses)
-                assert holds_exactly(relations._product, keys)
-                seen.append(keys)
+        def counting(*args):
+            calls.append(args)
+            return convolve(*args)
 
-        monkeypatch.setattr(relations, "_orbits", checking)
+        monkeypatch.setattr(relations, "convolve_int", counting)
         assert run_scan(4, 4, 40)["failed"] == 0
+        seen = [{(N, *key) for key in product_keys(N, group_reps(group), 4)}
+                for N in range(2, 5) for group in relations._orbits(N)]
         distinct = set().union(*seen)
         assert len(distinct) == sum(len(keys) for keys in seen)  # groups share none
-        assert sum(misses) == len(distinct) == 200
+        assert len(calls) == len(distinct) == 200
         # and no two keys are one product up to sign: no group needs a
         # product and its negative
-        assert len({pm_class(N, i, x, j, y) for i, x, j, y, N, _ in distinct}) == 200
-
-
-@pytest.fixture
-def cold_caches():
-    """Empty scan caches before and after the test, so that no series it
-    built outlives it."""
-    caches = (relations._orbit_series, relations._product, widen)
-
-    def clear():
-        for cache in caches:
-            cache.cache_clear()
-
-    clear()
-    yield
-    clear()
+        assert len({pm_class(N, i, x, j, y) for N, i, x, j, y in distinct}) == 200
 
 
 def as_dict(N, flat):
@@ -912,7 +860,7 @@ PERTURBATIONS = {
 
 class TestEquivarianceCheck:
     @pytest.mark.parametrize("case", sorted(PERTURBATIONS))
-    def test_perturbation_stops_the_scan(self, case, monkeypatch, cold_caches):
+    def test_perturbation_stops_the_scan(self, case, monkeypatch):
         k, N, point, change, scan, brackets, message = PERTURBATIONS[case]
         monkeypatch.setattr(relations, "eisenstein_int_form",
                             perturb(k, N, point, change))
@@ -935,8 +883,6 @@ class TestEquivarianceCheck:
         assert type(pooled.value) is type(serial.value)
         if brackets is not None:
             # a product with the perturbed factor is not built unchecked
-            for cache in (relations._orbit_series, relations._product):
-                cache.cache_clear()
             with pytest.raises(ArithmeticError, match=message):
                 bracket(HomPoly.monomial(0, 0), *brackets)
 
@@ -956,8 +902,6 @@ calls = [lambda: relations.run_scan(*scan)]
 if brackets is not None:
     calls.append(lambda: relations.bracket(HomPoly.monomial(0, 0), *brackets))
 for call in calls:
-    for cache in (relations._orbit_series, relations._product):
-        cache.cache_clear()
     try:
         out = call()
     except ArithmeticError as exc:
@@ -969,7 +913,7 @@ for call in calls:
         brackets = PERTURBATIONS[case][5]
         assert run_under_O(code) == ["ArithmeticError"] * (1 + (brackets is not None))
 
-    def test_direct_call_checks_whole_orbit(self, monkeypatch, cold_caches):
+    def test_direct_call_checks_whole_orbit(self, monkeypatch):
         # verify_instance reads E^{(1)} at (1, 0) and (0, 1) only, and still
         # checks their orbit mate (3, 1)
         k, N, point, change, *_ = PERTURBATIONS["orbit_mate"]
@@ -978,7 +922,7 @@ for call in calls:
         with pytest.raises(ArithmeticError, match=r"E\^\(1\)_\(3, 1\) at level 4"):
             verify_instance(RelationInstance(4, 2, 0, 0, (1, 0), (0, 1)), 16)
 
-    def test_stabilizer_half_is_needed(self, monkeypatch, cold_caches):
+    def test_stabilizer_half_is_needed(self, monkeypatch):
         # +zeta at E^{(2)}_{(1,0)} and its image under g_x at every other
         # point x of the orbit: each x passes its check against (1, 0), and
         # only the stabilizer check, sigma_2 at (1, 0), stops the scan
@@ -992,14 +936,15 @@ for call in calls:
         with pytest.raises(ArithmeticError, match="stabilizer"):
             run_scan(3, 3, 16)
 
-    def test_two_torsion_odd_series_vanish(self, cold_caches):
+    def test_two_torsion_odd_series_vanish(self):
         # what the stabilizer check asks at the 2-torsion points: odd
         # weights vanish, as parity E^{(k)}_{-x} = (-1)^k E^{(k)}_x needs
         for N in (2, 4, 6):
+            level = relations._Level(N, 24)
             for x in [(a1, a2) for a1 in range(N) for a2 in range(N)
                       if (a1, a2) != (0, 0) and negate((a1, a2), N) == (a1, a2)]:
                 for k in (1, 3, 5):
-                    assert relations._series(k, N, *x, 24).is_zero()
+                    assert level.series_at(k, x).is_zero()
 
 
 def run_under_O(code):
@@ -1015,13 +960,14 @@ def run_under_O(code):
 
 
 def direct_walk(level_max, weight_max, order):
-    """run_scan's summary, built from verify_instance on every instance
-    with no orbit transport."""
+    """run_scan's summary, built from a check of every instance with no
+    orbit transport: one context per level, as the scan has, so that the
+    level's instances share its series and products."""
     failures, count = [], 0
     for N in range(2, level_max + 1):
-        relations._product.cache_clear()  # one level's products at a time
+        level = relations._Level(N, order)
         for inst in enumerate_instances(N, weight_max):
-            report = verify_instance(inst, order)
+            report = level.verify(inst)
             count += 1
             if not report["residual_zero"]:
                 failures.append(report)
@@ -1032,7 +978,7 @@ def direct_walk(level_max, weight_max, order):
 
 
 class TestOrbitTransport:
-    def test_failure_reports_match_direct_walk(self, monkeypatch, cold_caches):
+    def test_failure_reports_match_direct_walk(self, monkeypatch):
         # alpha + 1 in every plan: an instance fails unless E^{(k)}_a
         # vanishes, so orbits hold both outcomes, at many first exponents
         plan = relations._plan
@@ -1046,11 +992,9 @@ class TestOrbitTransport:
         assert 0 < direct["failed"] < direct["instances"]
         assert len({r["first_nonzero_exponent"] for r in direct["failures"]}) > 1
         for workers in (1, 2):
-            for cache in (relations._orbit_series, relations._product):
-                cache.cache_clear()
             assert run_scan(5, 5, 24, workers=workers) == direct, workers
 
-    def test_direct_walk_agrees_at_criterion_1_scale(self, cold_caches):
+    def test_direct_walk_agrees_at_criterion_1_scale(self):
         # every one of the 56,392 instances of acceptance criterion 1,
         # verified directly, against the transported scan
         direct = direct_walk(6, 8, 40)
@@ -1062,22 +1006,33 @@ class TestPlan:
     def test_cached_and_override_plans_agree(self):
         failing = 0
         for N in range(2, 5):
+            level = relations._Level(N, 24)
             for inst in enumerate_instances(N, 5):
                 canonical = dict(relations._canonical(inst.k1, inst.k2))
-                cached = relations._residual(inst, 24, relations._plan(inst.k1, inst.k2))
-                override = relations._residual(
-                    inst, 24, relations._plan(inst.k1, inst.k2, **canonical))
+                cached = level.residual(inst)
+                override = level.residual(inst, **canonical)
                 fields = ("den", "height", "width", "value")
                 assert ([getattr(cached, f) for f in fields]
                         == [getattr(override, f) for f in fields])
                 assert cached.is_zero()
                 # a +1 weight fails unless its series vanishes (2-torsion, odd k)
                 for name, p in (("alpha", inst.a), ("beta", inst.b), ("gamma", inst.c)):
-                    report = verify_instance(inst, 24, **{name: canonical[name] + 1})
-                    vanishes = relations._series(inst.k, N, *p, 24).is_zero()
+                    report = level.verify(inst, **{name: canonical[name] + 1})
+                    vanishes = level.series_at(inst.k, p).is_zero()
                     assert report["residual_zero"] == vanishes
                     failing += not vanishes
         assert failing > 7000
+
+    def test_override_plans_are_not_cached(self):
+        # only the canonical plan of a split is cached: fifty distinct
+        # mutations add no entry
+        inst = RelationInstance(3, 4, 1, 1, (1, 0), (0, 1))
+        verify_instance(inst, 12)
+        size = relations._plan.cache_info().currsize
+        for d in range(1, 51):
+            report = verify_instance(inst, 12, alpha=coeff_alpha(1, 1) + d)
+            assert not report["residual_zero"]
+        assert relations._plan.cache_info().currsize == size
 
     def test_cached_plan_cannot_be_changed(self):
         plan = relations._plan(2, 1)
@@ -1113,6 +1068,9 @@ class TestRecurrences:
             recurrence_check(1)
 
 
+NOTHING_TO_VERIFY = r"^nothing to verify: need --level-max, --weight-max >= 2$"
+
+
 class TestScan:
     def test_small_scan_passes(self):
         summary = run_scan(3, 3, 24)
@@ -1121,8 +1079,17 @@ class TestScan:
         assert summary["instances"] == (6 + 56) * 3
 
     def test_level_one_empty(self):
-        summary = run_scan(1, 6, 24)
-        assert summary["instances"] == 0 and summary["failed"] == 0
+        # nothing to verify must not pass vacuously
+        with pytest.raises(ValueError, match=NOTHING_TO_VERIFY):
+            run_scan(1, 6, 24)
+
+    def test_weight_one_empty(self):
+        with pytest.raises(ValueError, match=NOTHING_TO_VERIFY):
+            run_scan(3, 1, 10)
+
+    def test_no_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_scan(3, 4, 10, workers=0)
 
     def test_parallel_determinism(self):
         a = run_scan(3, 3, 16, workers=1)

@@ -43,5 +43,5 @@ def test_relations_binds_the_kernel_by_name():
 def test_operand_bits_reads_packed_items(tracing):
     # _operand_bits reads the kernel's operands through PackedSeries.items
     assert inspect.isfunction(qseries.PackedSeries.__dict__.get("items"))
-    x = relations._series(2, 3, 1, 0, 4)
+    x = relations._Level(3, 4).series_at(2, (1, 0))
     assert tracing._operand_bits(3, 4, x, x) > 0
