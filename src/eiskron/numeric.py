@@ -253,12 +253,6 @@ def _float_range_error(k: int, M: int) -> ValueError:
     return ValueError(f"weight {k} leaves the float range at fourier_terms = {M}")
 
 
-def lattice_tail_estimate(k: int, tau: complex, cfg: NumericConfig) -> float:
-    """Empirically calibrated error scale of the windowed lattice sum."""
-    R = lattice_window_radius(cfg.lattice_cutoff, tau)
-    return 200.0 * R ** (-(k + 2))
-
-
 # ---------------------------------------------------------------------------
 # Numeric bracket and relation check.
 # ---------------------------------------------------------------------------

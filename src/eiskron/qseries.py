@@ -285,11 +285,10 @@ def _rows(level: int, data: Sequence[int]) -> Iterator[Tuple[int, Sequence[int]]
             yield n, row
 
 
-def to_int_form(f: QExpansion, order: Union[int, None] = None) -> Tuple[int, Tuple[int, ...]]:
-    """(den, data): f's row-major integer tuple over its denominator, cut to
-    the exponents below order (default f.order)."""
-    T = f.order if order is None else order
-    return f.den, f.data[:T * f.level]
+def to_int_form(f: QExpansion) -> Tuple[int, Tuple[int, ...]]:
+    """(den, data): f's denominator and its row-major integer tuple, as
+    from_int_form takes them."""
+    return f.den, f.data
 
 
 def from_int_form(level: int, order: int, den: int, data: Sequence[int]) -> QExpansion:

@@ -73,6 +73,7 @@ triple-orbit groups, the representatives of the orbits of the ordered
 pairs of one triple, which share their products: each product is built
 once, within its group, and dropped when the group ends.  So checking an
 instance costs a few big-int multiply-adds and a comparison with 0.
+One driver, _scan_forked, runs a scan's tasks, in one process or more.
 """
 
 from __future__ import annotations
@@ -620,10 +621,11 @@ def _fork_scan(tasks: List[tuple], share: range) -> Tuple[int, int]:
 
 def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
     """[_scan_level(*t) for t in tasks], by the caller and n - 1 forked
-    children: the caller scans tasks[0], the largest level, and child c
-    scans tasks[1 + c :: n - 1].  The first exception in task order is
-    raised, as a serial scan raises it.  No child outlives the call: on
-    any error of the caller's own, each is killed and reaped."""
+    children: child c scans tasks[1 + c :: n - 1], and the caller tasks[0],
+    the largest level, or every task if n = 1.  The caller's share comes
+    first and raises at once, so the first exception in task order is
+    raised.  No child outlives the call: on any error of the caller's own,
+    each is killed and reaped."""
     shares = [range(1 + c, len(tasks), n - 1) for c in range(n - 1)]
     pids: List[int] = []
     pipes: list = []
@@ -633,7 +635,7 @@ def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
             pid, read = _fork_scan(tasks, share)
             pids.append(pid)
             pipes.append(open(read, "rb"))
-        results = {0: _scan_level(*tasks[0])}
+        results = {i: _scan_level(*tasks[i]) for i in range(len(tasks) if n == 1 else 1)}
         outputs = [pipe.read() for pipe in pipes]
         while len(statuses) < len(pids):
             statuses.append(os.waitpid(pids[len(statuses)], 0)[1])
@@ -666,14 +668,13 @@ def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> d
     transport (see the module docstring); ``instances`` and ``passed``
     count covered instances.  A level is one task, so that each series is
     built and checked once, by the one process that scans its level.  The
-    tasks run largest level first.  With workers > 1 the scan runs in
-    min(workers, levels) processes in all: the caller scans the largest
-    level, the bulk of a scan, while forked children scan the others (see
-    _scan_forked).  A scan of one level forks nothing, and where the OS
-    has no fork the scan runs serially.  The summary is independent of the
-    worker count (failure reports are sorted before emission).  Nothing to
-    verify (level_max or weight_max below 2) and workers < 1 raise
-    ValueError: no scan passes vacuously.
+    tasks run largest level first, in min(workers, levels) processes, or
+    one where the OS has no fork (see _scan_forked): the caller scans the
+    largest level, the bulk of a scan, and forked children the others, and
+    one process scans every level and forks nothing.  The summary is
+    independent of the worker count (failure reports are sorted before
+    emission).  Nothing to verify (level_max or weight_max below 2) and
+    workers < 1 raise ValueError: no scan passes vacuously.
     """
     if level_max < 2 or weight_max < 2:
         raise ValueError("nothing to verify: need --level-max, --weight-max >= 2")
@@ -681,7 +682,7 @@ def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> d
         raise ValueError("workers must be >= 1")
     tasks = [(N, weight_max, order) for N in range(level_max, 1, -1)]
     n = min(workers, len(tasks)) if hasattr(os, "fork") else 1
-    levels = _scan_forked(tasks, n) if n > 1 else [_scan_level(*t) for t in tasks]
+    levels = _scan_forked(tasks, n)
     n_instances = sum(count for count, _ in levels)
     failures = sorted((f for _, level in levels for f in level),
                       key=lambda r: json.dumps(r, sort_keys=True))

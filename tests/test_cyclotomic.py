@@ -15,6 +15,8 @@ import eiskron
 from eiskron import cyclotomic
 from eiskron.cyclotomic import (CycNum, LevelMismatchError,
                                 cyclotomic_polynomial, totient, zeta_pow)
+from eiskron.eisenstein import bernoulli_poly_eval
+from eiskron.relations import HomPoly, poly_P
 
 
 def embed_oracle(a: CycNum) -> complex:
@@ -222,3 +224,20 @@ def test_mul_commutative_associative(N, data):
     assert (a * b).coeffs == (b * a).coeffs
     assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
     assert ((a + b) * c).coeffs == (a * c + b * c).coeffs
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclotomic_polynomial(0), "N must be >= 1"),
+    (lambda: CycNum(0, []), "level must be >= 1"),
+    (lambda: CycNum(3, [1, 2]), "expected 3 coefficients, got 2"),
+    (lambda: zeta_pow(0, 1), "N must be >= 1"),
+    (lambda: bernoulli_poly_eval(-1, 0), "m must be >= 0"),
+    (lambda: HomPoly(-1, []), "degree must be >= 0"),
+    (lambda: HomPoly(2, [1]), "need degree+1 coefficients"),
+    (lambda: HomPoly(1, [1, 1]) + HomPoly(2, [1, 1, 1]), "degree mismatch"),
+    (lambda: poly_P(-1, 0), "indices must be >= 0"),
+])
+def test_invalid_input_raises(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -372,6 +373,25 @@ class TestIntegerBuilder:
         s = bg_tilde_s(3, 3, 1, 10)
         assert s.first_nonzero_exponent() == 0 and not s.is_zero()
         assert s.eval_numeric(1j) != 0
+
+
+class TestSeriesMemo:
+    def test_direct_calls_retain_bounded_memory(self):
+        # the series memo is bounded: 745 direct calls (N = 5, k <= 6,
+        # orders 40, 80, ..., 200) leave traced memory within 1 MB of its
+        # start (an unbounded memo keeps 5.8 MB)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for order in range(40, 201, 40):
+                for k in range(1, 7):
+                    for a1 in range(5):
+                        for a2 in range(5):
+                            if (k, a1, a2) != (2, 0, 0):
+                                eisenstein_qexp(EisensteinIndex(k, 5, a1, a2), order)
+            assert tracemalloc.get_traced_memory()[0] - start < 10 ** 6
+        finally:
+            tracemalloc.stop()
 
 
 class TestBgTildeS:

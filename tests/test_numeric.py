@@ -306,10 +306,8 @@ class TestLatticeEvaluator:
 
     def test_tail_estimates_positive(self):
         assert nm.fourier_tail_estimate(3, CFG) > 0
-        assert nm.lattice_tail_estimate(3, TAU, CFG) > 0
-        # both must be far below the cross-check tolerance
+        # it must be far below the cross-check tolerance
         assert nm.fourier_tail_estimate(6, CFG) < 1e-8
-        assert nm.lattice_tail_estimate(3, TAU, CFG) < 1e-8
 
 
 class TestRelationNumeric:

@@ -701,6 +701,35 @@ class TestScanSharding:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_one_process_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-process scan forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_scan(4, 3, 12)["failed"] == 0
+
+    def test_serial_scan_stops_at_the_failing_level(self, monkeypatch):
+        # level 3 of levels 4..2 fails its check: the caller scans every
+        # level in order, so it raises there and never scans level 2, with
+        # the error a forked child's scan of level 3 re-raises
+        k, N, point, change, *_ = PERTURBATIONS["stabilizer"]
+        monkeypatch.setattr(relations, "eisenstein_int_form",
+                            perturb(k, N, point, change))
+        with pytest.raises(ArithmeticError) as pooled:
+            run_scan(4, 3, 16, workers=2)
+        scan_level, levels = relations._scan_level, []
+
+        def recording(*task):
+            levels.append(task[0])
+            return scan_level(*task)
+
+        monkeypatch.setattr(relations, "_scan_level", recording)
+        with pytest.raises(ArithmeticError) as serial:
+            run_scan(4, 3, 16)
+        assert levels == [4, 3]
+        assert type(serial.value) is type(pooled.value)
+        assert str(serial.value) == str(pooled.value)
+
     def test_no_fork_runs_serially(self, monkeypatch):
         serial = run_scan(4, 3, 12)
         monkeypatch.delattr(os, "fork")
