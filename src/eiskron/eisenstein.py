@@ -80,17 +80,26 @@ def bernoulli_number(m: int) -> Rat:
 
 
 def bernoulli_poly_eval(m: int, t: Rat) -> Rat:
-    """Exact value of the Bernoulli polynomial B_m(t)."""
+    """Exact value of the Bernoulli polynomial B_m(t).
+
+    With t = p/q and D = lcm(den B_0, ..., den B_m), every D B_j is an
+    integer, and so is
+
+        D q^m B_m(p/q) = sum_j C(m, j) (D B_j) p^(m-j) q^j,
+
+    summed by Horner's rule in p with integers only: one Fraction at the end.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
-    B = _bernoulli_upto(m)
+    B = _bernoulli_upto(m)[:m + 1]
     t = Fraction(t)
-    acc = Fraction(0)
-    pw = Fraction(1)
-    for j in range(m, -1, -1):
-        acc += comb(m, j) * B[j] * pw
-        pw *= t
-    return acc
+    p, q = t.numerator, t.denominator
+    D = lcm(*(b.denominator for b in B))
+    acc, qj = 0, 1
+    for j, b in enumerate(B):
+        acc = acc * p + comb(m, j) * (b.numerator * (D // b.denominator)) * qj
+        qj *= q
+    return Fraction(acc, D * q ** m)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,20 @@ class TestFourierClosedForm:
         assert cmath.isfinite(eval_bracket_numeric(poly_P(0, 1), origin, v, CFG))
 
 
+def full_grid_weights(k, L, tau):
+    """W_k with every one of the (2L+1)^2 entries computed, none mirrored:
+    the reference for the half-lattice build of _lattice_weights."""
+    idx = np.arange(-L, L + 1)
+    lam = idx[:, None] * tau + idx[None, :]
+    lam[L, L] = 1.0
+    R = nm.lattice_window_radius(L, tau)
+    t = np.clip((R - np.abs(lam)) / (R - 0.5 * R), 0.0, 1.0)
+    w = t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
+    W = w / lam ** k
+    W[L, L] = 0.0
+    return W
+
+
 def lattice_reference(k, z, tau, L):
     """The windowed lattice sum with one term per lattice point, character
     included: the unfactored reference for the separable eval_E_lattice."""
@@ -254,6 +269,29 @@ class TestLatticeEvaluator:
                 z = nm.TorusPoint(rng.uniform(-1, 1), rng.uniform(-1, 1)).to_z(tau)
                 ref = lattice_reference(k, z, tau, L)
                 assert abs(nm.eval_E_lattice(k, z, tau, cfg) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("L", [20, 50])
+    @pytest.mark.parametrize("tau", SEPARABLE_TAUS + (-0.4 + 0.7j,))
+    def test_half_lattice_weights_equal_full_grid(self, L, tau):
+        # the rows m < 0 mirrored from m >= 0 equal the computed ones, entry
+        # for entry, at odd and even weights and a tau with Re tau < 0
+        for k in range(3, 9):
+            assert np.array_equal(nm._lattice_weights(k, L, tau),
+                                  full_grid_weights(k, L, tau))
+
+    def test_warm_call_allocates_no_grid(self):
+        # the contraction is a matrix-vector product: a warm call at L = 200
+        # allocates vectors of 2L + 1 entries, not a (2L+1)^2 temporary (2.6 MB)
+        cfg = nm.NumericConfig(tau=TAU, lattice_cutoff=200)
+        z = 0.37 + 0.21j
+        nm.eval_E_lattice(4, z, TAU, cfg)
+        tracemalloc.start()
+        try:
+            nm.eval_E_lattice(4, z, TAU, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2 ** 20, peak
 
     def test_weights_depend_on_tau(self):
         # same (k, L), two taus in a row: a grid cached on (k, L) alone fails
