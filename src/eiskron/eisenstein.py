@@ -14,25 +14,26 @@ gives one flat integer list: the scan checks and packs it, QExpansion holds it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import List, Tuple
 
 from .cyclotomic import CycNum, Rat
-from .qseries import QExpansion, from_int_form
+from .qseries import QExpansion, Record, from_int_form
 
 
 class InvalidIndexError(ValueError):
     """Weight-2 series with zero parameter: modular but not holomorphic."""
 
 
-class EisensteinIndex:
+class EisensteinIndex(Record, namedtuple("EisensteinIndex", "k N a1 a2")):
     """Identifies one series: weight k, level N, parameter (a1, a2) mod N."""
 
-    __slots__ = ("k", "N", "a1", "a2")
+    __slots__ = ()
 
-    def __init__(self, k: int, N: int, a1: int, a2: int):
+    def __new__(cls, k: int, N: int, a1: int, a2: int):
         if k < 1:
             raise ValueError("weight must be >= 1")
         if N < 1:
@@ -40,22 +41,8 @@ class EisensteinIndex:
         a1 %= N
         a2 %= N
         if k == 2 and a1 == 0 and a2 == 0:
-            raise InvalidIndexError(
-                "non-holomorphic series E^(2)_{(0,0)} excluded")
-        self.k = k
-        self.N = N
-        self.a1 = a1
-        self.a2 = a2
-
-    def __eq__(self, other):
-        return (isinstance(other, EisensteinIndex)
-                and (self.k, self.N, self.a1, self.a2) == (other.k, other.N, other.a1, other.a2))
-
-    def __hash__(self):
-        return hash((self.k, self.N, self.a1, self.a2))
-
-    def __repr__(self):
-        return f"EisensteinIndex(k={self.k}, N={self.N}, a=({self.a1},{self.a2}))"
+            raise InvalidIndexError("non-holomorphic series E^(2)_{(0,0)} excluded")
+        return tuple.__new__(cls, (k, N, a1, a2))
 
 
 # B_0, B_1, ..., extended in place as far as any caller has asked; private,
@@ -184,14 +171,13 @@ def eisenstein_int_form(idx: EisensteinIndex, order: int) -> Tuple[int, List[int
 # within its (k, N) block, so crosscheck keeps all 472 hits, while 1,341 calls
 # at N = 5, k <= 6, orders 40..360 keep 0.42 MB (32: 0.81 MB, unbounded 17.4 MB).
 @lru_cache(maxsize=16)
-def _qexp_cached(k: int, N: int, a1: int, a2: int, order: int) -> QExpansion:
-    idx = EisensteinIndex(k, N, a1, a2)
-    return from_int_form(N, order, *eisenstein_int_form(idx, order))
+def _qexp_cached(idx: EisensteinIndex, order: int) -> QExpansion:
+    return from_int_form(idx.N, order, *eisenstein_int_form(idx, order))
 
 
 def eisenstein_qexp(idx: EisensteinIndex, order: int) -> QExpansion:
     """Exact expansion of the series at idx, all exponents n/N with n < order."""
-    return _qexp_cached(idx.k, idx.N, idx.a1, idx.a2, order)
+    return _qexp_cached(idx, order)
 
 
 def bg_tilde_s(k: int, N: int, a: int, order: int) -> QExpansion:

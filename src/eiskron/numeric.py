@@ -500,7 +500,11 @@ def check_asymptotics(k: int, tau: complex, cfg: NumericConfig) -> dict:
 
 def make_report(check: str, params: dict, residual: float,
                 tail_estimate: float, tol: float) -> dict:
-    """One JSON report line in the numeric module's schema."""
+    """One JSON report line in the numeric module's schema, or, for an inf
+    or nan residual or tail estimate, which JSON cannot hold, ValueError."""
+    if not (math.isfinite(residual) and math.isfinite(tail_estimate)):
+        raise ValueError(f"the {check} check leaves the float range: residual "
+                         f"{residual}, tail estimate {tail_estimate}")
     return {
         "check": check,
         "params": params,

@@ -394,7 +394,7 @@ def _pack(cols: Sequence[Sequence[int]], positions: int, width: int,
     return (int.from_bytes(b"".join(limbs), "little") ^ H) - H
 
 
-# a level's products use a few widths (6 in criterion 1): 8 order-sized entries
+# a level's nonzero products use a few widths (6 in criterion 1): 8 order-sized entries
 @lru_cache(maxsize=8)
 def _product_masks(order: int, stride: int, width: int) -> Tuple[int, int, int, int]:
     """(bias, truncation mask, column mask, column bias) of the product
@@ -408,7 +408,42 @@ def _product_masks(order: int, stride: int, width: int) -> Tuple[int, int, int, 
             _bias(order, width, width * stride))
 
 
-class PackedSeries(namedtuple("PackedSeries", "level order den height value")):
+class Record(tuple):
+    """A named tuple whose fields are checked once, in the subclass's
+    __new__, and then fixed.  A subclass lists Record before its namedtuple
+    base.  Equality is type-strict (a record never equals the plain tuple
+    of its fields) and the hash is the tuple's; no field can be set or
+    deleted; the tuple's + and * are off; and _make calls the constructor,
+    so _replace, copy and pickle check the fields again.  A subclass
+    without __slots__ keeps an instance dict for memos (PackedSeries.at).
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other  # through a subclass's own __eq__
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+    # a tuple would concatenate or repeat, and the result skip the checks
+    __add__ = __radd__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class PackedSeries(Record, namedtuple("PackedSeries", "level order den height value")):
     """A Phi_N-reduced integer series packed into one signed big int.
 
     Limb n*s + j (s = 2*phi - 1, phi = totient(level), n < order) holds den
@@ -418,12 +453,9 @@ class PackedSeries(namedtuple("PackedSeries", "level order den height value")):
     series, a derived bound for a product or a linear combination.  Reduced
     forms are canonical, so the series is zero in Q(zeta_N) iff every limb
     is zero.  Limbs are width = _byte_width(height) bytes, the least that
-    hold the height.  A tuple of those five fields, so a series cannot be
+    hold the height.  A Record of those five fields, so a series cannot be
     changed; ``at(width)`` gives the value at any wider limb width.
     """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PackedSeries is immutable: cannot set {name!r}")
 
     @property
     def width(self) -> int:
@@ -473,12 +505,6 @@ class PackedSeries(namedtuple("PackedSeries", "level order den height value")):
         spaced = _bias(positions, width) >> 8 * (width - w)
         memo[width] = int.from_bytes(out, "little") - spaced
         return memo[width]
-
-    def _no_arithmetic(self, other):
-        return NotImplemented
-
-    # a tuple would repeat or concatenate; products go through convolve_int
-    __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
 
     def is_zero(self) -> bool:
         return self.value == 0

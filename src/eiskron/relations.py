@@ -82,6 +82,7 @@ import json
 import os
 import pickle
 import signal
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -92,7 +93,7 @@ from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Seq
 
 from .cyclotomic import Rat, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
-from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
+from .qseries import (PackedSeries, QExpansion, Record, act_int_form, convolve_int,
                       from_int_form, linear_combination)
 
 Pair = Tuple[int, int]
@@ -102,19 +103,18 @@ Pair = Tuple[int, int]
 # Homogeneous bivariate polynomials over Q.
 # ---------------------------------------------------------------------------
 
-class HomPoly:
+class HomPoly(Record, namedtuple("HomPoly", "degree coeffs")):
     """Homogeneous polynomial sum_i coeffs[i] X^i Y^{degree-i} over Q."""
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, degree: int, coeffs: Sequence[Rat]):
+    def __new__(cls, degree: int, coeffs: Sequence[Rat]):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != degree + 1:
             raise ValueError("need degree+1 coefficients")
-        self.degree = degree
-        self.coeffs = coeffs
+        return tuple.__new__(cls, (degree, coeffs))
 
     @classmethod
     def zero(cls, degree: int) -> "HomPoly":
@@ -150,6 +150,8 @@ class HomPoly:
         return HomPoly(self.degree, [v * c for v in self.coeffs])
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
+        if not isinstance(other, HomPoly):
+            return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         return HomPoly(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -161,19 +163,13 @@ class HomPoly:
         return not any(self.coeffs)
 
     def __eq__(self, other):
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        if self.degree == other.degree:
-            return self.coeffs == other.coeffs
         # zero polynomials of different degrees are still equal
-        return self.is_zero() and other.is_zero()
+        return Record.__eq__(self, other) or (
+            type(other) is HomPoly and self.is_zero() and other.is_zero())
 
     def __hash__(self):
         # zero polynomials of every degree are equal, so they hash alike
-        return hash((self.degree, self.coeffs)) if any(self.coeffs) else hash(0)
-
-    def __repr__(self):
-        return f"HomPoly({self.degree}, {list(self.coeffs)})"
+        return tuple.__hash__(self) if any(self.coeffs) else hash(0)
 
 
 def poly_P(k1: int, k2: int) -> HomPoly:
@@ -230,13 +226,13 @@ class InvalidInstanceError(ValueError):
     """Instance violates the hypotheses (zero parameter or bad split)."""
 
 
-class RelationInstance:
+class RelationInstance(Record, namedtuple("RelationInstance", "N k k1 k2 a b c")):
     """One instantiation (N; k; k1,k2; a, b, c) with a+b+c = 0, all nonzero."""
 
-    __slots__ = ("N", "k", "k1", "k2", "a", "b", "c")
+    __slots__ = ()
 
-    def __init__(self, N: int, k: int, k1: int, k2: int, a: Pair, b: Pair,
-                 c: Optional[Pair] = None):
+    def __new__(cls, N: int, k: int, k1: int, k2: int, a: Pair, b: Pair,
+                c: Optional[Pair] = None):
         if N < 1:
             raise ValueError("level must be >= 1")
         if k < 2 or k1 < 0 or k2 < 0 or k1 + k2 != k - 2:
@@ -253,24 +249,11 @@ class RelationInstance:
         for name, v in (("a", a), ("b", b), ("c", c)):
             if v == (0, 0):
                 raise InvalidInstanceError(f"parameter {name} is zero")
-        self.N, self.k, self.k1, self.k2 = N, k, k1, k2
-        self.a, self.b, self.c = a, b, c
+        return tuple.__new__(cls, (N, k, k1, k2, a, b, c))
 
     def as_dict(self) -> dict:
         return {"level": self.N, "weight": self.k, "split": [self.k1, self.k2],
                 "a": list(self.a), "b": list(self.b), "c": list(self.c)}
-
-    def __repr__(self):
-        return (f"RelationInstance(N={self.N}, k={self.k}, split=({self.k1},{self.k2}), "
-                f"a={self.a}, b={self.b}, c={self.c})")
-
-    def __eq__(self, other):
-        return (isinstance(other, RelationInstance)
-                and (self.N, self.k, self.k1, self.k2, self.a, self.b, self.c)
-                == (other.N, other.k, other.k1, other.k2, other.a, other.b, other.c))
-
-    def __hash__(self):
-        return hash((self.N, self.k, self.k1, self.k2, self.a, self.b, self.c))
 
 
 def _pairs(N: int) -> Iterator[Tuple[Pair, Pair]]:

@@ -1,10 +1,25 @@
+import io
 import json
+import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eiskron import relations
-from eiskron.cli import build_parser, main
+from eiskron.cli import NUMERIC_CHECKS, build_parser, main
+
+
+# numeric argv whose residual or tail estimate leaves the float range
+# (inf or nan), though the weight and the automorphy factor stay inside it
+NONFINITE_ARGV = [
+    ["numeric", "--check", "modularity", "--weight", "100", "--tau", "1e3,1"],
+    ["numeric", "--check", "modularity", "--weight", "140", "--tau", "0.5,20"],
+    ["numeric", "--check", "relation", "--weight", "160", "--tau", "0.1,0.02"],
+    ["numeric", "--check", "diff", "--weight", "160", "--tau", "0.3,1e-8"],
+]
 
 
 def run(capsys, *argv):
@@ -305,11 +320,19 @@ class TestNumeric:
         code, given, _ = run(capsys, "numeric", "--check", check, *explicit, "--json")
         assert code == 0 and default == given
 
-    @pytest.mark.parametrize("check", ["relation", "modularity"])
-    def test_weight_beyond_float_range_exits_2(self, capsys, check):
-        # 80**199 and 81**200 overflow a float: bad input, not a failed check
-        code, out, err = run(capsys, "numeric", "--check", check, "--weight", "200")
+    @pytest.mark.parametrize("check,argv", [
+        pytest.param("relation", ["--weight", "200"], id="relation"),
+        pytest.param("modularity", ["--weight", "200"], id="modularity"),
+        *(pytest.param(argv[2], argv[3:], id=" ".join(argv[2:]))
+          for argv in NONFINITE_ARGV),
+    ])
+    def test_weight_beyond_float_range_exits_2(self, capsys, check, argv):
+        # 80**199 and 81**200 overflow a float, and so does a weight-100
+        # automorphy factor times E at tau = 1000 + i: bad input, not a
+        # failed check with an inf or nan residual
+        code, out, err = run(capsys, "numeric", "--check", check, *argv)
         assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "float range" in err
 
     def test_automorphy_factor_beyond_float_range_exits_2(self, capsys):
@@ -350,3 +373,78 @@ class TestNumeric:
                      ["relation", "--tau", "nan,nan"]):
             code, out, _ = run(capsys, "numeric", "--check", *argv)
             assert code == 2 and out == "", argv
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for any subcommand, bad values included, with the weight and
+    |tau| drawn jointly large: one size scales both.  Scans stay at
+    N <= 3, k <= 3, order <= 12, and the relation check, whose cost grows
+    as k^2, at k <= 30, so that an example takes milliseconds."""
+    size = draw(st.integers(0, 8))
+    weight = draw(st.integers(-1, 2 + 20 * size))
+    small = st.integers(-1, 4)
+    level = str(draw(st.integers(0, 4)))
+    order = str(draw(st.integers(0, 12)))
+    command = draw(st.sampled_from(
+        ["expand", "bg-series", "verify", "scan", "recurrences", "numeric", "numeric"]))
+    if command == "expand":
+        argv = ["--level", level, "--weight", str(weight),
+                f"--a={draw(small)},{draw(small)}", "--order", order]
+    elif command == "bg-series":
+        argv = ["--level", level, "--weight", str(weight),
+                f"--a={draw(small)}", "--order", order]
+    elif command == "verify":
+        k1 = draw(st.integers(-1, max(weight, 0)))
+        k2 = weight - 2 - k1 + draw(st.sampled_from([0, 0, 0, 1]))
+        argv = ["--level", level, "--weight", str(weight),
+                f"--split={k1},{k2}", f"--a={draw(small)},{draw(small)}",
+                f"--b={draw(small)},{draw(small)}", "--order", order]
+    elif command == "scan":
+        argv = ["--level-max", str(draw(st.integers(1, 3))),
+                "--weight-max", str(draw(st.integers(1, 3))), "--order", order,
+                "--parallel", str(draw(st.sampled_from([1, 1, 2, 0])))]
+    elif command == "recurrences":
+        argv = ["--degree-max", str(draw(st.integers(-2, 8)))]
+    else:
+        check = draw(st.sampled_from(sorted(NUMERIC_CHECKS)))
+        re = draw(st.floats(-1, 1)) * 10.0 ** draw(st.integers(0, size))
+        im = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf])
+                  if draw(st.integers(0, 7)) == 0 else
+                  st.floats(-size - 9, size / 2).map(lambda e: 10.0 ** e))
+        argv = ["--check", check, f"--tau={re!r},{im!r}"]
+        if check == "bracket":
+            k1 = draw(st.integers(-1, max(weight - 2, 0)))
+            argv += [f"--split={k1},{max(weight - 2, 0) - k1}"]
+        elif check == "asymptotics":
+            argv += ["--weight", str(draw(st.integers(0, 3)))]
+        else:
+            argv += ["--weight", str(min(weight, 30) if check == "relation" else weight)]
+    return [command, *argv] + (["--json"] if draw(st.booleans()) else [])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argv())
+@example(argv=NONFINITE_ARGV[0] + ["--json"])
+@example(argv=NONFINITE_ARGV[1] + ["--json"])
+@example(argv=NONFINITE_ARGV[2] + ["--json"])
+@example(argv=NONFINITE_ARGV[3] + ["--json"])
+def test_fuzzed_argv_exits_cleanly(argv):
+    # any argv ends in exit 0, 1 or 2 and no exception; exit 2 prints one
+    # error line and nothing on stdout; --json prints strict JSON
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+    elif "--json" in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

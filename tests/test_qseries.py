@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 import os
 import pickle
@@ -20,7 +21,9 @@ from eiskron.cyclotomic import (CycNum, LevelMismatchError, _reduction_rows,
 from eiskron.qseries import (PackedSeries, QExpansion, _pack, act_int_form,
                              convolve_int, convolve_naive, from_int_form,
                              int_form_is_zero, linear_combination, to_int_form)
-from eiskron.relations import _symmetries
+from eiskron.eisenstein import EisensteinIndex, InvalidIndexError
+from eiskron.relations import (InvalidInstanceError, RelationInstance, _symmetries,
+                               poly_Q)
 
 
 def one(N):
@@ -917,6 +920,51 @@ class TestImmutability:
             {n: c.coeffs for n, c in f.coeffs.items()}
         with pytest.raises(TypeError):
             g.coeffs[0] = one(4)
+
+
+# each record, and a _replace that breaks its hypothesis, with the error and
+# message its constructor raises (PackedSeries checks no field)
+RECORDS = {
+    "EisensteinIndex": (lambda: EisensteinIndex(2, 4, 1, 0), {"a1": 4},
+                        InvalidIndexError, "excluded"),
+    "RelationInstance": (lambda: RelationInstance(3, 4, 1, 1, (1, 0), (0, 1)),
+                         {"a": (0, 0), "c": (0, 2)}, InvalidInstanceError,
+                         "parameter a is zero"),
+    "HomPoly": (lambda: poly_Q(2, 1), {"degree": 2}, ValueError,
+                "need degree\\+1 coefficients"),
+    "PackedSeries": (lambda: pack(3, 4, 2, {0: (1, -1), 2: (0, 3)}), None, None, None),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_checked_and_fixed(name):
+    make, bad, error, message = RECORDS[name]
+    x = make()
+    before = tuple(x)
+    for field in x._fields + ("other",):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(x, field, 0)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            delattr(x, field)
+    assert tuple(x) == before and x == make() and hash(x) == hash(before)
+    assert x != before and before != x  # type-strict: not the plain tuple
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x),
+              x._replace()):
+        assert type(y) is type(x) and y == x
+    # the tuple's concatenation and repetition are off
+    for op in (lambda: x + (), lambda: x * 2, lambda: 2 * x):
+        with pytest.raises(TypeError):
+            op()
+    if name != "HomPoly":  # whose + adds polynomials
+        with pytest.raises(TypeError):
+            x + x
+    if bad is not None:
+        # _replace, and unpickling a value built past the checks, check again
+        with pytest.raises(error, match=message):
+            x._replace(**bad)
+        forged = tuple.__new__(type(x), [bad.get(f, v) for f, v in zip(x._fields, x)])
+        with pytest.raises(error, match=message):
+            pickle.loads(pickle.dumps(forged))
 
 
 def test_coefficient_of_another_level_rejected():

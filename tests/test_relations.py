@@ -737,13 +737,20 @@ class TestScanSharding:
 
     def test_parallel_scan_imports_no_pool(self):
         # the fork path needs neither concurrent.futures nor multiprocessing,
-        # whose imports alone cost more than a small level's scan
+        # whose imports alone cost more than a small level's scan; and the
+        # exact commands need neither numpy nor dataclasses, which imports
+        # inspect: together they would double the CLI's start-up time
         code = """
 import sys
 from eiskron.cli import main
 assert main(["scan", "--level-max", "3", "--weight-max", "3", "--order", "12",
              "--json", "--parallel", "2"]) == 0
-print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+assert main(["verify", "--level", "3", "--weight", "4", "--split", "1,1",
+             "--a", "1,0", "--b", "0,1", "--order", "12"]) == 0
+assert main(["expand", "--level", "3", "--weight", "4", "--a", "1,0",
+             "--order", "12"]) == 0
+print(sorted(m for m in ("concurrent.futures", "multiprocessing", "dataclasses",
+                         "inspect", "numpy") if m in sys.modules))
 """
         src = os.path.dirname(os.path.dirname(eiskron.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
