@@ -164,14 +164,14 @@ def _numeric_relation(nm, args, cfg, draw_point) -> list:
     points.append((nm.TorusPoint(1 / math.sqrt(5), 1 / math.sqrt(7)),
                    nm.TorusPoint(1 / math.sqrt(3), 1 / math.sqrt(11))))
     tail = nm.fourier_tail_estimate(k, cfg)
+    grids = [nm._relation_grids(k, u, v, cfg) for u, v in points]
     reports = []
     for k1 in range(k - 1):
         k2 = k - 2 - k1
-        for u, v in points:
-            res = nm.check_relation_numeric(k1, k2, u, v, cfg)
+        for (u, v), E in zip(points, grids):
             reports.append(nm.make_report(
-                "relation", {"split": [k1, k2], "u": [u.x1, u.x2],
-                             "v": [v.x1, v.x2]}, res, tail, TOL))
+                "relation", {"split": [k1, k2], "u": list(u), "v": list(v)},
+                nm._relation_residual(k1, k2, E), tail, TOL))
     return reports
 
 
@@ -179,7 +179,7 @@ def _numeric_diff(nm, args, cfg, draw_point) -> list:
     k = args.weight
     p = draw_point()
     res = nm.check_diff_relation(k, p, cfg, nm.FD_STEP)
-    return [nm.make_report("diff", {"weight": k, "p": [p.x1, p.x2], "h": nm.FD_STEP}, res,
+    return [nm.make_report("diff", {"weight": k, "p": list(p), "h": nm.FD_STEP}, res,
                            nm.fourier_tail_estimate(k, cfg), FD_TOL)]
 
 
@@ -188,9 +188,8 @@ def _numeric_bracket(nm, args, cfg, draw_point) -> list:
     u, v = draw_point(), draw_point()
     e1, e2 = nm.check_diff_bracket(poly_P(k1, k2), u, v, cfg)
     tail = nm.fourier_tail_estimate(k1 + k2 + 2, cfg)
-    return [nm.make_report("bracket", {"split": [k1, k2], "u": [u.x1, u.x2],
-                                       "v": [v.x1, v.x2], "side": side},
-                           err, tail, FD_TOL)
+    return [nm.make_report("bracket", {"split": [k1, k2], "u": list(u), "v": list(v),
+                                       "side": side}, err, tail, FD_TOL)
             for side, err in (("u", e1), ("v", e2))]
 
 
@@ -202,7 +201,7 @@ def _numeric_modularity(nm, args, cfg, draw_point) -> list:
                            ("S", ((0, -1), (1, 0)), 1e-6)):
         res = nm.check_modularity(k, x, gam, cfg)
         reports.append(nm.make_report(
-            "modularity", {"weight": k, "gamma": name, "x": [x.x1, x.x2]},
+            "modularity", {"weight": k, "gamma": name, "x": list(x)},
             res, nm.modularity_tail_estimate(k, gam, cfg), tol))
     return reports
 
@@ -210,7 +209,7 @@ def _numeric_modularity(nm, args, cfg, draw_point) -> list:
 def _numeric_asymptotics(nm, args, cfg, draw_point) -> list:
     if args.weight not in (1, 2):
         raise ValueError("asymptotics check needs weight 1 or 2")
-    rep = nm.check_asymptotics(args.weight, args.tau, cfg)
+    rep = nm.check_asymptotics(args.weight, cfg)
     rep["pass"] = bool(rep["limit_error"] < 1e-6
                        and rep.get("real_ray_error", 0.0) < 1e-6)
     return [rep]

@@ -12,6 +12,7 @@ nontrivial kernel).  Representation equality is NOT field equality;
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -128,22 +129,59 @@ def reduce_columns(level: int, cols: Sequence[Sequence[int]]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Field elements.
+# Records and field elements.
 # ---------------------------------------------------------------------------
 
-class CycNum:
-    """An element of Q(zeta_N), stored modulo x^N - 1."""
+class Record(tuple):
+    """A named tuple whose fields are fixed once built.  A subclass lists
+    Record before its namedtuple base and checks its fields in __new__,
+    save PackedSeries and Plan, which check none: only PackedSeries.pack,
+    the product kernel, linear_combination and _build_plan build them.
+    Equality is type-strict (a record never equals the plain tuple of its
+    fields) and the hash is the tuple's; no field can be set or deleted;
+    the tuple's + and * are off; and _make calls the constructor, so
+    _replace, copy and pickle check the fields again.  A subclass without
+    __slots__ keeps an instance dict for memos (PackedSeries.at).
+    """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, level: int, coeffs: Iterable[Scalar]):
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other  # through a subclass's own __eq__
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+    # a tuple would concatenate or repeat, and the result skip the checks
+    __add__ = __radd__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self)._make, (tuple(self),)
+
+
+class CycNum(Record, namedtuple("CycNum", "level coeffs")):
+    """An element of Q(zeta_N), stored modulo x^N - 1: a Record, so it
+    cannot be changed, whose ``==`` is field equality, so it has no hash."""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, coeffs: Iterable[Scalar]):
         if level < 1:
             raise ValueError("level must be >= 1")
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != level:
             raise ValueError(f"expected {level} coefficients, got {len(coeffs)}")
-        self.level = level
-        self.coeffs = coeffs
+        return tuple.__new__(cls, (level, coeffs))
 
     @classmethod
     def from_rat(cls, level: int, value: Scalar) -> "CycNum":
@@ -209,9 +247,9 @@ class CycNum:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rat(self.level, other)
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        if self.level != other.level:
+        # False, not NotImplemented, which would let the tuple's reflected ==
+        # make a CycNum equal to the plain tuple of its fields
+        if not isinstance(other, CycNum) or self.level != other.level:
             return False
         return (self - other).is_zero()
 
@@ -227,9 +265,6 @@ class CycNum:
                 acc += float(c) * pw
             pw *= z
         return acc
-
-    def __repr__(self):
-        return f"CycNum({self.level}, {list(self.coeffs)})"
 
     def __str__(self):
         terms = []

@@ -20,8 +20,8 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import List, Tuple
 
-from .cyclotomic import CycNum, Rat
-from .qseries import QExpansion, Record, from_int_form
+from .cyclotomic import CycNum, Rat, Record
+from .qseries import QExpansion, from_int_form
 
 
 class InvalidIndexError(ValueError):

@@ -30,11 +30,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cyclotomic import Record
 from .eisenstein import bernoulli_number
 from .qseries import check_tau
 from .relations import BRACKET_SLOTS, HomPoly, Monomials, _monomials, _plan
@@ -57,16 +58,15 @@ def _frac(t: float) -> float:
     return t - math.floor(t)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Record, namedtuple("TorusPoint", "x1 x2")):
     """Real coordinates (x1, x2) of z = x1*tau + x2 on the torus."""
 
-    x1: float
-    x2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
+    def __new__(cls, x1: float, x2: float):
+        if not (math.isfinite(x1) and math.isfinite(x2)):
             raise ValueError("torus coordinates must be finite")
+        return tuple.__new__(cls, (x1, x2))
 
     def to_z(self, tau: complex) -> complex:
         return self.x1 * tau + self.x2
@@ -83,21 +83,21 @@ class TorusPoint:
         return TorusPoint(-self.x1, -self.x2)
 
     def __add__(self, other: "TorusPoint") -> "TorusPoint":
+        if not isinstance(other, TorusPoint):
+            return NotImplemented
         return TorusPoint(self.x1 + other.x1, self.x2 + other.x2)
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    tau: complex
-    fourier_terms: int = 80
-    lattice_cutoff: int = 200
+class NumericConfig(Record, namedtuple("NumericConfig", "tau fourier_terms lattice_cutoff")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_tau(complex(self.tau))
-        if not abs(_e(complex(self.tau))) < 1.0:  # Im tau below about 8.8e-18
-            raise ValueError(f"tau {self.tau} is too close to the real axis: |q| is 1.0")
-        if self.fourier_terms < 1 or self.lattice_cutoff < 1:
+    def __new__(cls, tau: complex, fourier_terms: int = 80, lattice_cutoff: int = 200):
+        check_tau(complex(tau))
+        if not abs(_e(complex(tau))) < 1.0:  # Im tau below about 8.8e-18
+            raise ValueError(f"tau {tau} is too close to the real axis: |q| is 1.0")
+        if fourier_terms < 1 or lattice_cutoff < 1:
             raise ValueError("cutoffs must be >= 1")
+        return tuple.__new__(cls, (tau, fourier_terms, lattice_cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def eval_E_fourier_upto(k_max: int, p: TorusPoint,
     except OverflowError:
         raise _float_range_error(k_max, M) from None
     tau = complex(cfg.tau)
-    x1, x2 = p.x1, p.x2
+    x1, x2 = p
     frac1 = _frac(x1)
     x2r = x2 - round(x2)  # exact, and small when x2 is near an integer
     ts, gs = [], []
@@ -317,12 +317,24 @@ def check_relation_numeric(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
     evaluated once, for every weight."""
     if k1 < 0 or k2 < 0:
         raise ValueError("indices must be >= 0")
+    return _relation_residual(k1, k2, _relation_grids(k1 + k2 + 2, u, v, cfg))
+
+
+def _relation_grids(k: int, u: TorusPoint, v: TorusPoint,
+                    cfg: NumericConfig) -> List[Tuple[Optional[complex], ...]]:
+    """The ``eval_E_fourier_upto`` values up to weight k at u, v and -(u+v),
+    which must avoid the lattice: they serve every split of weight k."""
     w = -(u + v)
     for name, pt in (("u", u), ("v", v), ("u+v", w)):
         if pt.is_lattice():
             raise ValueError(f"parameter {name} must avoid the lattice")
-    k = k1 + k2 + 2
-    plan, E = _plan(k1, k2), [eval_E_fourier_upto(k, pt, cfg) for pt in (u, v, w)]
+    return [eval_E_fourier_upto(k, pt, cfg) for pt in (u, v, w)]
+
+
+def _relation_residual(k1: int, k2: int,
+                       E: Sequence[Sequence[Optional[complex]]]) -> float:
+    """|LHS - RHS| of split (k1, k2) from the ``_relation_grids`` E."""
+    k, plan = k1 + k2 + 2, _plan(k1, k2)
     lhs = neg_rhs = 0j
     for monomials, (s, t) in zip(plan[:3], BRACKET_SLOTS):
         lhs += _bracket(monomials, E[s], E[t])
@@ -397,7 +409,7 @@ def _image(gamma: Sequence[Sequence[int]],
         raise ValueError("gamma must have determinant 1")
     tau = complex(cfg.tau)
     try:
-        return replace(cfg, tau=(a * tau + b) / (c * tau + d)), c * tau + d
+        return cfg._replace(tau=(a * tau + b) / (c * tau + d)), c * tau + d
     except ValueError:
         raise ValueError(f"the image of tau {tau} under gamma {gamma} is too close "
                          "to the real axis") from None
@@ -455,8 +467,8 @@ def _richardson(values: List[complex]) -> complex:
     return row[0]
 
 
-def check_asymptotics(k: int, tau: complex, cfg: NumericConfig) -> dict:
-    """Behaviour of E^(k) as z -> 0 along a ray with irrational slope.
+def check_asymptotics(k: int, cfg: NumericConfig) -> dict:
+    """Behaviour of E^(k) at cfg.tau as z -> 0 along a ray of irrational slope.
 
     Weight 1: z*E^(1)_z -> 1/(2 pi i), with a bounded slope; also checked
     along the real ray x1 = 0.  Weight 2: E^(2)_z - x1/(2 pi i z) tends
@@ -464,7 +476,7 @@ def check_asymptotics(k: int, tau: complex, cfg: NumericConfig) -> dict:
     """
     if k not in (1, 2):
         raise ValueError("asymptotics are for weights 1 and 2")
-    cfg = replace(cfg, tau=tau)
+    tau = complex(cfg.tau)
     d1, d2 = 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(7.0)
     ts = [0.04 * 0.5 ** j for j in range(6)]  # six steps, each half the last
     vals: List[complex] = []

@@ -49,7 +49,7 @@ from operator import neg
 from types import MappingProxyType
 from typing import Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .cyclotomic import (CycNum, LevelMismatchError, Scalar, reduce_columns,
+from .cyclotomic import (CycNum, LevelMismatchError, Record, Scalar, reduce_columns,
                          reduce_mod_cyclotomic, reduction_norm, totient)
 
 
@@ -59,13 +59,16 @@ def check_tau(tau: complex) -> None:
         raise ValueError("tau must be a finite point of the upper half-plane")
 
 
-class QExpansion:
+class QExpansion(Record, namedtuple("QExpansion", "level order den data")):
     """Truncated series sum_n c_n q^{n/N}, c_n in Q(zeta_N), held as
-    c_n = data[n*N:(n+1)*N] / den for one row-major tuple data."""
+    c_n = data[n*N:(n+1)*N] / den for one row-major tuple data: a Record,
+    so ``==`` compares that integer form, which implies field equality but
+    is not implied by it (``field_equals`` is the field test).  It is built
+    from CycNum coefficients, or by from_int_form, as _make and pickle do."""
 
-    __slots__ = ("level", "order", "den", "data")
+    __slots__ = ()
 
-    def __init__(self, level: int, order: int, coeffs: Mapping[int, CycNum]):
+    def __new__(cls, level: int, order: int, coeffs: Mapping[int, CycNum]):
         # the one place where Fractions become integers
         if any(c.level != level for c in coeffs.values()):
             raise LevelMismatchError("coefficient level differs from series level")
@@ -76,27 +79,11 @@ class QExpansion:
                 raise ValueError(f"exponent numerator {n} outside [0, {order})")
             data[n * level:(n + 1) * level] = [v.numerator * (den // v.denominator)
                                                for v in c.coeffs]
-        self._set(level, order, den, data)
+        return from_int_form(level, order, den, data)
 
-    def _set(self, level: int, order: int, den: int, data: Sequence[int]) -> None:
-        if level < 1 or order < 1 or den < 1:
-            raise ValueError("level, order and denominator must be positive")
-        if len(data) != order * level:
-            raise ValueError(f"expected order * level = {order * level} entries, "
-                             f"got {len(data)}")
-        # read-only, attributes and data alike: caches share expansions
-        for name, value in (("level", level), ("order", order), ("den", den),
-                            ("data", tuple(data))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QExpansion is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"QExpansion is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return from_int_form, (self.level, self.order, self.den, self.data)
+    @classmethod
+    def _make(cls, fields):
+        return from_int_form(*fields)
 
     @property
     def coeffs(self) -> Mapping[int, CycNum]:
@@ -294,10 +281,14 @@ def to_int_form(f: QExpansion) -> Tuple[int, Tuple[int, ...]]:
 def from_int_form(level: int, order: int, den: int, data: Sequence[int]) -> QExpansion:
     """The series with coefficient data[n*N + i] / den at zeta^i q^{n/N},
     for a row-major list of order*level integers (else ValueError); builds
-    no Fraction."""
-    f = QExpansion.__new__(QExpansion)
-    f._set(level, order, den, data)
-    return f
+    no Fraction.  The one checked integer constructor of QExpansion."""
+    if level < 1 or order < 1 or den < 1:
+        raise ValueError("level, order and denominator must be positive")
+    if len(data) != order * level:
+        raise ValueError(f"expected order * level = {order * level} entries, "
+                         f"got {len(data)}")
+    # a tuple, read-only: caches share expansions
+    return tuple.__new__(QExpansion, (level, order, den, tuple(data)))
 
 
 def act_int_form(level: int, g: Tuple[int, int, int], k: int,
@@ -406,41 +397,6 @@ def _product_masks(order: int, stride: int, width: int) -> Tuple[int, int, int, 
                             "little")
     return (_bias(positions, width), (1 << 8 * width * positions) - 1, column,
             _bias(order, width, width * stride))
-
-
-class Record(tuple):
-    """A named tuple whose fields are checked once, in the subclass's
-    __new__, and then fixed.  A subclass lists Record before its namedtuple
-    base.  Equality is type-strict (a record never equals the plain tuple
-    of its fields) and the hash is the tuple's; no field can be set or
-    deleted; the tuple's + and * are off; and _make calls the constructor,
-    so _replace, copy and pickle check the fields again.  A subclass
-    without __slots__ keeps an instance dict for memos (PackedSeries.at).
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other  # through a subclass's own __eq__
-
-    __hash__ = tuple.__hash__
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-    # a tuple would concatenate or repeat, and the result skip the checks
-    __add__ = __radd__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
 
 class PackedSeries(Record, namedtuple("PackedSeries", "level order den height value")):

@@ -88,12 +88,11 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, gcd
 from types import MappingProxyType
-from typing import (Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .cyclotomic import Rat, Scalar
+from .cyclotomic import Rat, Record, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
-from .qseries import (PackedSeries, QExpansion, Record, act_int_form, convolve_int,
+from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
                       from_int_form, linear_combination)
 
 Pair = Tuple[int, int]
@@ -332,16 +331,13 @@ Monomials = Tuple[Tuple[int, int, Scalar], ...]
 BRACKET_SLOTS = ((0, 1), (1, 2), (2, 0))
 
 
-class Plan(NamedTuple):
+class Plan(Record, namedtuple("Plan", "P Q R negated")):
     """A split's weights as the residual reads them: per bracket P, Q, R the
-    (i, j, coef) of each product E^{(i)} E^{(j)} with a nonzero coefficient
-    (an int where it is one), and the negated weights of E_a, E_b, E_c.
-    A tuple, so a cached plan cannot be changed."""
+    Monomials (i, j, coef) of each product E^{(i)} E^{(j)} with a nonzero
+    coefficient (an int where it is one), and the three negated weights of
+    E_a, E_b, E_c.  A Record, so a cached plan cannot be changed."""
 
-    P: Monomials
-    Q: Monomials
-    R: Monomials
-    negated: Tuple[Scalar, Scalar, Scalar]
+    __slots__ = ()
 
 
 def _integral(c: Rat) -> Scalar:

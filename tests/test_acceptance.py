@@ -169,8 +169,8 @@ def test_criterion_7_asymptotics(capsys):
     E^(2) - x1/(2 pi i z) -> -2 G_2(tau), each within 1e-6."""
     tol = 1e-6
     cfg = nm.NumericConfig(tau=TAU)
-    r1 = nm.check_asymptotics(1, TAU, cfg)
-    r2 = nm.check_asymptotics(2, 1j, cfg)
+    r1 = nm.check_asymptotics(1, cfg)
+    r2 = nm.check_asymptotics(2, cfg._replace(tau=1j))
     errs = [r1["limit_error"], r1["real_ray_error"], r2["limit_error"]]
     ok = all(e < tol for e in errs)
     report(capsys, 7, "behaviour near the origin", ok,

@@ -208,6 +208,22 @@ class TestNumeric:
         assert doc["pass"] and all(r["pass"] for r in doc["reports"])
         assert all(r["residual"] < 1e-8 for r in doc["reports"])
 
+    def test_relation_evaluates_each_point_once(self, capsys, monkeypatch):
+        # four point pairs, three points each: 12 Fourier grids serve all
+        # five splits of weight 6
+        from eiskron import numeric as nm
+        calls, evaluate = [], nm.eval_E_fourier_upto
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(nm, "eval_E_fourier_upto", counting)
+        code, out, _ = run(capsys, "numeric", "--check", "relation",
+                           "--weight", "6", "--json")
+        assert code == 0 and len(json.loads(out)["reports"]) == 5 * 4
+        assert len(calls) == 12
+
     def test_diff(self, capsys):
         code, out, _ = run(capsys, "numeric", "--check", "diff",
                            "--weight", "4", "--json")

@@ -61,6 +61,10 @@ CLI_GOLDEN = [
      "9b74cc466a5107474e5fcfa89628b75cbf40171d573cf4103e8c5333030c0f51"),
     (("bg-series", "--level", "4", "--weight", "3", "--a", "1", "--order", "20"),
      "137647c5a1f35c93cc0f958f958fa28069bebf35f04eb7601b7eb4a6e14c92cc"),
+    # the float relation check: every split at four point pairs, the four
+    # summed from one Fourier grid per point
+    (("numeric", "--check", "relation", "--weight", "6", "--json"),
+     "aeae32554e274de0d065f16f9cb4b1172d34cb9515857cc0fabefcc26592af15"),
 ]
 
 

@@ -616,13 +616,13 @@ class TestAsymptotics:
         assert abs(nm.eval_G2(40j) - (-1.0 / 24.0)) < 1e-15
 
     def test_weight_one_limit(self):
-        rep = nm.check_asymptotics(1, TAU, CFG)
+        rep = nm.check_asymptotics(1, CFG)
         assert rep["limit_error"] < 1e-6
         assert rep["real_ray_error"] < 1e-6
         assert rep["slope_bound"] < 10.0
 
     def test_weight_two_limit(self):
-        rep = nm.check_asymptotics(2, 1j, CFG)
+        rep = nm.check_asymptotics(2, CFG._replace(tau=1j))
         assert rep["limit_error"] < 1e-6
         # at tau = i the limit -2 G_2(i) equals the real number 1/(4 pi)
         target = complex(rep["target"][0], rep["target"][1])
@@ -630,7 +630,7 @@ class TestAsymptotics:
 
     def test_weight_guard(self):
         with pytest.raises(ValueError):
-            nm.check_asymptotics(3, TAU, CFG)
+            nm.check_asymptotics(3, CFG)
 
 
 class TestReports:

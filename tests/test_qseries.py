@@ -22,8 +22,9 @@ from eiskron.qseries import (PackedSeries, QExpansion, _pack, act_int_form,
                              convolve_int, convolve_naive, from_int_form,
                              int_form_is_zero, linear_combination, to_int_form)
 from eiskron.eisenstein import EisensteinIndex, InvalidIndexError
-from eiskron.relations import (InvalidInstanceError, RelationInstance, _symmetries,
-                               poly_Q)
+from eiskron.numeric import NumericConfig, TorusPoint
+from eiskron.relations import (InvalidInstanceError, RelationInstance, _plan,
+                               _symmetries, poly_Q)
 
 
 def one(N):
@@ -922,23 +923,43 @@ class TestImmutability:
             g.coeffs[0] = one(4)
 
 
-# each record, and a _replace that breaks its hypothesis, with the error and
-# message its constructor raises (PackedSeries checks no field)
+# each record: a maker; the _replace arguments that break its hypotheses,
+# each with the error and message its constructor raises (PackedSeries and
+# Plan check no field); which of x * 2, 2 * x and x + x its own operators
+# define; and whether it hashes (a CycNum's == is field equality, so not)
 RECORDS = {
-    "EisensteinIndex": (lambda: EisensteinIndex(2, 4, 1, 0), {"a1": 4},
-                        InvalidIndexError, "excluded"),
+    "EisensteinIndex": (lambda: EisensteinIndex(2, 4, 1, 0),
+                        [({"a1": 4}, InvalidIndexError, "excluded")], (), True),
     "RelationInstance": (lambda: RelationInstance(3, 4, 1, 1, (1, 0), (0, 1)),
-                         {"a": (0, 0), "c": (0, 2)}, InvalidInstanceError,
-                         "parameter a is zero"),
-    "HomPoly": (lambda: poly_Q(2, 1), {"degree": 2}, ValueError,
-                "need degree\\+1 coefficients"),
-    "PackedSeries": (lambda: pack(3, 4, 2, {0: (1, -1), 2: (0, 3)}), None, None, None),
+                         [({"a": (0, 0), "c": (0, 2)}, InvalidInstanceError,
+                           "parameter a is zero")], (), True),
+    "HomPoly": (lambda: poly_Q(2, 1),
+                [({"degree": 2}, ValueError, "need degree\\+1 coefficients")],
+                ("x + x",), True),
+    "PackedSeries": (lambda: pack(3, 4, 2, {0: (1, -1), 2: (0, 3)}), [], (), True),
+    "CycNum": (lambda: CycNum(3, [1, 2, 3]),
+               [({"coeffs": (1, 2)}, ValueError, "expected 3 coefficients, got 2")],
+               ("x * 2", "2 * x", "x + x"), False),
+    "QExpansion": (lambda: QExpansion(3, 4, {0: CycNum(3, [Fraction(1, 2), 0, 1]),
+                                             2: zeta_pow(3, 1)}),
+                   [({"den": 0}, ValueError, "denominator must be positive"),
+                    ({"data": (1,) * 11}, ValueError,
+                     "order \\* level = 12 entries, got 11")], ("x + x",), True),
+    "Plan": (lambda: _plan(1, 1), [], (), True),
+    "TorusPoint": (lambda: TorusPoint(0.25, 0.75),
+                   [({"x1": math.inf}, ValueError, "torus coordinates must be finite")],
+                   ("x + x",), True),
+    "NumericConfig": (lambda: NumericConfig(complex(0.3, 1.1)),
+                      [({"tau": complex(math.nan, 1.0)}, ValueError,
+                        "tau must be a finite point of the upper half-plane"),
+                       ({"lattice_cutoff": 0}, ValueError, "cutoffs must be >= 1")],
+                      (), True),
 }
 
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_records_are_checked_and_fixed(name):
-    make, bad, error, message = RECORDS[name]
+    make, bads, operators, hashable = RECORDS[name]
     x = make()
     before = tuple(x)
     for field in x._fields + ("other",):
@@ -946,25 +967,43 @@ def test_records_are_checked_and_fixed(name):
             setattr(x, field, 0)
         with pytest.raises(AttributeError, match=f"{name} is immutable"):
             delattr(x, field)
-    assert tuple(x) == before and x == make() and hash(x) == hash(before)
+    assert tuple(x) == before and x == make()
+    if hashable:
+        assert hash(x) == hash(before)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
     assert x != before and before != x  # type-strict: not the plain tuple
     for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x),
               x._replace()):
         assert type(y) is type(x) and y == x
-    # the tuple's concatenation and repetition are off
-    for op in (lambda: x + (), lambda: x * 2, lambda: 2 * x):
-        with pytest.raises(TypeError):
-            op()
-    if name != "HomPoly":  # whose + adds polynomials
-        with pytest.raises(TypeError):
-            x + x
-    if bad is not None:
+    # the tuple's concatenation and repetition are off: an operator the type
+    # defines gives a value of the type, and any other raises
+    with pytest.raises(TypeError):
+        x + ()
+    for label, op in (("x * 2", lambda: x * 2), ("2 * x", lambda: 2 * x),
+                      ("x + x", lambda: x + x)):
+        if label in operators:
+            assert type(op()) is type(x)
+        else:
+            with pytest.raises(TypeError):
+                op()
+    for bad, error, message in bads:
         # _replace, and unpickling a value built past the checks, check again
         with pytest.raises(error, match=message):
             x._replace(**bad)
         forged = tuple.__new__(type(x), [bad.get(f, v) for f, v in zip(x._fields, x)])
         with pytest.raises(error, match=message):
             pickle.loads(pickle.dumps(forged))
+
+
+def test_qexpansion_equality_is_its_integer_form():
+    # == compares (level, order, den, data); field_equals is the field test
+    f = QExpansion(3, 4, {0: CycNum(3, [Fraction(1, 2), 0, 1]), 2: zeta_pow(3, 1)})
+    assert from_int_form(f.level, f.order, f.den, f.data) == f
+    assert f.scale(2) != f and not f.scale(2).field_equals(f)
+    g = from_int_form(f.level, f.order, 2 * f.den, [2 * v for v in f.data])
+    assert g != f and g.field_equals(f)
 
 
 def test_coefficient_of_another_level_rejected():
