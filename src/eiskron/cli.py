@@ -14,10 +14,9 @@ import random
 import sys
 from fractions import Fraction
 
-from .eisenstein import (EisensteinIndex, InvalidIndexError, bg_tilde_s,
-                         eisenstein_qexp)
-from .relations import (InvalidInstanceError, RelationInstance, poly_P,
-                        recurrence_check, run_scan, verify_instance)
+from .eisenstein import EisensteinIndex, bg_tilde_s, eisenstein_qexp
+from .relations import (RelationInstance, poly_P, recurrence_check, run_scan,
+                        verify_instance)
 
 DEFAULT_ORDER = 40
 
@@ -60,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_pair_int, required=True, metavar="A1,A2")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_expand)
 
     p = sub.add_parser("bg-series", help="print the Gamma_1(N) variant series")
     p.add_argument("--level", type=int, required=True)
@@ -67,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_bg_series)
 
     p = sub.add_parser("verify", help="verify one 3-term relation instance")
     p.add_argument("--level", type=int, required=True)
@@ -76,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_pair_int, required=True, metavar="B1,B2")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("scan", help="verify every instance up to given bounds")
     p.add_argument("--level-max", type=int, required=True)
@@ -83,10 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--parallel", type=_workers, default=1, metavar="N")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("recurrences", help="check the closed-form recurrence system")
     p.add_argument("--degree-max", type=int, default=10)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_recurrences)
 
     p = sub.add_parser("numeric", help="floating-point checks of the analytic theory")
     p.add_argument("--check", required=True, choices=list(NUMERIC_CHECKS))
@@ -96,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=_pair_int, default=None, metavar="K1,K2")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_numeric)
     return ap
 
 
@@ -207,8 +212,6 @@ def _numeric_modularity(nm, args, cfg, draw_point) -> list:
 
 
 def _numeric_asymptotics(nm, args, cfg, draw_point) -> list:
-    if args.weight not in (1, 2):
-        raise ValueError("asymptotics check needs weight 1 or 2")
     rep = nm.check_asymptotics(args.weight, cfg)
     rep["pass"] = bool(rep["limit_error"] < 1e-6
                        and rep.get("real_ray_error", 0.0) < 1e-6)
@@ -263,17 +266,9 @@ def cmd_numeric(args) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    handlers = {
-        "expand": cmd_expand,
-        "bg-series": cmd_bg_series,
-        "verify": cmd_verify,
-        "scan": cmd_scan,
-        "recurrences": cmd_recurrences,
-        "numeric": cmd_numeric,
-    }
     try:
-        return handlers[args.command](args)
-    except (InvalidIndexError, InvalidInstanceError, ValueError) as exc:
+        return args.run(args)
+    except ValueError as exc:  # the package's bad-input errors subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

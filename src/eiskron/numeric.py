@@ -92,8 +92,9 @@ class NumericConfig(Record, namedtuple("NumericConfig", "tau fourier_terms latti
     __slots__ = ()
 
     def __new__(cls, tau: complex, fourier_terms: int = 80, lattice_cutoff: int = 200):
-        check_tau(complex(tau))
-        if not abs(_e(complex(tau))) < 1.0:  # Im tau below about 8.8e-18
+        tau = complex(tau)  # so that every reader gets a Python complex
+        check_tau(tau)
+        if not abs(_e(tau)) < 1.0:  # Im tau below about 8.8e-18
             raise ValueError(f"tau {tau} is too close to the real axis: |q| is 1.0")
         if fourier_terms < 1 or lattice_cutoff < 1:
             raise ValueError("cutoffs must be >= 1")
@@ -136,7 +137,7 @@ def eval_E_fourier_upto(k_max: int, p: TorusPoint,
         bern = [float(bernoulli_number(j)) for j in range(k_max + 1)]
     except OverflowError:
         raise _float_range_error(k_max, M) from None
-    tau = complex(cfg.tau)
+    tau = cfg.tau
     x1, x2 = p
     frac1 = _frac(x1)
     x2r = x2 - round(x2)  # exact, and small when x2 is near an integer
@@ -200,7 +201,7 @@ def eval_E_lattice(k: int, z: complex, tau: complex, cfg: NumericConfig) -> comp
         raise ValueError("lattice sum requires weight >= 3")
     tau = complex(tau)
     check_tau(tau)
-    if tau != complex(cfg.tau):
+    if tau != cfg.tau:
         raise ValueError(f"tau {tau} differs from the configuration's {cfg.tau}")
     L = cfg.lattice_cutoff
     p = TorusPoint.from_z(z, tau)  # ValueError for a non-finite z
@@ -283,7 +284,7 @@ def lattice_window_radius(L: int, tau: complex) -> float:
 
 def fourier_tail_estimate(k: int, cfg: NumericConfig) -> float:
     """Crude bound on the omitted Fourier tail: C * |q|^cutoff."""
-    q = abs(_e(complex(cfg.tau)))  # < 1: NumericConfig checks it
+    q = abs(_e(cfg.tau))  # < 1: NumericConfig checks it
     M = cfg.fourier_terms
     try:
         growth = (M + 1.0) ** k
@@ -351,7 +352,7 @@ FD_STEP = 1e-4  # the stencil's default step h, and the one the CLI reports
 
 def _check_step(p: TorusPoint, cfg: NumericConfig, h: float) -> None:
     """Raise unless h is below 1% of p's distance to its lattice cell's corners."""
-    tau = complex(cfg.tau)
+    tau = cfg.tau
     z = p.to_z(tau)
     corners = [(m, n) for m in (math.floor(p.x1), math.ceil(p.x1))
                for n in (math.floor(p.x2), math.ceil(p.x2))]
@@ -362,7 +363,7 @@ def _check_step(p: TorusPoint, cfg: NumericConfig, h: float) -> None:
 def _dbar(F, p: TorusPoint, cfg: NumericConfig, h: float) -> complex:
     """-(tau - taubar) dF/dzbar at p, for F a function of the torus point:
     central differences of dF/dzbar = (dF/dx + i dF/dy)/2 in z = x + iy."""
-    tau = complex(cfg.tau)
+    tau = cfg.tau
     z = p.to_z(tau)
     dx, dy = ((F(TorusPoint.from_z(z + s, tau)) - F(TorusPoint.from_z(z - s, tau)))
               / (2 * h) for s in (h, 1j * h))
@@ -407,7 +408,7 @@ def _image(gamma: Sequence[Sequence[int]],
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise ValueError("gamma must have determinant 1")
-    tau = complex(cfg.tau)
+    tau = cfg.tau
     try:
         return cfg._replace(tau=(a * tau + b) / (c * tau + d)), c * tau + d
     except ValueError:
@@ -416,7 +417,7 @@ def _image(gamma: Sequence[Sequence[int]],
 
 
 def _automorphy_range_error(k: int, cfg: NumericConfig) -> ValueError:
-    return ValueError(f"weight {k} leaves the float range at tau {complex(cfg.tau)}: "
+    return ValueError(f"weight {k} leaves the float range at tau {cfg.tau}: "
                       f"|c tau + d|^{k} overflows")
 
 
@@ -476,7 +477,7 @@ def check_asymptotics(k: int, cfg: NumericConfig) -> dict:
     """
     if k not in (1, 2):
         raise ValueError("asymptotics are for weights 1 and 2")
-    tau = complex(cfg.tau)
+    tau = cfg.tau
     d1, d2 = 1.0 / math.sqrt(5.0), 1.0 / math.sqrt(7.0)
     ts = [0.04 * 0.5 ** j for j in range(6)]  # six steps, each half the last
     vals: List[complex] = []

@@ -93,7 +93,7 @@ from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 from .cyclotomic import Rat, Record, Scalar
 from .eisenstein import EisensteinIndex, eisenstein_int_form
 from .qseries import (PackedSeries, QExpansion, act_int_form, convolve_int,
-                      from_int_form, linear_combination)
+                      from_int_form, int_form_is_zero, linear_combination)
 
 Pair = Tuple[int, int]
 
@@ -156,7 +156,7 @@ class HomPoly(Record, namedtuple("HomPoly", "degree coeffs")):
         return HomPoly(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "HomPoly") -> "HomPoly":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1) if isinstance(other, HomPoly) else NotImplemented
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -435,10 +435,7 @@ class _Level:
     def verify(self, inst: RelationInstance, **overrides) -> dict:
         """The report of one instance, in the scan's JSON schema."""
         res = self.residual(inst, **overrides)
-        # unpack only a failure: its rows are reduced, so the first nonzero
-        # entry lies in the first field-nonzero row
-        first = None if res.is_zero() else next(
-            i for i, v in enumerate(res.unpack()[1]) if v) // self.N
+        first = None if res.is_zero() else int_form_is_zero(self.N, res.unpack()[1])
         return {"instance": inst.as_dict(), "order": self.order,
                 "residual_zero": first is None, "first_nonzero_exponent": first}
 
@@ -573,45 +570,38 @@ def _scan_level(N: int, k_max: int, order: int) -> Tuple[int, List[dict]]:
     return covered, failures
 
 
-def _fork_scan(tasks: List[tuple], share: range) -> Tuple[int, int]:
-    """Fork a child that scans tasks[i] for each i in share, in order, and
-    pickles its list of _scan_level results into a pipe, the list ending at
-    the exception it caught, if any.  The pid and the pipe's read end."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:
-        os.close(read)  # so that a write fails, not blocks, once the caller is gone
-        levels: list = []
-        try:
-            for i in share:
-                levels.append(_scan_level(*tasks[i]))
-        except Exception as exc:
-            levels.append(exc)
-        with open(write, "wb") as pipe:
-            pickle.dump(levels, pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
     """[_scan_level(*t) for t in tasks], by the caller and n - 1 forked
-    children: child c scans tasks[1 + c :: n - 1], and the caller tasks[0],
-    the largest level, or every task if n = 1.  The caller's share comes
-    first and raises at once, so the first exception in task order is
-    raised.  No child outlives the call: on any error of the caller's own,
-    each is killed and reaped."""
+    children: child c scans tasks[1 + c :: n - 1] and pickles its list of
+    results into a pipe, the list ending at the exception it caught, if
+    any; the caller scans tasks[0], the largest level, or every task if
+    n = 1.  The caller's share comes first and raises at once, so the first
+    exception in task order is raised.  No child outlives the call: on any
+    error of the caller's own, each is killed and reaped."""
     shares = [range(1 + c, len(tasks), n - 1) for c in range(n - 1)]
     pids: List[int] = []
     pipes: list = []
     statuses: List[int] = []
     try:
         for share in shares:
-            pid, read = _fork_scan(tasks, share)
+            read, write = os.pipe()
+            pid = os.fork()
+            if not pid:
+                status = 1
+                try:
+                    os.close(read)  # so a write fails, not blocks, if the caller is gone
+                    levels: list = []
+                    try:
+                        for i in share:
+                            levels.append(_scan_level(*tasks[i]))
+                    except Exception as exc:
+                        levels.append(exc)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(levels, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
             pids.append(pid)
             pipes.append(open(read, "rb"))
         results = {i: _scan_level(*tasks[i]) for i in range(len(tasks) if n == 1 else 1)}

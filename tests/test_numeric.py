@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             nm.eval_E_lattice(3, complex(0.3, x), 0.3 + 1.1j, CFG)
 
+    def test_tau_is_held_as_a_python_complex(self):
+        # every reader takes cfg.tau as it is, so the config converts it once
+        cfg = nm.NumericConfig(tau=np.complex128(0.3 + 1.1j))
+        assert type(cfg.tau) is complex and cfg.tau == 0.3 + 1.1j
+        assert type(cfg._replace(fourier_terms=40).tau) is complex
+        assert type(cfg._replace(tau=np.complex128(0.2 + 0.9j)).tau) is complex
+
     def test_rejects_tau_other_than_config(self):
         # every caller passes cfg.tau; another tau must not be summed silently
         with pytest.raises(ValueError):

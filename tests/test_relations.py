@@ -46,6 +46,14 @@ class TestHomPoly:
         assert hash(HomPoly.zero(1)) == hash(HomPoly.zero(2))
         assert len({HomPoly.zero(1), HomPoly.zero(2)}) == 1
 
+    def test_subtracting_a_non_polynomial_raises_type_error(self):
+        # as for +: NotImplemented, not an AttributeError from the operand
+        p = HomPoly(1, [1, 2])
+        for other in (1, Fraction(1, 2), "x", (1, 2)):
+            with pytest.raises(TypeError):
+                p - other
+        assert p - p == HomPoly.zero(1)
+
 
 class TestPQRPolynomials:
     def test_seed_values(self):
@@ -1069,6 +1077,45 @@ class TestPlan:
             report = verify_instance(inst, 12, alpha=coeff_alpha(1, 1) + d)
             assert not report["residual_zero"]
         assert relations._plan.cache_info().currsize == size
+
+    def test_swap_identity(self):
+        # (N, k; k2, k1; b, a) is (N, k; k1, k2; a, b) read with X and Y
+        # swapped: _plan(k2, k1) is _plan(k1, k2) with P's monomials
+        # swapped, Q and R exchanged and swapped, and alpha and beta
+        # exchanged, so the two residuals agree bit for bit
+        def swapped(monomials):
+            return sorted((j, i, c) for i, j, c in monomials)
+
+        for k1 in range(9):
+            for k2 in range(9):
+                plan, mirror = relations._plan(k1, k2), relations._plan(k2, k1)
+                assert sorted(mirror.P) == swapped(plan.P)
+                assert sorted(mirror.Q) == swapped(plan.R)
+                assert sorted(mirror.R) == swapped(plan.Q)
+                alpha, beta, gamma = plan.negated
+                assert mirror.negated == (beta, alpha, gamma)
+        fields = ("den", "height", "value")
+        count = 0
+        for N in range(2, 5):
+            level = relations._Level(N, 24)
+            for inst in enumerate_instances(N, 6):
+                mirror = RelationInstance(N, inst.k, inst.k2, inst.k1, inst.b, inst.a)
+                assert mirror.c == inst.c
+                res, mirror_res = level.residual(inst), level.residual(mirror)
+                assert ([getattr(res, f) for f in fields]
+                        == [getattr(mirror_res, f) for f in fields])
+                count += 1
+        assert count == 4080
+        # the swap carries an override with it: alpha + 1 at (a, b) is
+        # beta + 1 at (b, a)
+        inst = RelationInstance(3, 5, 2, 1, (1, 0), (1, 2))
+        mirror = RelationInstance(3, 5, 1, 2, (1, 2), (1, 0))
+        level = relations._Level(3, 24)
+        res = level.residual(inst, alpha=coeff_alpha(2, 1) + 1)
+        mirror_res = level.residual(mirror, beta=coeff_beta(1, 2) + 1)
+        assert not res.is_zero()
+        assert ([getattr(res, f) for f in fields]
+                == [getattr(mirror_res, f) for f in fields])
 
     def test_cached_plan_cannot_be_changed(self):
         plan = relations._plan(2, 1)
