@@ -21,12 +21,19 @@ from .relations import (RelationInstance, poly_P, recurrence_check, run_scan,
 DEFAULT_ORDER = 40
 
 
-def _pair_int(text: str) -> tuple[int, int]:
-    try:
-        a, b = text.split(",")
-        return int(a), int(b)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'i,j', got {text!r}")
+def _pair(form: str, make):
+    """argparse type for 'x,y': make(x, y), or exit 2 naming the form."""
+    def parse(text: str):
+        try:
+            x, y = text.split(",")
+            return make(x, y)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form!r}, got {text!r}")
+    return parse
+
+
+_pair_int = _pair("i,j", lambda i, j: (int(i), int(j)))
+_pair_float = _pair("re,im", lambda re, im: complex(float(re), float(im)))
 
 
 def _workers(text: str) -> int:
@@ -40,56 +47,37 @@ def _workers(text: str) -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _pair_float(text: str) -> complex:
-    try:
-        re, im = text.split(",")
-        return complex(float(re), float(im))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="eiskron",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    series = argparse.ArgumentParser(add_help=False)  # one series' level and weight
+    series.add_argument("--level", type=int, required=True)
+    series.add_argument("--weight", type=int, required=True)
 
-    p = sub.add_parser("expand", help="print the q-expansion of one series")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--weight", type=int, required=True)
+    p = sub.add_parser("expand", parents=[series], help="print the q-expansion of one series")
     p.add_argument("--a", type=_pair_int, required=True, metavar="A1,A2")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_expand)
 
-    p = sub.add_parser("bg-series", help="print the Gamma_1(N) variant series")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--weight", type=int, required=True)
+    p = sub.add_parser("bg-series", parents=[series],
+                       help="print the Gamma_1(N) variant series")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_bg_series)
 
-    p = sub.add_parser("verify", help="verify one 3-term relation instance")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--weight", type=int, required=True)
+    p = sub.add_parser("verify", parents=[series], help="verify one 3-term relation instance")
     p.add_argument("--split", type=_pair_int, required=True, metavar="K1,K2")
     p.add_argument("--a", type=_pair_int, required=True, metavar="A1,A2")
     p.add_argument("--b", type=_pair_int, required=True, metavar="B1,B2")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("scan", help="verify every instance up to given bounds")
     p.add_argument("--level-max", type=int, required=True)
     p.add_argument("--weight-max", type=int, default=6)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--parallel", type=_workers, default=1, metavar="N")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("recurrences", help="check the closed-form recurrence system")
     p.add_argument("--degree-max", type=int, default=10)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_recurrences)
 
     p = sub.add_parser("numeric", help="floating-point checks of the analytic theory")
@@ -99,8 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, default=None)
     p.add_argument("--split", type=_pair_int, default=None, metavar="K1,K2")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_numeric)
+
+
+
+    for name, p in sub.choices.items():  # --json for all, --order where series are built
+        if name not in ("recurrences", "numeric"):
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+        p.add_argument("--json", action="store_true")
     return ap
 
 

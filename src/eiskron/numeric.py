@@ -94,10 +94,16 @@ class NumericConfig(Record, namedtuple("NumericConfig", "tau fourier_terms latti
     def __new__(cls, tau: complex, fourier_terms: int = 80, lattice_cutoff: int = 200):
         tau = complex(tau)  # so that every reader gets a Python complex
         check_tau(tau)
-        if not abs(_e(tau)) < 1.0:  # Im tau below about 8.8e-18
-            raise ValueError(f"tau {tau} is too close to the real axis: |q| is 1.0")
         if fourier_terms < 1 or lattice_cutoff < 1:
             raise ValueError("cutoffs must be >= 1")
+        # every phase eval_E_fourier_upto forms is 2 pi i (s x2r + tau nu),
+        # or m times it, with |x2r| <= 1/2, nu < M + 1 and m nu <= M: its
+        # tau part is at most 2 pi |tau| (M + 1), so while that is finite
+        # every exp and expm1 argument, and e(tau) here, is finite too
+        if not math.isfinite(2 * math.pi * abs(tau) * (fourier_terms + 1)):
+            raise _range_error(f"tau {tau}", f"fourier_terms = {fourier_terms}")
+        if not abs(_e(tau)) < 1.0:  # Im tau below about 8.8e-18
+            raise ValueError(f"tau {tau} is too close to the real axis: |q| is 1.0")
         return tuple.__new__(cls, (tau, fourier_terms, lattice_cutoff))
 
 
@@ -136,7 +142,7 @@ def eval_E_fourier_upto(k_max: int, p: TorusPoint,
         float(M) ** (k_max - 1)
         bern = [float(bernoulli_number(j)) for j in range(k_max + 1)]
     except OverflowError:
-        raise _float_range_error(k_max, M) from None
+        raise _range_error(f"weight {k_max}", f"fourier_terms = {M}") from None
     tau = cfg.tau
     x1, x2 = p
     frac1 = _frac(x1)
@@ -199,9 +205,7 @@ def eval_E_lattice(k: int, z: complex, tau: complex, cfg: NumericConfig) -> comp
     """
     if k < 3:
         raise ValueError("lattice sum requires weight >= 3")
-    tau = complex(tau)
-    check_tau(tau)
-    if tau != cfg.tau:
+    if tau != cfg.tau:  # cfg.tau has passed NumericConfig's checks
         raise ValueError(f"tau {tau} differs from the configuration's {cfg.tau}")
     L = cfg.lattice_cutoff
     p = TorusPoint.from_z(z, tau)  # ValueError for a non-finite z
@@ -289,12 +293,13 @@ def fourier_tail_estimate(k: int, cfg: NumericConfig) -> float:
     try:
         growth = (M + 1.0) ** k
     except OverflowError:
-        raise _float_range_error(k, M) from None
+        raise _range_error(f"weight {k}", f"fourier_terms = {M}") from None
     return 2.0 * growth * q ** M / (1.0 - q)
 
 
-def _float_range_error(k: int, M: int) -> ValueError:
-    return ValueError(f"weight {k} leaves the float range at fourier_terms = {M}")
+def _range_error(what: str, where: str) -> ValueError:
+    """Bad input whose floats would overflow: what leaves the float range at where."""
+    return ValueError(f"{what} leaves the float range at {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +421,12 @@ def _image(gamma: Sequence[Sequence[int]],
                          "to the real axis") from None
 
 
-def _automorphy_range_error(k: int, cfg: NumericConfig) -> ValueError:
-    return ValueError(f"weight {k} leaves the float range at tau {cfg.tau}: "
-                      f"|c tau + d|^{k} overflows")
+def _automorphy_power(j, k: int, cfg: NumericConfig):
+    """j ** k for j = c tau + d or |c tau + d|; bad input if it overflows."""
+    try:
+        return j ** k
+    except OverflowError:
+        raise _range_error(f"weight {k}", f"tau {cfg.tau}: |c tau + d|^{k} overflows") from None
 
 
 def check_modularity(k: int, x: TorusPoint, gamma: Sequence[Sequence[int]],
@@ -427,10 +435,7 @@ def check_modularity(k: int, x: TorusPoint, gamma: Sequence[Sequence[int]],
     gcfg, j = _image(gamma, cfg)
     (a, b), (c, d) = gamma
     xg = TorusPoint(x.x1 * a + x.x2 * c, x.x1 * b + x.x2 * d)
-    try:
-        factor = j ** k
-    except OverflowError:
-        raise _automorphy_range_error(k, cfg) from None
+    factor = _automorphy_power(j, k, cfg)
     return abs(eval_E_fourier(k, x, gcfg) - factor * eval_E_fourier(k, xg, cfg))
 
 
@@ -439,10 +444,7 @@ def modularity_tail_estimate(k: int, gamma: Sequence[Sequence[int]],
     """Bound on the gap between check_modularity's two truncated sums:
     tail(gamma tau) + |c tau + d|^k tail(tau)."""
     gcfg, j = _image(gamma, cfg)
-    try:
-        factor = abs(j) ** k
-    except OverflowError:
-        raise _automorphy_range_error(k, cfg) from None
+    factor = _automorphy_power(abs(j), k, cfg)
     return fourier_tail_estimate(k, gcfg) + factor * fourier_tail_estimate(k, cfg)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -22,10 +23,46 @@ NONFINITE_ARGV = [
 ]
 
 
+# numeric argv whose tau puts a Fourier phase outside the float range
+# (2 pi |tau| 81 overflows): bad input, one error line and exit 2, not a
+# NaN report, numpy warnings or a cmath domain error
+FLOAT_EDGE_ARGV = [
+    ["numeric", "--check", "asymptotics", "--weight", "2", "--tau", "0,1e306", "--json"],
+    ["numeric", "--check", "relation", "--tau", "1e306,1"],
+    ["numeric", "--check", "relation", "--tau", "3e307,1"],
+]
+
+# each subcommand's options as (option string, default, required): the
+# shared ones are declared once, and every subcommand must still take them
+OPTION_SETS = {
+    "expand": {("--level", None, True), ("--weight", None, True), ("--a", None, True),
+               ("--order", 40, False), ("--json", False, False)},
+    "bg-series": {("--level", None, True), ("--weight", None, True), ("--a", None, True),
+                  ("--order", 40, False), ("--json", False, False)},
+    "verify": {("--level", None, True), ("--weight", None, True), ("--split", None, True),
+               ("--a", None, True), ("--b", None, True), ("--order", 40, False),
+               ("--json", False, False)},
+    "scan": {("--level-max", None, True), ("--weight-max", 6, False),
+             ("--order", 40, False), ("--parallel", 1, False), ("--json", False, False)},
+    "recurrences": {("--degree-max", 10, False), ("--json", False, False)},
+    "numeric": {("--check", None, True), ("--tau", complex(0.3, 1.1), False),
+                ("--weight", None, False), ("--split", None, False),
+                ("--seed", None, False), ("--json", False, False)},
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_option_sets_unchanged():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: {(s, a.default, a.required) for a in p._actions if a.dest != "help"
+                   for s in a.option_strings}
+            for name, p in sub.choices.items()} == OPTION_SETS
 
 
 class TestExpand:
@@ -381,6 +418,14 @@ class TestNumeric:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too close to the real axis" in err
 
+    @pytest.mark.parametrize("argv", FLOAT_EDGE_ARGV + [
+        ["numeric", "--check", "modularity", "--tau", "3e307,1"]])
+    def test_tau_beyond_float_range_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: tau ") and err.count("\n") == 1
+        assert err.rstrip().endswith("leaves the float range at fourier_terms = 80")
+
     def test_bad_tau_exits_2(self, capsys):
         # a NaN or infinite tau is bad input, not a failed check
         for argv in (["relation", "--tau", "0,-1"],
@@ -424,10 +469,11 @@ def cli_argv(draw):
         argv = ["--degree-max", str(draw(st.integers(-2, 8)))]
     else:
         check = draw(st.sampled_from(sorted(NUMERIC_CHECKS)))
-        re = draw(st.floats(-1, 1)) * 10.0 ** draw(st.integers(0, size))
+        edge = st.floats(295, 308)  # exponents up to the float range's edge
+        re = draw(st.floats(-1, 1)) * 10.0 ** draw(st.integers(0, size) | edge)
         im = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf])
                   if draw(st.integers(0, 7)) == 0 else
-                  st.floats(-size - 9, size / 2).map(lambda e: 10.0 ** e))
+                  (st.floats(-size - 9, size / 2) | edge).map(lambda e: 10.0 ** e))
         argv = ["--check", check, f"--tau={re!r},{im!r}"]
         if check == "bracket":
             k1 = draw(st.integers(-1, max(weight - 2, 0)))
@@ -449,6 +495,9 @@ def _reject_constant(name):
 @example(argv=NONFINITE_ARGV[1] + ["--json"])
 @example(argv=NONFINITE_ARGV[2] + ["--json"])
 @example(argv=NONFINITE_ARGV[3] + ["--json"])
+@example(argv=FLOAT_EDGE_ARGV[0])
+@example(argv=FLOAT_EDGE_ARGV[1])
+@example(argv=FLOAT_EDGE_ARGV[2])
 def test_fuzzed_argv_exits_cleanly(argv):
     # any argv ends in exit 0, 1 or 2 and no exception; exit 2 prints one
     # error line and nothing on stdout; --json prints strict JSON

@@ -79,6 +79,21 @@ class TestConfig:
             nm.NumericConfig(tau=complex(0.0, im))
         assert nm.NumericConfig(tau=complex(0.0, 1e-16)).tau == complex(0.0, 1e-16)
 
+    @pytest.mark.parametrize("tau", [4e305j, 3e307 + 1j])
+    def test_rejects_tau_whose_phases_leave_the_float_range(self, tau):
+        # 2 pi |tau| (M + 1) overflows at M = 80: the Fourier phases would
+        # be inf, and e(tau) a cmath domain error
+        with pytest.raises(ValueError, match="leaves the float range"):
+            nm.NumericConfig(tau=tau)
+
+    @pytest.mark.parametrize("tau", [3e305j, 3e305 + 1j])
+    def test_tau_inside_the_float_range_evaluates(self, tau):
+        # just inside the bound every phase is finite: finite values, and no
+        # numpy warning (an error under this suite's filterwarnings)
+        cfg = nm.NumericConfig(tau=tau)
+        values = nm.eval_E_fourier_upto(4, nm.TorusPoint(0.3, 0.4), cfg)
+        assert all(cmath.isfinite(v) for v in values)
+
     def test_rejects_bad_cutoffs(self):
         with pytest.raises(ValueError):
             nm.NumericConfig(tau=1j, fourier_terms=0)
