@@ -28,6 +28,7 @@ of each of its points once, not once per stencil point.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from collections import namedtuple
@@ -212,14 +213,14 @@ def eval_E_lattice(k: int, z: complex, tau: complex, cfg: NumericConfig) -> comp
     idx = np.arange(-L, L + 1)
     A = np.exp(TWO_PI_I * p.x2 * idx)
     B = np.exp(-TWO_PI_I * p.x1 * idx)
-    W = _lattice_weights(k, L, tau)
     # W @ B is one BLAS gemv.  300 calls at L = 200 (numpy 2.4.6, OpenBLAS
     # 0.3.31, 2-core x86-64): median 0.03 ms, 10 ms in all; with the second
     # core kept busy by a spin loop, median 0.04 ms, worst 12-17 ms, 100 ms
     # in all.  The elementwise (W * B).sum(axis=1) took 0.45 ms (median),
     # 140 ms in all (210 ms with the busy core), and a 2.6 MB temporary.
-    pref = -math.factorial(k - 1) / (-TWO_PI_I) ** k
-    return complex(pref * A.dot(W @ B))
+    with _float_range(k, f"tau {tau} in the lattice sum"):
+        W = _lattice_weights(k, L, tau)
+        return complex(-math.factorial(k - 1) / (-TWO_PI_I) ** k * A.dot(W @ B))
 
 
 @functools.lru_cache(maxsize=2)
@@ -267,6 +268,7 @@ def _lattice_weights(k: int, L: int, tau: complex) -> np.ndarray:
     np.multiply(t, t, out=u)
     u *= t
     w *= u  # (10 - 15 t + 6 t t) * t t t: multiplication commutes
+    lam[w == 0] = 1.0  # a dead term's lam**k may leave the float range; w / 1 is 0
     np.power(lam, k, out=lam)
     np.divide(w, lam, out=lam)
     lam[0, L] = 0.0
@@ -290,16 +292,23 @@ def fourier_tail_estimate(k: int, cfg: NumericConfig) -> float:
     """Crude bound on the omitted Fourier tail: C * |q|^cutoff."""
     q = abs(_e(cfg.tau))  # < 1: NumericConfig checks it
     M = cfg.fourier_terms
-    try:
-        growth = (M + 1.0) ** k
-    except OverflowError:
-        raise _range_error(f"weight {k}", f"fourier_terms = {M}") from None
-    return 2.0 * growth * q ** M / (1.0 - q)
+    with _float_range(k, f"fourier_terms = {M}"):
+        return 2.0 * (M + 1.0) ** k * q ** M / (1.0 - q)
 
 
 def _range_error(what: str, where: str) -> ValueError:
     """Bad input whose floats would overflow: what leaves the float range at where."""
     return ValueError(f"{what} leaves the float range at {where}")
+
+
+@contextlib.contextmanager
+def _float_range(k: int, where: str):
+    """Bad input: a Python or numpy overflow inside raises _range_error(f"weight {k}", where)."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise _range_error(f"weight {k}", where) from None
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +432,8 @@ def _image(gamma: Sequence[Sequence[int]],
 
 def _automorphy_power(j, k: int, cfg: NumericConfig):
     """j ** k for j = c tau + d or |c tau + d|; bad input if it overflows."""
-    try:
+    with _float_range(k, f"tau {cfg.tau}: |c tau + d|^{k} overflows"):
         return j ** k
-    except OverflowError:
-        raise _range_error(f"weight {k}", f"tau {cfg.tau}: |c tau + d|^{k} overflows") from None
 
 
 def check_modularity(k: int, x: TorusPoint, gamma: Sequence[Sequence[int]],

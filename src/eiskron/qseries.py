@@ -284,11 +284,14 @@ def from_int_form(level: int, order: int, den: int, data: Sequence[int]) -> QExp
     no Fraction.  The one checked integer constructor of QExpansion."""
     if level < 1 or order < 1 or den < 1:
         raise ValueError("level, order and denominator must be positive")
-    if len(data) != order * level:
-        raise ValueError(f"expected order * level = {order * level} entries, "
-                         f"got {len(data)}")
+    _check_length(level, order, data)
     # a tuple, read-only: caches share expansions
     return tuple.__new__(QExpansion, (level, order, den, tuple(data)))
+
+
+def _check_length(level: int, order: int, data: Sequence[int]) -> None:
+    if len(data) != order * level:
+        raise ValueError(f"expected order * level = {order * level} entries, got {len(data)}")
 
 
 def act_int_form(level: int, g: Tuple[int, int, int], k: int,
@@ -423,9 +426,7 @@ class PackedSeries(Record, namedtuple("PackedSeries", "level order den height va
         flat[n*N + i] den times the coefficient of zeta^i q^{n/N} (n < order)
         modulo x^N - 1, read as columns flat[i::N], reduced mod Phi_N by
         reduce_columns, its height measured and its limbs written."""
-        if len(flat) != order * level:
-            raise ValueError(f"pack takes order * level = {order * level} "
-                             f"entries, not {len(flat)}")
+        _check_length(level, order, flat)
         cols = reduce_columns(level, [flat[i::level] for i in range(level)])
         height = max(map(abs, chain.from_iterable(cols)), default=0)
         width = _byte_width(height)

@@ -419,11 +419,9 @@ class _Level:
                 self.N, self.order, self.series_at(*key[:2]), self.series_at(*key[2:]))
         return found
 
-    def residual(self, inst: RelationInstance, **overrides) -> PackedSeries:
-        """P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c, with
-        overrides as in relation_residual, reduced mod Phi_N and packed:
-        zero in Q(zeta_N) iff its packed value is 0."""
-        plan = (_build_plan if overrides else _plan)(inst.k1, inst.k2, **overrides)
+    def residual(self, inst: RelationInstance, plan: Plan) -> PackedSeries:
+        """P[a,b] + Q[b,c] + R[c,a] - alpha E_a - beta E_b - gamma E_c weighted by
+        plan, reduced mod Phi_N and packed: zero in Q(zeta_N) iff its value is 0."""
         points = (inst.a, inst.b, inst.c)
         terms = [(coef, self.product(i, points[s], j, points[t]))
                  for monomials, (s, t) in zip(plan[:3], BRACKET_SLOTS)
@@ -432,12 +430,12 @@ class _Level:
                   for coef, x in zip(plan.negated, points)]
         return linear_combination(self.N, self.order, terms)
 
-    def verify(self, inst: RelationInstance, **overrides) -> dict:
-        """The report of one instance, in the scan's JSON schema."""
-        res = self.residual(inst, **overrides)
-        first = None if res.is_zero() else int_form_is_zero(self.N, res.unpack()[1])
-        return {"instance": inst.as_dict(), "order": self.order,
-                "residual_zero": first is None, "first_nonzero_exponent": first}
+
+def _report(inst: RelationInstance, order: int, first: Optional[int]) -> dict:
+    """inst's report in the scan's JSON schema; first, its residual's first
+    nonzero exponent, is None for a zero residual."""
+    return {"instance": inst.as_dict(), "order": order,
+            "residual_zero": first is None, "first_nonzero_exponent": first}
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +454,11 @@ def bracket(P: HomPoly, a: Pair, b: Pair, N: int, order: int) -> QExpansion:
     return from_int_form(N, order, *linear_combination(N, order, terms).unpack())
 
 
+def _resolve(inst: RelationInstance, overrides: dict) -> Plan:
+    """inst's plan: built with overrides (see _build_plan), or with none _plan's, read per call."""
+    return _build_plan(inst.k1, inst.k2, **overrides) if overrides else _plan(inst.k1, inst.k2)
+
+
 def relation_residual(inst: RelationInstance, order: int, **overrides) -> QExpansion:
     """LHS minus RHS of the 3-term relation, as an exact q-expansion with
     coefficients in the Phi_N-reduced basis.
@@ -463,14 +466,14 @@ def relation_residual(inst: RelationInstance, order: int, **overrides) -> QExpan
     Keyword overrides (alpha, beta, gamma, P, Q, R; any other raises
     TypeError) replace the canonical weights, for mutation testing.
     """
-    res = _Level(inst.N, order).residual(inst, **overrides)
+    res = _Level(inst.N, order).residual(inst, _resolve(inst, overrides))
     return from_int_form(inst.N, order, *res.unpack())
 
 
 def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
-    """Check one instance (overrides as in relation_residual); report in
-    the scan's JSON schema."""
-    return _Level(inst.N, order).verify(inst, **overrides)
+    """inst's report in the scan's JSON schema (overrides as in relation_residual)."""
+    res = _Level(inst.N, order).residual(inst, _resolve(inst, overrides))
+    return _report(inst, order, None if res.is_zero() else int_form_is_zero(inst.N, res.unpack()[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +557,7 @@ def _orbits(N: int) -> Iterator[List[Orbit]]:
 
 def _scan_level(N: int, k_max: int, order: int) -> Tuple[int, List[dict]]:
     """(instances covered, failure reports) at level N: each representative
-    instance is verified, and its report stands for the instance at every
+    instance is verified, and its outcome stands for the instance at every
     pair of its orbit, whose series the representative's reads built and
     checked (see _Level.series_at)."""
     level, covered, failures = _Level(N, order), 0, []
@@ -562,11 +565,12 @@ def _scan_level(N: int, k_max: int, order: int) -> Tuple[int, List[dict]]:
         level.products = {}  # no product is used outside its group (see _orbits)
         for rep, orbit in group:
             for inst in _instances(N, k_max, [rep]):
-                report = level.verify(inst)
+                res = level.residual(inst, _plan(inst.k1, inst.k2))
                 covered += len(orbit)
-                if not report["residual_zero"]:
-                    failures += [dict(report, instance=RelationInstance(
-                        N, inst.k, inst.k1, inst.k2, a, b).as_dict()) for a, b in orbit]
+                if not res.is_zero():
+                    first = int_form_is_zero(N, res.unpack()[1])
+                    failures += [_report(RelationInstance(N, inst.k, inst.k1, inst.k2, a, b),
+                                         order, first) for a, b in orbit]
     return covered, failures
 
 

@@ -3,13 +3,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eiskron import relations
+from eiskron import cli, relations
 from eiskron.cli import NUMERIC_CHECKS, build_parser, main
 
 
@@ -228,6 +230,17 @@ class TestRecurrences:
         assert doc["all_pass"]
         # 10 identities for each (k1, k2) with k1 + k2 <= 10
         assert len(doc["checks"]) == 10 * sum(d + 1 for d in range(11))
+
+    def test_module_entry_point(self, capsys):
+        # python -m eiskron.cli exits with main's code and prints its output
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["recurrences", "--degree-max", "1"]
+        proc = subprocess.run([sys.executable, "-m", "eiskron.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == run(capsys, *argv)[:2]
+        assert proc.returncode == 0
 
     def test_negative_degree_exits_2(self, capsys):
         code, out, err = run(capsys, "recurrences", "--degree-max", "-1")

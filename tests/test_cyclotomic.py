@@ -82,6 +82,13 @@ class TestRingOps:
     def test_levels_differ_is_unequal(self):
         assert (zeta_pow(3, 0) == zeta_pow(6, 0)) is False
 
+    def test_other_operands_raise_type_error(self):
+        a = CycNum(3, [1, 0, 0])
+        with pytest.raises(TypeError):
+            a - "x"
+        with pytest.raises(TypeError):
+            a * "x"
+
 
 class TestCyclotomicPolynomial:
     def test_small_cases(self):

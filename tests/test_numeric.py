@@ -337,6 +337,23 @@ class TestLatticeEvaluator:
         with pytest.raises(ValueError):
             nm.eval_E_lattice(2, 0.3 + 0.4j, TAU, CFG)
 
+    def test_dead_window_terms_are_not_formed(self):
+        # at tau = 1e100 i only the row m = 0 is inside the window; the
+        # other rows' lam**4 would overflow, and 0/inf be taken as nan
+        tau = 1e100j
+        cfg = nm.NumericConfig(tau=tau)
+        value = nm.eval_E_lattice(4, 0.3 + 0.2j, tau, cfg)
+        fourier = nm.eval_E_fourier(4, nm.TorusPoint.from_z(0.3 + 0.2j, tau), cfg)
+        assert abs(value - fourier) <= 1e-8
+
+    @pytest.mark.parametrize("k, z, tau", [
+        (120, 0.2 + 0.0003j, 0.5 + 0.001j),  # a live lam**120 underflows to 0
+        (200, 0.3 + 0.2j, 0.3 + 1000j),      # (k - 1)! leaves the float range
+    ])
+    def test_float_range_is_bad_input(self, k, z, tau):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            nm.eval_E_lattice(k, z, tau, nm.NumericConfig(tau=tau))
+
     def test_parity(self):
         z = 0.21 * TAU + 0.43
         lhs = nm.eval_E_lattice(3, -z, TAU, CFG)

@@ -21,7 +21,7 @@ from eiskron.cyclotomic import (CycNum, LevelMismatchError, _reduction_rows,
 from eiskron.qseries import (PackedSeries, QExpansion, _pack, act_int_form,
                              convolve_int, convolve_naive, from_int_form,
                              int_form_is_zero, linear_combination, to_int_form)
-from eiskron.eisenstein import EisensteinIndex, InvalidIndexError
+from eiskron.eisenstein import EisensteinIndex, InvalidIndexError, eisenstein_qexp
 from eiskron.numeric import NumericConfig, TorusPoint
 from eiskron.relations import (InvalidInstanceError, RelationInstance, _plan,
                                _symmetries, poly_Q)
@@ -397,6 +397,10 @@ class TestJson:
 
 
 class TestIntForm:
+    def test_repr(self):
+        f = eisenstein_qexp(EisensteinIndex(4, 1, 0, 0), 6)
+        assert repr(f) == "QExpansion(level=1, order=6, terms=6)"
+
     def test_round_trip(self):
         f = QExpansion(3, 7, {0: CycNum(3, [Fraction(1, 2), Fraction(-1, 3), 0]),
                               4: zeta_pow(3, 2)})
@@ -864,7 +868,6 @@ raises(lambda: x.at(x.width))
 
 class TestImmutability:
     def test_cached_series_cannot_be_changed(self):
-        from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
         idx = EisensteinIndex(4, 3, 1, 0)
         f = eisenstein_qexp(idx, 10)
         before = {n: c.coeffs for n, c in f.coeffs.items()}

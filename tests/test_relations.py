@@ -15,7 +15,8 @@ import eiskron
 from eiskron import qseries, relations
 from eiskron.cyclotomic import totient
 from eiskron.eisenstein import EisensteinIndex, eisenstein_qexp
-from eiskron.qseries import PackedSeries, QExpansion, _byte_width, act_int_form
+from eiskron.qseries import (PackedSeries, QExpansion, _byte_width, act_int_form,
+                             int_form_is_zero)
 from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
@@ -494,7 +495,7 @@ class TestProductCache:
         monkeypatch.setattr(relations, "convolve_int", measuring)
         for N in range(2, 6):
             level = relations._Level(N, 40)
-            assert all(level.verify(inst)["residual_zero"]
+            assert all(level.residual(inst, relations._plan(inst.k1, inst.k2)).is_zero()
                        for inst in enumerate_instances(N, 6))
         assert checked[0] > 1000 and over == []
 
@@ -1011,32 +1012,57 @@ def direct_walk(level_max, weight_max, order):
     for N in range(2, level_max + 1):
         level = relations._Level(N, order)
         for inst in enumerate_instances(N, weight_max):
-            report = level.verify(inst)
+            res = level.residual(inst, relations._plan(inst.k1, inst.k2))
             count += 1
-            if not report["residual_zero"]:
-                failures.append(report)
+            if not res.is_zero():
+                failures.append({"instance": inst.as_dict(), "order": order,
+                                 "residual_zero": False,
+                                 "first_nonzero_exponent": int_form_is_zero(N, res.unpack()[1])})
     failures.sort(key=lambda r: json.dumps(r, sort_keys=True))
     return {"level_max": level_max, "weight_max": weight_max, "order": order,
             "instances": count, "passed": count - len(failures),
             "failed": len(failures), "failures": failures}
 
 
+def add_one_to_alpha(monkeypatch):
+    """alpha + 1 in every plan the scan reads: an instance fails unless
+    E^{(k)}_a vanishes."""
+    plan = relations._plan
+
+    def mutated(k1, k2):
+        p = plan(k1, k2)
+        return p._replace(negated=(p.negated[0] + 1, *p.negated[1:]))
+
+    monkeypatch.setattr(relations, "_plan", mutated)
+
+
 class TestOrbitTransport:
     def test_failure_reports_match_direct_walk(self, monkeypatch):
-        # alpha + 1 in every plan: an instance fails unless E^{(k)}_a
-        # vanishes, so orbits hold both outcomes, at many first exponents
-        plan = relations._plan
-
-        def mutated(k1, k2):
-            p = plan(k1, k2)
-            return p._replace(negated=(p.negated[0] + 1, *p.negated[1:]))
-
-        monkeypatch.setattr(relations, "_plan", mutated)
+        # orbits hold both outcomes, at many first exponents
+        add_one_to_alpha(monkeypatch)
         direct = direct_walk(5, 5, 24)
         assert 0 < direct["failed"] < direct["instances"]
         assert len({r["first_nonzero_exponent"] for r in direct["failures"]}) > 1
         for workers in (1, 2):
             assert run_scan(5, 5, 24, workers=workers) == direct, workers
+
+    def test_scan_writes_reports_for_failures_only(self, monkeypatch):
+        # the scan asks each representative only whether its residual is
+        # zero: a passing scan writes no report, a failing one one for each
+        # failed instance
+        calls, as_dict = [0], RelationInstance.as_dict
+
+        def counting(inst):
+            calls[0] += 1
+            return as_dict(inst)
+
+        monkeypatch.setattr(RelationInstance, "as_dict", counting)
+        assert run_scan(4, 4, 40)["failed"] == 0
+        assert calls[0] == 0
+        add_one_to_alpha(monkeypatch)
+        summary = run_scan(4, 4, 40)
+        assert summary["failed"] > 0
+        assert calls[0] == summary["failed"]
 
     def test_direct_walk_agrees_at_criterion_1_scale(self):
         # every one of the 56,392 instances of acceptance criterion 1,
@@ -1053,17 +1079,19 @@ class TestPlan:
             level = relations._Level(N, 24)
             for inst in enumerate_instances(N, 5):
                 canonical = dict(relations._canonical(inst.k1, inst.k2))
-                cached = level.residual(inst)
-                override = level.residual(inst, **canonical)
+                cached = level.residual(inst, relations._plan(inst.k1, inst.k2))
+                override = level.residual(
+                    inst, relations._build_plan(inst.k1, inst.k2, **canonical))
                 fields = ("den", "height", "width", "value")
                 assert ([getattr(cached, f) for f in fields]
                         == [getattr(override, f) for f in fields])
                 assert cached.is_zero()
                 # a +1 weight fails unless its series vanishes (2-torsion, odd k)
                 for name, p in (("alpha", inst.a), ("beta", inst.b), ("gamma", inst.c)):
-                    report = level.verify(inst, **{name: canonical[name] + 1})
+                    plan = relations._build_plan(inst.k1, inst.k2,
+                                                 **{name: canonical[name] + 1})
                     vanishes = level.series_at(inst.k, p).is_zero()
-                    assert report["residual_zero"] == vanishes
+                    assert level.residual(inst, plan).is_zero() == vanishes
                     failing += not vanishes
         assert failing > 7000
 
@@ -1101,7 +1129,8 @@ class TestPlan:
             for inst in enumerate_instances(N, 6):
                 mirror = RelationInstance(N, inst.k, inst.k2, inst.k1, inst.b, inst.a)
                 assert mirror.c == inst.c
-                res, mirror_res = level.residual(inst), level.residual(mirror)
+                res = level.residual(inst, relations._plan(inst.k1, inst.k2))
+                mirror_res = level.residual(mirror, relations._plan(mirror.k1, mirror.k2))
                 assert ([getattr(res, f) for f in fields]
                         == [getattr(mirror_res, f) for f in fields])
                 count += 1
@@ -1111,8 +1140,8 @@ class TestPlan:
         inst = RelationInstance(3, 5, 2, 1, (1, 0), (1, 2))
         mirror = RelationInstance(3, 5, 1, 2, (1, 2), (1, 0))
         level = relations._Level(3, 24)
-        res = level.residual(inst, alpha=coeff_alpha(2, 1) + 1)
-        mirror_res = level.residual(mirror, beta=coeff_beta(1, 2) + 1)
+        res = level.residual(inst, relations._build_plan(2, 1, alpha=coeff_alpha(2, 1) + 1))
+        mirror_res = level.residual(mirror, relations._build_plan(1, 2, beta=coeff_beta(1, 2) + 1))
         assert not res.is_zero()
         assert ([getattr(res, f) for f in fields]
                 == [getattr(mirror_res, f) for f in fields])
