@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .eisenstein import EisensteinIndex, bg_tilde_s, eisenstein_qexp
-from .relations import (RelationInstance, poly_P, recurrence_check, run_scan,
-                        verify_instance)
+from .relations import RelationInstance, recurrence_check, run_scan, verify_instance
 
 DEFAULT_ORDER = 40
 
@@ -148,68 +145,25 @@ def cmd_recurrences(args) -> int:
     return 0 if ok else 1
 
 
-# a numeric report passes when its residual is below its check's tolerance:
-# TOL for the relation and T-modularity residuals, FD_TOL for the
-# finite-difference checks, 1e-6 for S-modularity and the asymptotics
-TOL = 1e-8
-FD_TOL = 1e-5
-
-
+# each runner hands its check's seeded draws to the numeric module's reports
 def _numeric_relation(nm, args, cfg, draw_point) -> list:
-    k = args.weight
-    if k < 2:
-        raise ValueError("relation check needs weight >= 2")
-    points = [(draw_point(), draw_point()) for _ in range(3)]
-    points.append((nm.TorusPoint(1 / math.sqrt(5), 1 / math.sqrt(7)),
-                   nm.TorusPoint(1 / math.sqrt(3), 1 / math.sqrt(11))))
-    tail = nm.fourier_tail_estimate(k, cfg)
-    grids = [nm._relation_grids(k, u, v, cfg) for u, v in points]
-    reports = []
-    for k1 in range(k - 1):
-        k2 = k - 2 - k1
-        for (u, v), E in zip(points, grids):
-            reports.append(nm.make_report(
-                "relation", {"split": [k1, k2], "u": list(u), "v": list(v)},
-                nm._relation_residual(k1, k2, E), tail, TOL))
-    return reports
+    return nm.relation_reports(args.weight, [(draw_point(), draw_point()) for _ in range(3)], cfg)
 
 
 def _numeric_diff(nm, args, cfg, draw_point) -> list:
-    k = args.weight
-    p = draw_point()
-    res = nm.check_diff_relation(k, p, cfg, nm.FD_STEP)
-    return [nm.make_report("diff", {"weight": k, "p": list(p), "h": nm.FD_STEP}, res,
-                           nm.fourier_tail_estimate(k, cfg), FD_TOL)]
+    return nm.diff_reports(args.weight, draw_point(), cfg)
 
 
 def _numeric_bracket(nm, args, cfg, draw_point) -> list:
-    k1, k2 = args.split
-    u, v = draw_point(), draw_point()
-    e1, e2 = nm.check_diff_bracket(poly_P(k1, k2), u, v, cfg)
-    tail = nm.fourier_tail_estimate(k1 + k2 + 2, cfg)
-    return [nm.make_report("bracket", {"split": [k1, k2], "u": list(u), "v": list(v),
-                                       "side": side}, err, tail, FD_TOL)
-            for side, err in (("u", e1), ("v", e2))]
+    return nm.bracket_reports(*args.split, draw_point(), draw_point(), cfg)
 
 
 def _numeric_modularity(nm, args, cfg, draw_point) -> list:
-    k = args.weight
-    x = nm.TorusPoint(float(Fraction(1, 3)), 0.0)
-    reports = []
-    for name, gam, tol in (("T", ((1, 1), (0, 1)), TOL),
-                           ("S", ((0, -1), (1, 0)), 1e-6)):
-        res = nm.check_modularity(k, x, gam, cfg)
-        reports.append(nm.make_report(
-            "modularity", {"weight": k, "gamma": name, "x": list(x)},
-            res, nm.modularity_tail_estimate(k, gam, cfg), tol))
-    return reports
+    return nm.modularity_reports(args.weight, cfg)
 
 
 def _numeric_asymptotics(nm, args, cfg, draw_point) -> list:
-    rep = nm.check_asymptotics(args.weight, cfg)
-    rep["pass"] = bool(rep["limit_error"] < 1e-6
-                       and rep.get("real_ray_error", 0.0) < 1e-6)
-    return [rep]
+    return [nm.check_asymptotics(args.weight, cfg)]
 
 
 DEFAULT_SEED = 20240901
@@ -246,14 +200,10 @@ def cmd_numeric(args) -> int:
     ok = all(r["pass"] for r in reports)
     doc = {"check": args.check, "tau": [args.tau.real, args.tau.imag],
            "reports": reports, "pass": ok}
-    human_lines = []
-    for r in reports:
-        res = r.get("residual", r.get("limit_error"))
-        human_lines.append(
-            f"{r['check']}: residual={res:.3e} "
-            f"tail_estimate={r.get('tail_estimate', 0.0):.3e} "
-            f"{'PASS' if r['pass'] else 'FAIL'}")
-    _emit(args, doc, "\n".join(human_lines))
+    _emit(args, doc, "\n".join(
+        f"{r['check']}: residual={r.get('residual', r.get('limit_error')):.3e} "
+        f"tail_estimate={r['tail_estimate']:.3e} {'PASS' if r['pass'] else 'FAIL'}"
+        for r in reports))
     return 0 if ok else 1
 
 

@@ -22,7 +22,8 @@ under SL2(Z), and the z -> 0 asymptotics.  The relation check sums the
 exact check's ``relations._plan``: the relation is stated only there.
 Both derivative checks go through one central-difference stencil for
 -(tau - taubar) d/dzbar (``_dbar``), and each evaluates the Fourier grid
-of each of its points once, not once per stencil point.
+of each of its points once, not once per stencil point.  Each check's
+bound is named once, beside the function that writes its reports.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .cyclotomic import Record
 from .eisenstein import bernoulli_number
 from .qseries import check_tau
-from .relations import BRACKET_SLOTS, HomPoly, Monomials, _monomials, _plan
+from .relations import BRACKET_SLOTS, HomPoly, Monomials, _monomials, _plan, poly_P
 
 TWO_PI_I = 2j * math.pi
 _INT_TOL = 1e-9
@@ -358,11 +359,30 @@ def _relation_residual(k1: int, k2: int,
     return abs(lhs + neg_rhs)
 
 
+TOL = 1e-8  # the relation's bound, and T-modularity's
+
+
+def relation_reports(k: int, drawn: Sequence[Tuple[TorusPoint, TorusPoint]],
+                     cfg: NumericConfig) -> List[dict]:
+    """A report per split of weight k at each drawn pair (u, v) and at one
+    fixed irrational pair, from 3 Fourier grids per pair."""
+    if k < 2:
+        raise ValueError("relation check needs weight >= 2")
+    points = [*drawn, (TorusPoint(1 / math.sqrt(5), 1 / math.sqrt(7)),
+                       TorusPoint(1 / math.sqrt(3), 1 / math.sqrt(11)))]
+    tail = fourier_tail_estimate(k, cfg)
+    grids = [_relation_grids(k, u, v, cfg) for u, v in points]
+    return [make_report("relation", {"split": [k1, k - 2 - k1], "u": list(u), "v": list(v)},
+                        _relation_residual(k1, k - 2 - k1, E), tail, TOL)
+            for k1 in range(k - 1) for (u, v), E in zip(points, grids)]
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference checks of the derivative relations.
 # ---------------------------------------------------------------------------
 
-FD_STEP = 1e-4  # the stencil's default step h, and the one the CLI reports
+FD_STEP = 1e-4  # the stencil's default step h, and the one the diff report states
+FD_TOL = 1e-5  # the bound of both finite-difference checks
 
 def _check_step(p: TorusPoint, cfg: NumericConfig, h: float) -> None:
     """Raise unless h is below 1% of p's distance to its lattice cell's corners."""
@@ -412,6 +432,23 @@ def check_diff_bracket(P: HomPoly, u: TorusPoint, v: TorusPoint,
     return abs(lhs_u - tgt_u), abs(lhs_v - tgt_v)
 
 
+def diff_reports(k: int, p: TorusPoint, cfg: NumericConfig) -> List[dict]:
+    """The report of ``check_diff_relation`` at p, with step FD_STEP."""
+    return [make_report("diff", {"weight": k, "p": list(p), "h": FD_STEP},
+                        check_diff_relation(k, p, cfg, FD_STEP),
+                        fourier_tail_estimate(k, cfg), FD_TOL)]
+
+
+def bracket_reports(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
+                    cfg: NumericConfig) -> List[dict]:
+    """The reports of ``check_diff_bracket`` for X^k1 Y^k2 at [u, v], one per side."""
+    errors = check_diff_bracket(poly_P(k1, k2), u, v, cfg)
+    tail = fourier_tail_estimate(k1 + k2 + 2, cfg)
+    return [make_report("bracket", {"split": [k1, k2], "u": list(u), "v": list(v),
+                                    "side": side}, err, tail, FD_TOL)
+            for side, err in zip("uv", errors)]
+
+
 # ---------------------------------------------------------------------------
 # Modularity and asymptotics.
 # ---------------------------------------------------------------------------
@@ -455,6 +492,19 @@ def modularity_tail_estimate(k: int, gamma: Sequence[Sequence[int]],
     return fourier_tail_estimate(k, gcfg) + factor * fourier_tail_estimate(k, cfg)
 
 
+S_TOL = 1e-6  # S-modularity's bound; T shares the relation's TOL
+
+
+def modularity_reports(k: int, cfg: NumericConfig) -> List[dict]:
+    """The reports of ``check_modularity`` at x = (1/3, 0) under T and S."""
+    x = TorusPoint(1 / 3, 0.0)
+    return [make_report("modularity", {"weight": k, "gamma": name, "x": list(x)},
+                        check_modularity(k, x, gamma, cfg),
+                        modularity_tail_estimate(k, gamma, cfg), tol)
+            for name, gamma, tol in (("T", ((1, 1), (0, 1)), TOL),
+                                     ("S", ((0, -1), (1, 0)), S_TOL))]
+
+
 def eval_G2(tau: complex) -> complex:
     """The weight-2 series -1/24 + sum_{m,n>=1} n q^{mn}, summed directly
     over m*n <= 200."""
@@ -477,12 +527,16 @@ def _richardson(values: List[complex]) -> complex:
     return row[0]
 
 
+LIMIT_TOL = 1e-6  # the bound of every limit check_asymptotics reports
+
+
 def check_asymptotics(k: int, cfg: NumericConfig) -> dict:
     """Behaviour of E^(k) at cfg.tau as z -> 0 along a ray of irrational slope.
 
     Weight 1: z*E^(1)_z -> 1/(2 pi i), with a bounded slope; also checked
     along the real ray x1 = 0.  Weight 2: E^(2)_z - x1/(2 pi i z) tends
-    to -2 G_2(tau), with G_2 summed from its own series.
+    to -2 G_2(tau), with G_2 summed from its own series.  The report's
+    last key, "pass", holds when every limit error is below LIMIT_TOL.
     """
     if k not in (1, 2):
         raise ValueError("asymptotics are for weights 1 and 2")
@@ -517,6 +571,8 @@ def check_asymptotics(k: int, cfg: NumericConfig) -> dict:
         report["target"] = [target.real, target.imag]
         report["limit_error"] = abs(limit - target)
     report["tail_estimate"] = fourier_tail_estimate(k, cfg)
+    report["pass"] = bool(report["limit_error"] < LIMIT_TOL
+                          and report.get("real_ray_error", 0.0) < LIMIT_TOL)
     return report
 
 

@@ -121,6 +121,8 @@ class HomPoly(Record, namedtuple("HomPoly", "degree coeffs")):
 
     @classmethod
     def monomial(cls, k1: int, k2: int) -> "HomPoly":
+        """X^{k1} Y^{k2}; a negative index raises ValueError."""
+        _check_split(k1, k2)
         c = [Fraction(0)] * (k1 + k2 + 1)
         c[k1] = Fraction(1)
         return cls(k1 + k2, c)
@@ -173,7 +175,6 @@ class HomPoly(Record, namedtuple("HomPoly", "degree coeffs")):
 
 def poly_P(k1: int, k2: int) -> HomPoly:
     """X^{k1} Y^{k2}."""
-    _check_split(k1, k2)
     return HomPoly.monomial(k1, k2)
 
 
@@ -273,7 +274,10 @@ def _instances(N: int, k_max: int, pairs: Iterable) -> Iterator[RelationInstance
 
 
 def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
-    """All (k, split, ordered nonzero triple) instances for 2 <= k <= k_max."""
+    """All (k, split, ordered nonzero triple) instances for 2 <= k <= k_max;
+    none at level 1, and a level below 1 raises ValueError."""
+    if N < 1:
+        raise ValueError("level must be >= 1")
     return _instances(N, k_max, _pairs(N))
 
 

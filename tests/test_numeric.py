@@ -9,8 +9,8 @@ import pytest
 
 from eiskron import numeric as nm
 from eiskron.eisenstein import EisensteinIndex, bernoulli_number, eisenstein_qexp
-from eiskron.relations import (HomPoly, _monomials, coeff_alpha, coeff_beta, coeff_gamma,
-                               poly_P, poly_Q, poly_R)
+from eiskron.relations import (HomPoly, _build_plan, _monomials, coeff_alpha, coeff_beta,
+                               coeff_gamma, poly_P, poly_Q, poly_R)
 
 TAU = 0.3 + 1.1j
 CFG = nm.NumericConfig(tau=TAU)
@@ -680,3 +680,70 @@ class TestReports:
 
     def test_failing_report(self):
         assert nm.make_report("relation", {}, 1e-3, 0.0, 1e-8)["pass"] is False
+
+
+class TestBounds:
+    """Calibrated perturbations, one per check: a push that puts the
+    residual at about 10x the check's bound must FAIL, and 1/100 of that
+    push must PASS.  The bounds are written here, not read from the
+    module, so that each is pinned within a factor of 10 from both sides."""
+
+    U, V = nm.TorusPoint(0.3, 0.6), nm.TorusPoint(0.7, 0.2)
+
+    @staticmethod
+    def assert_verdicts(reports, bound, scale):
+        # scale 1: residuals about 10 * bound, all FAIL; scale 1/100: all PASS
+        for r in reports:
+            assert 5 * bound * scale < r["residual"] < 20 * bound * scale, r
+            assert r["pass"] is (scale < 1), r
+
+    @pytest.mark.parametrize("scale", [1, 1 / 100])
+    def test_relation(self, scale, monkeypatch):
+        # alpha + delta adds delta E^(4)_u to every split's residual at the
+        # fixed irrational pair, the only pair when none is drawn
+        u = nm.TorusPoint(1 / math.sqrt(5), 1 / math.sqrt(7))
+        delta = scale * 10 * 1e-8 / abs(nm.eval_E_fourier(4, u, CFG))
+        monkeypatch.setattr(nm, "_plan", lambda k1, k2: _build_plan(
+            k1, k2, alpha=coeff_alpha(k1, k2) + Fraction(delta)))
+        reports = nm.relation_reports(4, [], CFG)
+        assert len(reports) == 3
+        self.assert_verdicts(reports, 1e-8, scale)
+
+    @pytest.mark.parametrize("check", ["diff", "bracket"])
+    @pytest.mark.parametrize("scale", [1, 1 / 100])
+    def test_finite_differences(self, check, scale, monkeypatch):
+        # each stencil's value shifted by delta: the target shifted by -delta
+        delta, dbar = scale * 10 * 1e-5, nm._dbar
+        monkeypatch.setattr(nm, "_dbar", lambda *args: dbar(*args) + delta)
+        reports = (nm.diff_reports(4, self.U, CFG) if check == "diff" else
+                   nm.bracket_reports(2, 1, self.U, self.V, CFG))
+        assert len(reports) == (1 if check == "diff" else 2)
+        self.assert_verdicts(reports, 1e-5, scale)
+
+    @pytest.mark.parametrize("gamma,image,bound", [
+        pytest.param("T", TAU + 1, 1e-8, id="T"), pytest.param("S", -1 / TAU, 1e-6, id="S")])
+    @pytest.mark.parametrize("scale", [1, 1 / 100])
+    def test_modularity(self, gamma, image, bound, scale, monkeypatch):
+        # (1 + eps) (c tau + d)^k adds about eps |E_x(gamma tau)|
+        x = nm.TorusPoint(1 / 3, 0.0)
+        eps = scale * 10 * bound / abs(nm.eval_E_fourier(3, x, CFG._replace(tau=image)))
+        power = nm._automorphy_power
+        monkeypatch.setattr(nm, "_automorphy_power",
+                            lambda j, k, cfg: power(j, k, cfg) * (1 + eps))
+        reports = [r for r in nm.modularity_reports(3, CFG)
+                   if r["params"]["gamma"] == gamma]
+        self.assert_verdicts(reports, bound, scale)
+
+    @pytest.mark.parametrize("k,key", [(2, "limit_error"), (1, "real_ray_error")])
+    @pytest.mark.parametrize("scale", [1, 1 / 100])
+    def test_asymptotics(self, k, key, scale, monkeypatch):
+        # weight 2: the target -2 G_2(tau) shifted by delta; weight 1: delta / z
+        # added to E^(1) on the real ray x1 = 0, which shifts its limit by delta
+        delta, g2, E = scale * 10 * 1e-6, nm.eval_G2, nm.eval_E_fourier
+        monkeypatch.setattr(nm, "eval_G2", lambda tau: g2(tau) - delta / 2)
+        monkeypatch.setattr(nm, "eval_E_fourier", lambda k, p, cfg: E(k, p, cfg) + (
+            delta / p.x2 if p.x1 == 0 else 0))
+        rep = nm.check_asymptotics(k, CFG)
+        assert 5 * 1e-6 * scale < rep[key] < 20 * 1e-6 * scale
+        assert rep["pass"] is (scale < 1)
+        assert list(rep)[-1] == "pass"

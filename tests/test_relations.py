@@ -35,6 +35,12 @@ class TestHomPoly:
         assert p.deriv_x().coeffs == (0, 2, 0)
         assert p.deriv_y() == HomPoly.monomial(2, 0)  # X^2
 
+    @pytest.mark.parametrize("k1,k2", [(-1, 2), (0, -1)])
+    def test_monomial_rejects_a_negative_index(self, k1, k2):
+        # (-1, 2) once gave X and (0, -1) a bare IndexError
+        with pytest.raises(ValueError, match="indices must be >= 0"):
+            HomPoly.monomial(k1, k2)
+
     def test_euler_identity(self):
         # x p_x + y p_y = deg * p for homogeneous p
         p = HomPoly(3, [1, -2, Fraction(1, 3), 5])
@@ -161,6 +167,12 @@ class TestInstanceValidation:
 class TestEnumerate:
     def test_level_one_empty(self):
         assert list(enumerate_instances(1, 8)) == []
+
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_level_below_one_rejected(self, N):
+        # an empty list here would let "every instance verifies" pass vacuously
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            enumerate_instances(N, 4)
 
     @pytest.mark.parametrize("N,k_max", [(2, 3), (3, 2), (4, 2)])
     def test_against_brute_force(self, N, k_max):
