@@ -96,7 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, doc: dict, human: str) -> None:
-    print(json.dumps(doc) if args.json else human)
+    try:
+        print(json.dumps(doc) if args.json else human, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: what is left goes to
+        # devnull, so that the flush at exit cannot raise again, and the
+        # command still exits with its verdict
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_expand(args) -> int:

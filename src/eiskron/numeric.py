@@ -441,8 +441,9 @@ def diff_reports(k: int, p: TorusPoint, cfg: NumericConfig) -> List[dict]:
 
 def bracket_reports(k1: int, k2: int, u: TorusPoint, v: TorusPoint,
                     cfg: NumericConfig) -> List[dict]:
-    """The reports of ``check_diff_bracket`` for X^k1 Y^k2 at [u, v], one per side."""
-    errors = check_diff_bracket(poly_P(k1, k2), u, v, cfg)
+    """The reports of ``check_diff_bracket`` for X^k1 Y^k2 at [u, v], one per
+    side, with step FD_STEP."""
+    errors = check_diff_bracket(poly_P(k1, k2), u, v, cfg, FD_STEP)
     tail = fourier_tail_estimate(k1 + k2 + 2, cfg)
     return [make_report("bracket", {"split": [k1, k2], "u": list(u), "v": list(v),
                                     "side": side}, err, tail, FD_TOL)

@@ -67,12 +67,36 @@ triple T, and -T is in the orbit of T (parity is in B), so it is no other
 triple of the group.  Where -T = T, every point is 2-torsion and each key
 is its own negative.
 
+Proof transport.  A residual is a weight-k modular form for Gamma(N): its
+terms are E^{(k)}_x and products E^{(i)}_x E^{(j)}_y with i + j = k, at
+nonzero points.  So at a weight with order >= sturm_order(N, k), a
+residual that vanishes to the run's order is zero as a form (Sturm's
+bound; see sturm_order).  GL2(Z/N) acts on these forms beyond B: gamma
+in SL2(Z) by the slash action, E^{(k)}_x |_k gamma = E^{(k)}_{x gamma}
+(Diamond and Shurman, A First Course in Modular Forms, section 4.2), and
+diag(1, t) by sigma_t, as in B; they generate GL2(Z/N), and g inst has
+the residual of inst moved by g.  A zero form stays zero, so one
+representative per GL2(Z/N) orbit of ordered pairs proves every instance
+of its orbit at that weight and split.  Only a proof moves.  Below the
+bound a truncated zero proves nothing, and GL2 does not keep exponents
+(at level 3, E^{(3)}_{(0,1)} has no q^0 term and its S-image E^{(3)}_{(1,0)}
+has one), so a nonzero residual says nothing about the rest of its GL2
+orbit.  A representative that fails hands its GL2 orbit back to B
+transport, one representative per B-orbit at the run's order, and a
+weight below the bound has B transport alone; every failure report comes
+from B.  The series a GL2 representative reads are built and checked
+with their B-orbits as before; the slash equivariance is the theorem
+cited, not a run-time check, and TestOrbitTransport compares the scan
+with a direct walk of all 56,392 instances of acceptance criterion 1.
+
 A scan task is one level, with one _Level, which builds and checks each
 series of the level once and keeps it for the task.  It walks the level's
-triple-orbit groups, the representatives of the orbits of the ordered
-pairs of one triple, which share their products: each product is built
-once, within its group, and dropped when the group ends.  So checking an
-instance costs a few big-int multiply-adds and a comparison with 0.
+GL2 x S3 triple-orbit groups and, where a weight is below the bound or a
+proof failed, the B groups inside each; a group's representatives are
+the representatives of the orbits of the ordered pairs of one triple,
+which share their products: each product is built once, within its B
+group, and dropped when the group ends.  So checking an instance costs a
+few big-int multiply-adds and a comparison with 0.
 One driver, _scan_forked, runs a scan's tasks, in one process or more.
 """
 
@@ -265,10 +289,10 @@ def _pairs(N: int) -> Iterator[Tuple[Pair, Pair]]:
                 yield a, b
 
 
-def _instances(N: int, k_max: int, pairs: Iterable) -> Iterator[RelationInstance]:
-    """Pair-major: every weight 2 <= k <= k_max and split for each pair."""
+def _instances(N: int, weights: Iterable[int], pairs: Iterable) -> Iterator[RelationInstance]:
+    """Pair-major: every weight k in weights and split for each pair."""
     for a, b in pairs:
-        for k in range(2, k_max + 1):
+        for k in weights:
             for k1 in range(k - 1):
                 yield RelationInstance(N, k, k1, k - 2 - k1, a, b)
 
@@ -278,7 +302,7 @@ def enumerate_instances(N: int, k_max: int) -> Iterator[RelationInstance]:
     none at level 1, and a level below 1 raises ValueError."""
     if N < 1:
         raise ValueError("level must be >= 1")
-    return _instances(N, k_max, _pairs(N))
+    return _instances(N, range(2, k_max + 1), _pairs(N))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +504,39 @@ def verify_instance(inst: RelationInstance, order: int, **overrides) -> dict:
     return _report(inst, order, None if res.is_zero() else int_form_is_zero(inst.N, res.unpack()[1]))
 
 
+def sturm_order(N: int, k: int) -> int:
+    """Sturm's bound T(N, k) = floor(k mu(N) / 12) + 1: a weight-k modular
+    form for Gamma(N) whose coefficients of q^{n/N}, n < T(N, k), all vanish
+    is zero, so a scan at order >= T(N, k) proves its weight-k residuals.
+
+    mu(N) is the index of the image of Gamma(N) in PSL2(Z), |SL2(Z/N)|
+    over |{+-I}|: |SL2(Z/N)| = N^3 prod_{p | N} (1 - p^-2), by the Chinese
+    remainder theorem and |SL2(Z/p^e)| = p^{3e} (1 - p^-2); and -I = I mod
+    N only for N <= 2, so mu(1) = 1, mu(2) = 6 and mu(N) = N^3/2 prod_{p | N}
+    (1 - p^-2) for N >= 3.  Gamma(N) has width N at infinity, so q^{1/N}
+    is its local parameter there, and ord f counts in powers of q^{1/N}.
+
+    The bound (Sturm, LNM 1240, 1987): by the valence formula the orders
+    of a nonzero f in M_k(Gamma(N)), k even, at the points and cusps of
+    X(N) are >= 0 and sum to k mu / 12, so ord_infinity f <= k mu / 12.
+    Coefficients zero below T give ord_infinity f >= T > k mu / 12, so
+    f = 0.  For odd k, f^2 is in M_{2k}(Gamma(N)) and ord f^2 = 2 ord f >
+    2k mu / 12, so f^2 = 0 and f = 0 (at N <= 2, -I is in Gamma(N) and no
+    odd weight has a nonzero form at all).  A residual lies in
+    M_k(Gamma(N)): every point of an instance is nonzero, and E^{(k)}_x and
+    E^{(i)}_x E^{(j)}_y with i + j = k are weight-k forms for Gamma(N)."""
+    if N < 1 or k < 0:
+        raise ValueError("need a level >= 1 and a weight >= 0")
+    mu, n, p = N ** 3, N, 2
+    while n > 1:
+        if n % p == 0:
+            mu = mu // (p * p) * (p * p - 1)  # p^2 still divides mu: N^3 has p^3
+            while n % p == 0:
+                n //= p
+        p += 1
+    return k * (mu // 2 if N > 2 else mu) // 12 + 1
+
+
 # ---------------------------------------------------------------------------
 # Recurrence system for the closed-form P, Q, R, alpha, beta, gamma.
 # ---------------------------------------------------------------------------
@@ -535,46 +592,98 @@ def recurrence_check(k_max: int) -> dict:
 Orbit = Tuple[Pair, Tuple[Tuple[Pair, Pair], ...]]  # (representative, its orbit)
 
 
-def _orbits(N: int) -> Iterator[List[Orbit]]:
-    """The B-orbits of the ordered pairs at level N, one list per orbit of
-    zero-sum triples: the orbits of the ordered pairs of the first triple
-    {a, b, -a-b} of that orbit in _pairs order, each orbit with the first
-    of those pairs in it as its representative.  Every pair of _pairs(N)
-    is in exactly one orbit.
+def _b_orbit(N: int, x: Pair, y: Pair) -> Tuple[Tuple[Pair, Pair], ...]:
+    """The B-orbit of the pair (x, y), sorted."""
+    return tuple(sorted({(_act(g, x, N), _act(g, y, N)) for g in _symmetries(N)}))
+
+
+def _gl2_orbit(N: int, x: Pair, y: Pair) -> Tuple[Tuple[Pair, Pair], ...]:
+    """The GL2(Z/N) orbit of the pair (x, y), sorted, found by a breadth-first
+    walk over S, T and each diag(1, t), acting on row vectors from the
+    right: S and T generate SL2(Z), which maps onto SL2(Z/N), and diag(1, t)
+    reaches each determinant t, so they generate GL2(Z/N), and in a finite
+    group the walk needs no inverses.  It visits the orbit, not the group."""
+    units = [t for t in range(2, N) if gcd(t, N) == 1]
+    step = {(u, v): ((v, -u % N), (u, (u + v) % N), *((u, t * v % N) for t in units))
+            for u in range(N) for v in range(N)}
+    orbit, queue = {(x, y)}, [(x, y)]
+    for u, v in queue:  # the loop reads what it appends
+        for pair in zip(step[u], step[v]):
+            if pair not in orbit:
+                orbit.add(pair)
+                queue.append(pair)
+    return tuple(sorted(orbit))
+
+
+def _orbits(N: int, orbit_of=_b_orbit, pairs: Optional[Iterable] = None
+            ) -> Iterator[List[Orbit]]:
+    """The orbits of the ordered pairs at level N, the B-orbits unless
+    orbit_of is _gl2_orbit, one list per orbit of zero-sum triples: the
+    orbits of the ordered pairs of the first triple {a, b, -a-b} of that
+    orbit in _pairs order, each orbit with the first of those pairs in it
+    as its representative.  Every pair of _pairs(N) is in exactly one
+    orbit.  pairs, a union of triple orbits in _pairs order, limits the walk
+    to them: the B groups inside one GL2 x S3 group, say, the first of
+    which has the GL2 group's triple, as B lies in GL2(Z/N).  So a GL2
+    representative is the B representative of its own B-orbit.
 
     g sends the pair (x, y) of a triple to the pair (gx, gy) of the triple
     g {a, b, c}, so the pairs of every triple in the orbit of {a, b, c}
     are images of its own: a triple met later has all of its pairs in
     earlier orbits or none."""
-    B, seen = _symmetries(N), set()
-    for a, b in _pairs(N):
+    seen: set = set()
+    for a, b in _pairs(N) if pairs is None else pairs:
         c = ((-a[0] - b[0]) % N, (-a[1] - b[1]) % N)
         if (a, b) not in seen:
             group = []
             for x, y, _ in permutations((a, b, c)):
                 if (x, y) not in seen:
-                    orbit = sorted({(_act(g, x, N), _act(g, y, N)) for g in B})
+                    orbit = orbit_of(N, x, y)
                     seen.update(orbit)
-                    group.append(((x, y), tuple(orbit)))
+                    group.append(((x, y), orbit))
             yield group
 
 
 def _scan_level(N: int, k_max: int, order: int) -> Tuple[int, List[dict]]:
-    """(instances covered, failure reports) at level N: each representative
-    instance is verified, and its outcome stands for the instance at every
-    pair of its orbit, whose series the representative's reads built and
-    checked (see _Level.series_at)."""
+    """(instances covered, failure reports) at level N, one GL2 x S3 group
+    of _orbits at a time.  At each weight k with order >= sturm_order(N, k)
+    the group's GL2 representatives are verified, and a zero residual, zero
+    as a modular form, stands for the instance at every pair of its GL2
+    orbit (proof transport, see the module docstring).  The instances left,
+    at the lower weights and at each (k, split) whose GL2 representative
+    failed, go to the B groups inside the GL2 group and are verified by B
+    transport at the run's order, one representative per B-orbit.  Either
+    way the outcome of a representative stands for its orbit, whose series
+    its reads built and checked (see _Level.series_at).  Products live for
+    the GL2 representatives of one GL2 group, all in its first triple, or
+    for one B group."""
     level, covered, failures = _Level(N, order), 0, []
-    for group in _orbits(N):
+    weights = range(2, k_max + 1)
+    proved = [k for k in weights if order >= sturm_order(N, k)]
+    for head in _orbits(N, _gl2_orbit):
         level.products = {}  # no product is used outside its group (see _orbits)
-        for rep, orbit in group:
-            for inst in _instances(N, k_max, [rep]):
-                res = level.residual(inst, _plan(inst.k1, inst.k2))
-                covered += len(orbit)
-                if not res.is_zero():
-                    first = int_form_is_zero(N, res.unpack()[1])
-                    failures += [_report(RelationInstance(N, inst.k, inst.k1, inst.k2, a, b),
-                                         order, first) for a, b in orbit]
+        failed = set()  # (k, k1, pair) of each instance a failed proof leaves to B
+        for rep, orbit in head:
+            for inst in _instances(N, proved, [rep]):
+                if level.residual(inst, _plan(inst.k1, inst.k2)).is_zero():
+                    covered += len(orbit)
+                else:
+                    failed.update((inst.k, inst.k1, pair) for pair in orbit)
+        if not failed and len(proved) == len(weights):
+            continue
+        pairs = sorted(pair for _, orbit in head for pair in orbit)
+        for group in _orbits(N, _b_orbit, pairs):
+            level.products = {}
+            for rep, orbit in group:
+                for inst in _instances(N, weights, [rep]):
+                    if inst.k in proved and (inst.k, inst.k1, rep) not in failed:
+                        continue  # proved zero by its GL2 representative
+                    res = level.residual(inst, _plan(inst.k1, inst.k2))
+                    covered += len(orbit)
+                    if not res.is_zero():
+                        first = int_form_is_zero(N, res.unpack()[1])
+                        failures += [_report(RelationInstance(N, inst.k, inst.k1, inst.k2, a, b),
+                                             order, first) for a, b in orbit]
     return covered, failures
 
 

@@ -104,6 +104,28 @@ class TestExpand:
             run(capsys, "expand", "--level", "3", "--weight", "2", "--a", "xy")
         assert exc.value.code == 2
 
+    def test_closed_stdout_ends_quietly(self):
+        # the reader takes the start of the first line and closes the pipe,
+        # as `| head -c 100` does; the line, about 320 kB, is more than a
+        # pipe holds, so the write fails: the command still exits 0 and
+        # writes nothing to stderr, where a BrokenPipeError traceback was
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["expand", "--level", "3", "--weight", "4", "--a", "1,0", "--order", "12000"]
+        proc = subprocess.Popen([sys.executable, "-m", "eiskron.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert head.startswith(b"(13/3240) + (-1/27)*q^(1/3)")
+        assert (code, err) == (0, b"")
+
 
 class TestBgSeries:
     def test_integer_exponents(self, capsys):
@@ -333,6 +355,24 @@ class TestNumeric:
         code, out, _ = run(capsys, "numeric", "--check", "diff", "--json")
         assert code == 0
         assert json.loads(out)["reports"][0]["params"]["h"] == 2e-4 and steps == [(2e-4,)]
+
+    def test_bracket_runs_the_same_step(self, capsys, monkeypatch):
+        # a patched FD_STEP moves the bracket check's step as it moves the
+        # diff check's: both read the one constant at call time
+        from eiskron import numeric as nm
+        steps, check = [], nm.check_diff_bracket
+
+        def recording(*args):
+            steps.append(args[4:])
+            return check(*args)
+
+        monkeypatch.setattr(nm, "check_diff_bracket", recording)
+        _, default, _ = run(capsys, "numeric", "--check", "bracket", "--json")
+        monkeypatch.setattr(nm, "FD_STEP", 2e-4)
+        code, out, _ = run(capsys, "numeric", "--check", "bracket", "--json")
+        assert code == 0 and steps == [(1e-4,), (2e-4,)]
+        residuals = [[r["residual"] for r in json.loads(doc)["reports"]] for doc in (default, out)]
+        assert residuals[0] != residuals[1]
 
     def test_asymptotics(self, capsys):
         code, out, _ = run(capsys, "numeric", "--check", "asymptotics",

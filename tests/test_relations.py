@@ -21,7 +21,7 @@ from eiskron.relations import (HomPoly, InvalidInstanceError, RelationInstance,
                                bracket, coeff_alpha, coeff_beta, coeff_gamma,
                                enumerate_instances, poly_P, poly_Q, poly_R,
                                recurrence_check, relation_residual, run_scan,
-                               verify_instance)
+                               sturm_order, verify_instance)
 
 
 class TestHomPoly:
@@ -369,6 +369,13 @@ def group_reps(group):
     return [rep for rep, _ in group]
 
 
+# (order, the orbits whose representatives run_scan(4, 4, order) verifies,
+# their product count): every weight k <= 4 at N <= 4 is proved at order 40
+# (sturm_order(4, 4) = 9), and none at order 1 (sturm_order(N, k) >= 2), where
+# the scan is the B scan; at order 2, sturm_order(2, 2) = sturm_order(2, 3) = 2
+PATHS = ((40, relations._gl2_orbit, 104), (1, relations._b_orbit, 200))
+
+
 def record_levels(monkeypatch):
     """The list of every _Level made from now on, in order."""
     levels, init = [], relations._Level.__init__
@@ -386,8 +393,9 @@ class TestProductCache:
         # (i, a, j, b) and (j, b, i, a) are one product: one convolution; no
         # triple-orbit group builds both a product and its negative
         # (i, -a, j, -b), whose triple is in the same orbit; and only the
-        # representative
-        # instances' products are built
+        # representative instances' products are built: at order 40, where
+        # every weight is proved, the GL2 representatives'; at order 1,
+        # below every Sturm bound, the B representatives'
         calls, built = [], []
         convolve, product = relations.convolve_int, relations._Level.product
 
@@ -402,15 +410,18 @@ class TestProductCache:
 
         monkeypatch.setattr(relations, "convolve_int", counting)
         monkeypatch.setattr(relations._Level, "product", recording)
-        assert run_scan(4, 4, 40)["failed"] == 0
-        assert len(calls) == 200
-        assert len(set(calls)) == len(calls)
-        # no product of a +- class is built twice
-        assert len(built) == len(set(built)) == 200
-        # and the products are exactly those of the representatives
-        reps = set().union(*({(N, *key) for key in product_keys(N, group_reps(group), 4)}
-                             for N in range(2, 5) for group in relations._orbits(N)))
-        assert len(reps) == 200
+        for order, orbit_of, count in PATHS:
+            calls.clear()
+            built.clear()
+            assert run_scan(4, 4, order)["failed"] == 0
+            assert len(calls) == count
+            assert len(set(calls)) == len(calls)
+            # no product of a +- class is built twice
+            assert len(built) == len(set(built)) == count
+            # and the products are exactly those of the representatives
+            reps = set().union(*({(N, *key) for key in product_keys(N, group_reps(group), 4)}
+                                 for N in range(2, 5) for group in relations._orbits(N, orbit_of)))
+            assert len(reps) == count
 
     def test_cold_scan_packs_each_series_once(self, monkeypatch):
         # the equivariance check compares the builder's vectors, so every
@@ -449,9 +460,13 @@ class TestProductCache:
             return at(self, width)
 
         monkeypatch.setattr(PackedSeries, "at", counting)
-        assert run_scan(4, 4, 40)["failed"] == 0
-        assert [c for c in calls if c[1] < c[0].width] == []
-        assert len(calls) == 296
+        # 146 with the GL2 representatives at order 40, 114 with the B
+        # representatives at order 1
+        for order, count in ((40, 146), (1, 114)):
+            calls.clear()
+            assert run_scan(4, 4, order)["failed"] == 0
+            assert [c for c in calls if c[1] < c[0].width] == []
+            assert len(calls) == count
 
     def test_every_value_sits_at_its_byte_width(self, monkeypatch):
         # every series, product and residual of a scan is stored at the
@@ -512,25 +527,34 @@ class TestProductCache:
         assert checked[0] > 1000 and over == []
 
     def test_scan_keeps_one_level_cached(self, monkeypatch):
-        # one context per level, largest first: after each triple-orbit
-        # group it holds that group's products only, and after its level
+        # one context per level, largest first: after each group of the
+        # walk that verifies (the GL2 x S3 groups at order 40, where every
+        # weight is proved; the B groups at order 1, below every Sturm
+        # bound) it holds that group's products only, and after its level
         # every series of the level, weights 1-4 at every nonzero point
         levels, orbits_of = record_levels(monkeypatch), relations._orbits
+        for order, walked, count in PATHS:
+            checked = []
 
-        def checking(N):
-            for group in orbits_of(N):
-                yield group
-                assert levels[-1].N == N
-                assert set(levels[-1].products) == product_keys(N, group_reps(group), 4)
+            def checking(N, orbit_of=relations._b_orbit, pairs=None):
+                for group in orbits_of(N, orbit_of, pairs):
+                    yield group
+                    if orbit_of is walked:
+                        assert levels[-1].N == N
+                        assert set(levels[-1].products) == product_keys(N, group_reps(group), 4)
+                        checked.append(len(levels[-1].products))
 
-        monkeypatch.setattr(relations, "_orbits", checking)
-        assert run_scan(4, 4, 40)["failed"] == 0
-        assert [(level.N, level.order) for level in levels] == [(4, 40), (3, 40), (2, 40)]
-        for level in levels:
-            N = level.N
-            assert set(level.series) == {(k, p) for k in range(1, 5)
-                                         for p in itertools.product(range(N), repeat=2)
-                                         if p != (0, 0)}
+            monkeypatch.setattr(relations, "_orbits", checking)
+            start = len(levels)
+            assert run_scan(4, 4, order)["failed"] == 0
+            assert sum(checked) == count
+            assert [(level.N, level.order) for level in levels[start:]] == \
+                [(4, order), (3, order), (2, order)]
+            for level in levels[start:]:
+                N = level.N
+                assert set(level.series) == {(k, p) for k in range(1, 5)
+                                             for p in itertools.product(range(N), repeat=2)
+                                             if p != (0, 0)}
 
 
 class TestMemory:
@@ -795,8 +819,9 @@ print(sorted(m for m in ("concurrent.futures", "multiprocessing", "dataclasses",
             assert triples and all(len(ts) == 1 for ts in triples.values())
 
     def test_cold_scan_builds_each_product_once(self, monkeypatch):
-        # the products of the groups' representatives: no group shares one
-        # with another, and the scan convolves each once
+        # the products of the groups' representatives (GL2 at order 40, B
+        # at order 1): no group shares one with another, and the scan
+        # convolves each once
         calls, convolve = [], relations.convolve_int
 
         def counting(*args):
@@ -804,15 +829,17 @@ print(sorted(m for m in ("concurrent.futures", "multiprocessing", "dataclasses",
             return convolve(*args)
 
         monkeypatch.setattr(relations, "convolve_int", counting)
-        assert run_scan(4, 4, 40)["failed"] == 0
-        seen = [{(N, *key) for key in product_keys(N, group_reps(group), 4)}
-                for N in range(2, 5) for group in relations._orbits(N)]
-        distinct = set().union(*seen)
-        assert len(distinct) == sum(len(keys) for keys in seen)  # groups share none
-        assert len(calls) == len(distinct) == 200
-        # and no two keys are one product up to sign: no group needs a
-        # product and its negative
-        assert len({pm_class(N, i, x, j, y) for N, i, x, j, y in distinct}) == 200
+        for order, orbit_of, count in PATHS:
+            calls.clear()
+            assert run_scan(4, 4, order)["failed"] == 0
+            seen = [{(N, *key) for key in product_keys(N, group_reps(group), 4)}
+                    for N in range(2, 5) for group in relations._orbits(N, orbit_of)]
+            distinct = set().union(*seen)
+            assert len(distinct) == sum(len(keys) for keys in seen)  # groups share none
+            assert len(calls) == len(distinct) == count
+            # and no two keys are one product up to sign: no group needs a
+            # product and its negative
+            assert len({pm_class(N, i, x, j, y) for N, i, x, j, y in distinct}) == count
 
 
 def as_dict(N, flat):
@@ -1084,6 +1111,102 @@ class TestOrbitTransport:
         assert run_scan(6, 8, 40) == direct
 
 
+def gl2(N):
+    """GL2(Z/N) from its definition: each matrix ((a, b), (c, d)) mod N
+    whose determinant is a unit."""
+    return [((a, b), (c, d)) for a, b, c, d in itertools.product(range(N), repeat=4)
+            if math.gcd(a * d - b * c, N) == 1]
+
+
+def times(x, m, N):
+    """The row vector x times the matrix m, mod N."""
+    return ((x[0] * m[0][0] + x[1] * m[1][0]) % N, (x[0] * m[0][1] + x[1] * m[1][1]) % N)
+
+
+class TestGL2Orbits:
+    def test_walk_finds_the_gl2_orbit(self):
+        # the breadth-first walk over S, T and diag(1, t) against the orbit
+        # under every matrix of GL2(Z/N); every pair is in one orbit
+        for N in range(2, 7):
+            G, covered = gl2(N), []
+            for group in relations._orbits(N, relations._gl2_orbit):
+                for (a, b), orbit in group:
+                    assert list(orbit) == sorted({(times(a, m, N), times(b, m, N)) for m in G})
+                    covered += orbit
+            assert sorted(covered) == list(relations._pairs(N))
+
+    def test_gl2_groups_split_into_the_levels_b_groups(self):
+        # the B walk limited to one GL2 x S3 group's pairs yields the
+        # level's own B groups, each once; the first has the GL2 group's
+        # triple, and each GL2 representative is one of its B representatives
+        for N in range(2, 7):
+            b_groups = {group[0][0]: group for group in relations._orbits(N)}
+            met = []
+            for head in relations._orbits(N, relations._gl2_orbit):
+                pairs = sorted(pair for _, orbit in head for pair in orbit)
+                inner = list(relations._orbits(N, relations._b_orbit, pairs))
+                assert all(b_groups[group[0][0]] == group for group in inner)
+                assert sorted(p for group in inner for _, orbit in group for p in orbit) == pairs
+                assert inner[0][0][0] == head[0][0]
+                assert set(group_reps(head)) <= set(group_reps(inner[0]))
+                met += [group[0][0] for group in inner]
+            assert sorted(met) == sorted(b_groups)
+
+    def test_orbit_counts(self):
+        # pair orbits and triple-orbit groups, B against GL2(Z/N): 39 pair
+        # orbits become 11 at N <= 4, and at N = 2..12 1,598 become 198
+        # and 387 groups 78
+        def counts(levels, orbit_of):
+            groups = [group for N in levels for group in relations._orbits(N, orbit_of)]
+            return sum(map(len, groups)), len(groups)
+
+        assert counts(range(2, 5), relations._b_orbit)[0] == 39
+        assert counts(range(2, 5), relations._gl2_orbit)[0] == 11
+        assert counts(range(2, 13), relations._b_orbit) == (1598, 387)
+        assert counts(range(2, 13), relations._gl2_orbit) == (198, 78)
+
+
+class TestProofTransport:
+    def test_one_residual_per_gl2_orbit_above_the_bound(self, monkeypatch):
+        # 6 instances per pair at k <= 4: one residual per GL2 pair orbit
+        # (11) at order 40, where every weight is proved, and one per B
+        # pair orbit (39) at order 1, below every bound
+        calls, residual = [0], relations._Level.residual
+
+        def counting(*args):
+            calls[0] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(relations._Level, "residual", counting)
+        for order, residuals in ((40, 11 * 6), (1, 39 * 6)):
+            calls[0] = 0
+            assert run_scan(4, 4, order)["passed"] == 1632
+            assert calls[0] == residuals
+
+    def test_fallback_below_the_bound_matches_direct_walk(self, monkeypatch):
+        # at order 1 no weight is proved, so a truncated zero proves
+        # nothing: under alpha + 1 the residual is E^{(k)}_a up to sign,
+        # whose q^0 term GL2 does not keep (at level 3, E^{(3)}_{(0,1)} has
+        # none and its S-image E^{(3)}_{(1,0)} has one), while B keeps every
+        # exponent: only B transport is exact here
+        add_one_to_alpha(monkeypatch)
+        direct = direct_walk(4, 4, 1)
+        assert 0 < direct["failed"] < direct["instances"]
+        for workers in (1, 2):
+            assert run_scan(4, 4, 1, workers=workers) == direct, workers
+
+    def test_proof_scan_matches_direct_walk(self, monkeypatch):
+        # every weight is proved at N <= 5, k <= 6, order 31: plainly, and
+        # under alpha + 1, where each GL2 representative fails unless its
+        # E^{(k)}_a vanishes and hands its orbit back to B transport
+        assert max(sturm_order(N, 6) for N in range(2, 6)) == 31
+        assert run_scan(5, 6, 31) == direct_walk(5, 6, 31)
+        add_one_to_alpha(monkeypatch)
+        direct = direct_walk(5, 6, 31)
+        assert 0 < direct["failed"] < direct["instances"]
+        assert run_scan(5, 6, 31) == direct
+
+
 class TestPlan:
     def test_cached_and_override_plans_agree(self):
         failing = 0
@@ -1190,6 +1313,31 @@ class TestRecurrences:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             recurrence_check(1)
+
+
+class TestSturmOrder:
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_mu_is_the_index_of_gamma_N(self, N):
+        # mu(N) = |SL2(Z/N)| / |{+-I}|, counted from the definitions; at
+        # N <= 2, -I = I
+        sl2 = sum(1 for a, b, c, d in itertools.product(range(N), repeat=4)
+                  if (a * d - b * c - 1) % N == 0)
+        mu = sl2 // len({1 % N, -1 % N})
+        assert [sturm_order(N, k) for k in range(25)] == [k * mu // 12 + 1 for k in range(25)]
+
+    def test_criterion_1_keeps_the_b_path_at_three_weights(self):
+        # order 40 proves every weight of acceptance criterion 1 but these
+        assert {(N, k) for N in range(2, 7) for k in range(2, 9)
+                if sturm_order(N, k) > 40} == {(5, 8), (6, 7), (6, 8)}
+
+    def test_known_bounds(self):
+        assert [sturm_order(*nk) for nk in ((2, 2), (6, 8), (8, 8), (9, 6), (11, 6), (12, 6))] \
+            == [2, 49, 129, 163, 331, 289]
+
+    @pytest.mark.parametrize("N, k", [(0, 2), (-3, 2), (3, -1)])
+    def test_bad_input(self, N, k):
+        with pytest.raises(ValueError):
+            sturm_order(N, k)
 
 
 NOTHING_TO_VERIFY = r"^nothing to verify: need --level-max, --weight-max >= 2$"

@@ -1,7 +1,9 @@
-"""Mutation guard for the float checks' bounds.
+"""Mutation guard for the float checks' bounds and the scan's proof transport.
 
 Each mutant below is one text substitution in the package, with the test
-file that must kill it.  For each, the script copies ``src/``, ``tests/``
+file that must kill it: six loosen a bound of a float check, and two let
+the exact scan transport a representative's outcome over its GL2(Z/N)
+orbit where that is not a proof.  For each, the script copies ``src/``, ``tests/``
 and ``pyproject.toml`` to a temporary directory, applies the substitution
 there, and runs the named tests on the copy with pytest.  A mutant is
 killed when pytest reports a failing test (exit code 1).  Before any
@@ -26,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 NUMERIC = "src/eiskron/numeric.py"
+RELATIONS = "src/eiskron/relations.py"
 
 # (name, file, text, replacement, tests that must fail); each text occurs
 # exactly once in its file
@@ -44,6 +47,13 @@ MUTANTS = (
     ("make_report passes below 1000 * tol",
      NUMERIC, '"pass": bool(residual < tol)', '"pass": bool(residual < 1000 * tol)',
      "tests/test_numeric.py"),
+    ("GL2 transport of a representative whose residual is nonzero",
+     RELATIONS, "if level.residual(inst, _plan(inst.k1, inst.k2)).is_zero():",
+     "if level.residual(inst, _plan(inst.k1, inst.k2)) is not None:",
+     "tests/test_relations.py"),
+    ("GL2 transport that ignores sturm_order",
+     RELATIONS, "proved = [k for k in weights if order >= sturm_order(N, k)]",
+     "proved = list(weights)", "tests/test_relations.py"),
 )
 
 
