@@ -13,7 +13,8 @@ import random
 import sys
 
 from .eisenstein import EisensteinIndex, bg_tilde_s, eisenstein_qexp
-from .relations import RelationInstance, recurrence_check, run_scan, verify_instance
+from .relations import (RelationInstance, recurrence_check, run_scan, scan_sturm_order,
+                        verify_instance)
 
 DEFAULT_ORDER = 40
 
@@ -42,6 +43,17 @@ def _workers(text: str) -> int:
     if hasattr(os, "sched_getaffinity"):
         return min(n, len(os.sched_getaffinity(0)))
     return min(n, os.cpu_count() or 1)
+
+
+def _scan_order(text: str):
+    """scan's --order: an int, or 'sturm', the least order that proves every
+    weight of the scan (see relations.scan_sturm_order)."""
+    if text == "sturm":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'sturm', got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():  # --json for all, --order where series are built
         if name not in ("recurrences", "numeric"):
-            p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+            p.add_argument("--order", type=_scan_order if name == "scan" else int,
+                           default=DEFAULT_ORDER)
         p.add_argument("--json", action="store_true")
     return ap
 
@@ -132,8 +145,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    summary = run_scan(args.level_max, args.weight_max, args.order,
-                       workers=args.parallel)
+    order = (scan_sturm_order(args.level_max, args.weight_max) if args.order == "sturm"
+             else args.order)
+    summary = run_scan(args.level_max, args.weight_max, order, workers=args.parallel)
     human = (f"instances={summary['instances']} passed={summary['passed']} "
              f"failed={summary['failed']} (order {summary['order']})")
     _emit(args, summary, human)

@@ -388,7 +388,8 @@ def _pack(cols: Sequence[Sequence[int]], positions: int, width: int,
     return (int.from_bytes(b"".join(limbs), "little") ^ H) - H
 
 
-# a level's nonzero products use a few widths (6 in criterion 1): 8 order-sized entries
+# a level's nonzero products use a few widths (6 in criterion 1) at one order, its
+# proof order or the run's, and at both only once a proof fails: 8 order-sized entries
 @lru_cache(maxsize=8)
 def _product_masks(order: int, stride: int, width: int) -> Tuple[int, int, int, int]:
     """(bias, truncation mask, column mask, column bias) of the product

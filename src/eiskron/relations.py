@@ -69,9 +69,17 @@ is its own negative.
 
 Proof transport.  A residual is a weight-k modular form for Gamma(N): its
 terms are E^{(k)}_x and products E^{(i)}_x E^{(j)}_y with i + j = k, at
-nonzero points.  So at a weight with order >= sturm_order(N, k), a
-residual that vanishes to the run's order is zero as a form (Sturm's
-bound; see sturm_order).  GL2(Z/N) acts on these forms beyond B: gamma
+nonzero points.  So a residual that vanishes to order sturm_order(N, k)
+is zero as a form (Sturm's bound; see sturm_order), and zero to every
+order.  A level whose every weight k <= k_max has order >=
+sturm_order(N, k) is proved in a proof context of its own, at the order
+P = sturm_order(N, k_max) <= order (sturm_order grows with k, so P passes
+the bound of every weight), and builds and multiplies series only as far
+as the proof needs.  A level with a weight below the bound runs B at the
+run's order, which builds every series of the level there, so it proves
+its other weights at the run's order, in the same context: a proof
+context would build each series twice, for products at most about
+1/(k_max + 1) shorter.  GL2(Z/N) acts on these forms beyond B: gamma
 in SL2(Z) by the slash action, E^{(k)}_x |_k gamma = E^{(k)}_{x gamma}
 (Diamond and Shurman, A First Course in Modular Forms, section 4.2), and
 diag(1, t) by sigma_t, as in B; they generate GL2(Z/N), and g inst has
@@ -84,17 +92,23 @@ has one), so a nonzero residual says nothing about the rest of its GL2
 orbit.  A representative that fails hands its GL2 orbit back to B
 transport, one representative per B-orbit at the run's order, and a
 weight below the bound has B transport alone; every failure report comes
-from B.  The series a GL2 representative reads are built and checked
-with their B-orbits as before; the slash equivariance is the theorem
-cited, not a run-time check, and TestOrbitTransport compares the scan
-with a direct walk of all 56,392 instances of acceptance criterion 1.
+from B.  A residual nonzero below P is nonzero below the run's order too,
+so the reports are those of a scan that proves at the run's order.  The
+series a GL2 representative reads are built and checked with their
+B-orbits, at P, as B's are at the run's order; the slash equivariance is
+the theorem cited, not a run-time check, and TestOrbitTransport compares
+the scan with a direct walk of all 56,392 instances of acceptance
+criterion 1.
 
-A scan task is one level, with one _Level, which builds and checks each
-series of the level once and keeps it for the task.  It walks the level's
+A scan task is one level, with one _Level at the run's order and, for a
+level whose every weight is proved below it, the proof context at P;
+each builds and checks a series of the level once, at its order, and
+keeps it for the task.  A level whose every weight is proved builds no
+series at the run's order unless a proof fails.  The task walks the level's
 GL2 x S3 triple-orbit groups and, where a weight is below the bound or a
 proof failed, the B groups inside each; a group's representatives are
 the representatives of the orbits of the ordered pairs of one triple,
-which share their products: each product is built once, within its B
+which share their products: each product is built once, within its
 group, and dropped when the group ends.  So checking an instance costs a
 few big-int multiply-adds and a comparison with 0.
 One driver, _scan_forked, runs a scan's tasks, in one process or more.
@@ -401,7 +415,8 @@ def _build_plan(k1: int, k2: int, **overrides) -> Plan:
 class _Level:
     """The verification context of one (level, order): its checked series,
     and a product dict, which the scan replaces at each triple-orbit group.
-    A scan makes one per level, a direct call its own: nothing outlives it."""
+    A scan makes one or two per level (see _scan_level), a direct call its
+    own: nothing outlives it."""
 
     def __init__(self, N: int, order: int):
         self.N, self.order = N, order
@@ -647,25 +662,32 @@ def _orbits(N: int, orbit_of=_b_orbit, pairs: Optional[Iterable] = None
 def _scan_level(N: int, k_max: int, order: int) -> Tuple[int, List[dict]]:
     """(instances covered, failure reports) at level N, one GL2 x S3 group
     of _orbits at a time.  At each weight k with order >= sturm_order(N, k)
-    the group's GL2 representatives are verified, and a zero residual, zero
-    as a modular form, stands for the instance at every pair of its GL2
-    orbit (proof transport, see the module docstring).  The instances left,
-    at the lower weights and at each (k, split) whose GL2 representative
-    failed, go to the B groups inside the GL2 group and are verified by B
-    transport at the run's order, one representative per B-orbit.  Either
-    way the outcome of a representative stands for its orbit, whose series
-    its reads built and checked (see _Level.series_at).  Products live for
-    the GL2 representatives of one GL2 group, all in its first triple, or
-    for one B group."""
+    the group's GL2 representatives are verified: at sturm_order(N, k_max),
+    in a proof context of its own, where that is <= order, so that every
+    weight is proved, and at the run's order otherwise (see the module
+    docstring).  A zero residual, zero as a modular form, stands for the
+    instance at every pair of its GL2 orbit (proof transport).  The
+    instances left, at the lower weights and at each (k, split) whose GL2
+    representative failed, go to the B groups inside the GL2 group and are
+    verified by B transport at the run's order, one representative per
+    B-orbit, which writes every failure report.  Either way the outcome of
+    a representative stands for its orbit, whose series its reads built
+    and checked (see _Level.series_at).  Products live for the GL2
+    representatives of one GL2 group, all in its first triple, or for one
+    B group."""
     level, covered, failures = _Level(N, order), 0, []
     weights = range(2, k_max + 1)
     proved = [k for k in weights if order >= sturm_order(N, k)]
+    # a weight below the bound needs every series of the level at the run's
+    # order, for B: the proofs share that context and its series
+    P = min(order, sturm_order(N, k_max))
+    proof = level if P == order else _Level(N, P)
     for head in _orbits(N, _gl2_orbit):
-        level.products = {}  # no product is used outside its group (see _orbits)
+        proof.products = {}  # no product is used outside its group (see _orbits)
         failed = set()  # (k, k1, pair) of each instance a failed proof leaves to B
         for rep, orbit in head:
             for inst in _instances(N, proved, [rep]):
-                if level.residual(inst, _plan(inst.k1, inst.k2)).is_zero():
+                if proof.residual(inst, _plan(inst.k1, inst.k2)).is_zero():
                     covered += len(orbit)
                 else:
                     failed.update((inst.k, inst.k1, pair) for pair in orbit)
@@ -746,14 +768,34 @@ def _scan_forked(tasks: List[tuple], n: int) -> List[Tuple[int, List[dict]]]:
     return [results[i] for i in range(len(tasks))]
 
 
+def _check_bounds(level_max: int, weight_max: int) -> None:
+    if level_max < 2 or weight_max < 2:
+        raise ValueError("nothing to verify: need --level-max, --weight-max >= 2")
+
+
+def scan_sturm_order(level_max: int, weight_max: int) -> int:
+    """The least order at which run_scan(level_max, weight_max, order)
+    proves every weight of every level: the largest sturm_order(N,
+    weight_max) over 2 <= N <= level_max, the largest and not the last, as
+    mu(N) does not grow with N (sturm_order(11, 6) = 331 > sturm_order(12,
+    6) = 289).  Bounds with nothing to verify raise ValueError, as in
+    run_scan."""
+    _check_bounds(level_max, weight_max)
+    return max(sturm_order(N, weight_max) for N in range(2, level_max + 1))
+
+
 def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> dict:
     """Verify every enumerated instance with N <= level_max, k <= weight_max.
 
-    One ordered pair per B-orbit is verified directly, by its level's
-    _Level, and every other instance of the orbit is covered by orbit
-    transport (see the module docstring); ``instances`` and ``passed``
-    count covered instances.  A level is one task, so that each series is
-    built and checked once, by the one process that scans its level.  The
+    At each weight with order >= sturm_order(N, k), one ordered pair per
+    GL2(Z/N) orbit is verified, at its level's Sturm order where every
+    weight of the level is proved, and a zero residual proves its whole
+    orbit (proof transport); every other instance
+    is covered by B transport at the run's order, one ordered pair per
+    B-orbit (see the module docstring and _scan_level).  ``instances`` and
+    ``passed`` count covered instances; ``order`` is the run's order.  A
+    level is one task, so that each series is built and checked once per
+    order, by the one process that scans its level.  The
     tasks run largest level first, in min(workers, levels) processes, or
     one where the OS has no fork (see _scan_forked): the caller scans the
     largest level, the bulk of a scan, and forked children the others, and
@@ -762,8 +804,7 @@ def run_scan(level_max: int, weight_max: int, order: int, workers: int = 1) -> d
     emission).  Nothing to verify (level_max or weight_max below 2) and
     workers < 1 raise ValueError: no scan passes vacuously.
     """
-    if level_max < 2 or weight_max < 2:
-        raise ValueError("nothing to verify: need --level-max, --weight-max >= 2")
+    _check_bounds(level_max, weight_max)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tasks = [(N, weight_max, order) for N in range(level_max, 1, -1)]

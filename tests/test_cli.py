@@ -236,6 +236,38 @@ class TestScan:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert parse(["scan", "--level-max", "2", "--parallel", "4"]).parallel == 1
 
+    def test_order_sturm_proves_criterion_1(self, capsys):
+        # --order sturm is the largest sturm_order(N, 8), N <= 6: 49, at
+        # which every weight of every level is proved, each level but 6 in
+        # a proof context at its own Sturm order; the output is that of
+        # --order 49, byte for byte
+        code, out, _ = run(capsys, "scan", "--level-max", "6", "--weight-max", "8",
+                           "--order", "sturm", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["order"], doc["instances"], doc["passed"]) == (49, 56392, 56392)
+        assert run(capsys, "scan", "--level-max", "6", "--weight-max", "8",
+                   "--order", "49", "--json") == (0, out, "")
+
+    def test_order_sturm_takes_the_largest_bound(self):
+        # mu(N) does not grow with N: T(11, 6) = 331 > T(12, 6) = 289
+        assert relations.scan_sturm_order(12, 6) == 331
+        assert relations.scan_sturm_order(2, 2) == 2
+        with pytest.raises(ValueError, match="nothing to verify"):
+            relations.scan_sturm_order(1, 6)
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--level", "3", "--weight", "4", "--a", "1,0"],
+        ["bg-series", "--level", "3", "--weight", "3", "--a", "1"],
+        ["verify", "--level", "3", "--weight", "4", "--split", "1,1", "--a", "1,0",
+         "--b", "0,1"]])
+    def test_order_sturm_is_for_scan_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv, "--order", "sturm")
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
     def test_parallel_matches_serial(self, capsys):
         _, out1, _ = run(capsys, "scan", "--level-max", "3", "--weight-max", "3",
                          "--order", "16", "--parallel", "1", "--json")
@@ -493,13 +525,13 @@ class TestNumeric:
 def cli_argv(draw):
     """argv for any subcommand, bad values included, with the weight and
     |tau| drawn jointly large: one size scales both.  Scans stay at
-    N <= 3, k <= 3, order <= 12, and the relation check, whose cost grows
+    N <= 3, k <= 3, order <= 12 or 'sturm' (at most 4 there), and the relation check, whose cost grows
     as k^2, at k <= 30, so that an example takes milliseconds."""
     size = draw(st.integers(0, 8))
     weight = draw(st.integers(-1, 2 + 20 * size))
     small = st.integers(-1, 4)
     level = str(draw(st.integers(0, 4)))
-    order = str(draw(st.integers(0, 12)))
+    order = draw(st.integers(0, 12).map(str) | st.just("sturm"))
     command = draw(st.sampled_from(
         ["expand", "bg-series", "verify", "scan", "recurrences", "numeric", "numeric"]))
     if command == "expand":

@@ -41,9 +41,15 @@ CLI_GOLDEN = [
       "--parallel", "2"), SCAN_WIDE),
     (("scan", "--level-max", "3", "--weight-max", "4", "--order", "160", "--json"),
      "bb54dc54c4b49458637205ef9559ec159b16cdc293b1629deae3e5162c690bb3"),
-    # limbs past 8 bytes: products up to 9 bytes wide, residuals up to 10
+    # every weight proved, each level at its own Sturm order (17 at level
+    # 4), below the run's order, which the summary still reports
     (("scan", "--level-max", "4", "--weight-max", "8", "--order", "100", "--json"),
      "4852691a74553e64e63c6fd8c5e1db0ebc7de7ac17981fe53ebba13a3667808f"),
+    # limbs past 8 bytes: weight 8 at level 7 stays on the B path at order
+    # 100 (sturm_order(7, 8) = 113), where products reach 9 bytes and
+    # residuals 11
+    (("scan", "--level-max", "7", "--weight-max", "8", "--order", "100", "--json"),
+     "6eb4d396f0922285902f3b3b397ec95342a87a7078deb9b0de355be7ee7236a9"),
     (("verify", "--level", "4", "--weight", "5", "--split", "2,1", "--a", "1,2",
       "--b", "3,3", "--json"),
      "9d19cce7ff1d73e579b800d5b572c3f4374f7560778040d08112c2b30f715d9e"),

@@ -460,9 +460,10 @@ class TestProductCache:
             return at(self, width)
 
         monkeypatch.setattr(PackedSeries, "at", counting)
-        # 146 with the GL2 representatives at order 40, 114 with the B
-        # representatives at order 1
-        for order, count in ((40, 146), (1, 114)):
+        # 131 with the GL2 representatives, each level at its own Sturm
+        # order (9, 5 and 3, where shorter series need narrower limbs), in a
+        # scan at order 40; 114 with the B representatives at order 1
+        for order, count in ((40, 131), (1, 114)):
             calls.clear()
             assert run_scan(4, 4, order)["failed"] == 0
             assert [c for c in calls if c[1] < c[0].width] == []
@@ -471,8 +472,10 @@ class TestProductCache:
     def test_every_value_sits_at_its_byte_width(self, monkeypatch):
         # every series, product and residual of a scan is stored at the
         # least byte width its height needs, and its value is its own limbs
-        # packed at that width; this scan's products reach 9 bytes and its
-        # residuals 10, past the 8-byte edge
+        # packed at that width; this scan proves levels 2-6 at their Sturm
+        # orders, 5 to 49, and level 7, whose weight 8 is below the bound
+        # (sturm_order(7, 8) = 113) and runs B, at order 100, where series
+        # reach 8 bytes, products 9 and residuals 11, past the 8-byte edge
         made = {"series": [], "product": [], "residual": []}
 
         def recording(kind, make):
@@ -488,7 +491,8 @@ class TestProductCache:
                             recording("product", relations.convolve_int))
         monkeypatch.setattr(relations, "linear_combination",
                             recording("residual", relations.linear_combination))
-        assert run_scan(4, 8, 100)["failed"] == 0
+        assert run_scan(7, 8, 100)["failed"] == 0
+        assert {x.order for x in made["residual"]} == {5, 9, 17, 41, 49, 100}
         for values in made.values():
             for x in values:
                 N, phi = x.level, totient(x.level)
@@ -500,7 +504,7 @@ class TestProductCache:
                 cols = [data[j::N] for j in range(phi)]
                 assert qseries._pack(cols, x.order * s, x.width, s) == x.value
         assert {kind: max(x.width for x in values) for kind, values in made.items()} == \
-            {"series": 8, "product": 9, "residual": 10}
+            {"series": 8, "product": 9, "residual": 11}
 
     def test_declared_height_bounds_every_product(self, monkeypatch):
         # a product's height is a derived bound, used as is for the limb
@@ -527,11 +531,15 @@ class TestProductCache:
         assert checked[0] > 1000 and over == []
 
     def test_scan_keeps_one_level_cached(self, monkeypatch):
-        # one context per level, largest first: after each group of the
-        # walk that verifies (the GL2 x S3 groups at order 40, where every
-        # weight is proved; the B groups at order 1, below every Sturm
-        # bound) it holds that group's products only, and after its level
-        # every series of the level, weights 1-4 at every nonzero point
+        # levels largest first, each with a context at the run's order and,
+        # where every weight is proved below it, a proof context at its
+        # Sturm order: two per level at order 40, (N, order) and then
+        # (N, sturm_order(N, 4)), and one at order 1, below every bound.
+        # The context that verifies holds, after each group of its walk
+        # (the GL2 x S3 groups at order 40, the B groups at order 1), that
+        # group's products only, and after its level every series of the
+        # level, weights 1-4 at every nonzero point; at order 40 the
+        # run-order context builds none
         levels, orbits_of = record_levels(monkeypatch), relations._orbits
         for order, walked, count in PATHS:
             checked = []
@@ -549,12 +557,14 @@ class TestProductCache:
             assert run_scan(4, 4, order)["failed"] == 0
             assert sum(checked) == count
             assert [(level.N, level.order) for level in levels[start:]] == \
-                [(4, order), (3, order), (2, order)]
+                [(N, o) for N in (4, 3, 2)
+                 for o in ([order, sturm_order(N, 4)] if order == 40 else [order])]
             for level in levels[start:]:
                 N = level.N
-                assert set(level.series) == {(k, p) for k in range(1, 5)
-                                             for p in itertools.product(range(N), repeat=2)
-                                             if p != (0, 0)}
+                assert set(level.series) == (set() if level.order == 40 else
+                                             {(k, p) for k in range(1, 5)
+                                              for p in itertools.product(range(N), repeat=2)
+                                              if p != (0, 0)})
 
 
 class TestMemory:
@@ -1198,13 +1208,52 @@ class TestProofTransport:
     def test_proof_scan_matches_direct_walk(self, monkeypatch):
         # every weight is proved at N <= 5, k <= 6, order 31: plainly, and
         # under alpha + 1, where each GL2 representative fails unless its
-        # E^{(k)}_a vanishes and hands its orbit back to B transport
+        # E^{(k)}_a vanishes and hands its orbit back to B transport.
+        # Sturm's bound seen from the other side: a nonzero residual is a
+        # nonzero form, so every failing instance of the direct walk has
+        # its first nonzero exponent below sturm_order(N, k)
         assert max(sturm_order(N, 6) for N in range(2, 6)) == 31
         assert run_scan(5, 6, 31) == direct_walk(5, 6, 31)
         add_one_to_alpha(monkeypatch)
         direct = direct_walk(5, 6, 31)
         assert 0 < direct["failed"] < direct["instances"]
         assert run_scan(5, 6, 31) == direct
+        for report in direct["failures"]:
+            inst = report["instance"]
+            assert report["first_nonzero_exponent"] < sturm_order(inst["level"], inst["weight"])
+
+    def test_each_level_proves_at_its_own_sturm_order(self, monkeypatch):
+        # a scan makes, per level, a context at the run's order and, when
+        # every weight is proved below it, sturm_order(N, k_max) < order, a
+        # proof context at sturm_order(N, k_max), which verifies the GL2
+        # representatives: order 40 at N <= 4, k <= 4 proves every weight,
+        # at orders 9, 5 and 3, and builds no series at order 40.  In
+        # criterion 1 levels 5 and 6 keep (5, 8), (6, 7) and (6, 8) on the
+        # B path, so they prove their other weights at order 40, in their
+        # one context; at order 31 = sturm_order(5, 6) level 5 proves at the
+        # run's order; order 1 proves none
+        levels, build, orders = record_levels(monkeypatch), relations.eisenstein_int_form, []
+
+        def building(idx, order):
+            orders.append(order)
+            return build(idx, order)
+
+        monkeypatch.setattr(relations, "eisenstein_int_form", building)
+        contexts = {
+            (4, 4, 40): [(4, 40), (4, 9), (3, 40), (3, 5), (2, 40), (2, 3)],
+            (6, 8, 40): [(6, 40), (5, 40), (4, 40), (4, 17), (3, 40), (3, 9), (2, 40), (2, 5)],
+            (5, 6, 31): [(5, 31), (4, 31), (4, 13), (3, 31), (3, 7), (2, 31), (2, 4)],
+            (4, 4, 1): [(4, 1), (3, 1), (2, 1)],
+        }
+        for (level_max, k_max, order), expected in contexts.items():
+            start = len(levels)
+            assert run_scan(level_max, k_max, order)["failed"] == 0
+            assert [(level.N, level.order) for level in levels[start:]] == expected
+            # each proof context at the bound of its level's highest weight
+            assert all(o == sturm_order(N, k_max) for N, o in expected if o != order)
+        orders.clear()
+        assert run_scan(4, 4, 40)["failed"] == 0
+        assert sorted(set(orders)) == [3, 5, 9]
 
 
 class TestPlan:

@@ -1,9 +1,11 @@
 """Mutation guard for the float checks' bounds and the scan's proof transport.
 
 Each mutant below is one text substitution in the package, with the test
-file that must kill it: six loosen a bound of a float check, and two let
+file that must kill it: six loosen a bound of a float check, and three let
 the exact scan transport a representative's outcome over its GL2(Z/N)
-orbit where that is not a proof.  For each, the script copies ``src/``, ``tests/``
+orbit where that is not a proof: a nonzero residual, a zero at the run's
+order below Sturm's bound, or a zero in a proof context one coefficient
+short of the bound.  For each, the script copies ``src/``, ``tests/``
 and ``pyproject.toml`` to a temporary directory, applies the substitution
 there, and runs the named tests on the copy with pytest.  A mutant is
 killed when pytest reports a failing test (exit code 1).  Before any
@@ -48,12 +50,15 @@ MUTANTS = (
      NUMERIC, '"pass": bool(residual < tol)', '"pass": bool(residual < 1000 * tol)',
      "tests/test_numeric.py"),
     ("GL2 transport of a representative whose residual is nonzero",
-     RELATIONS, "if level.residual(inst, _plan(inst.k1, inst.k2)).is_zero():",
-     "if level.residual(inst, _plan(inst.k1, inst.k2)) is not None:",
+     RELATIONS, "if proof.residual(inst, _plan(inst.k1, inst.k2)).is_zero():",
+     "if proof.residual(inst, _plan(inst.k1, inst.k2)) is not None:",
      "tests/test_relations.py"),
     ("GL2 transport that ignores sturm_order",
      RELATIONS, "proved = [k for k in weights if order >= sturm_order(N, k)]",
      "proved = list(weights)", "tests/test_relations.py"),
+    ("proof order one below Sturm's bound",
+     RELATIONS, "P = min(order, sturm_order(N, k_max))",
+     "P = min(order, sturm_order(N, k_max) - 1)", "tests/test_relations.py"),
 )
 
 
